@@ -29,7 +29,7 @@ from .evaluation import (
     evaluate,
     run_grid_search,
 )
-from .lexicon import ColoredAlphabet, LexiconTrie, build_trie, get_next_chars
+from .lexicon import ColoredAlphabet, LexiconTrie, build_trie
 from .metrics import EvalReport, MethodResult, cer, edit_distance, jargon_wer, wer
 from .ngram_lm import (
     NGramModel,
@@ -72,7 +72,6 @@ __all__ = [
     "exhaustive_decode",
     "fit_bin_table",
     "format_colored",
-    "get_next_chars",
     "jargon_wer",
     "load_arpa",
     "make_scorer",

@@ -182,27 +182,23 @@ def cmd_decode(args) -> int:
             raise UsageError(
                 "--fusion coloring needs as many --lm files as --lexicon files"
             )
-        runtime = build_runtime(
+        cfg = build_runtime(
             args.fusion, lexicons, models, config, template,
             args.beam_width, bin_table,
-        )
-        alphabet, tries, scorer = runtime.alphabet, runtime.tries, runtime.scorer
+        ).decoder_config()
     else:
         if args.fusion == "coloring":
             raise UsageError("--fusion coloring needs --lexicon files")
-        alphabet = template
-        tries = None
         scorer = make_scorer(args.fusion, models, config, bin_table=bin_table)
+        cfg = DecoderConfig(template, None, scorer, beam_width=args.beam_width)
 
     matrix = read_logits(args.logits)
-    transcript = decode(
-        matrix,
-        DecoderConfig(alphabet, tries, scorer, beam_width=args.beam_width),
-    )
-    print(format_colored(transcript.words, alphabet.num_colors))
+    transcript = decode(matrix, cfg)
+    num_colors = cfg.alphabet.num_colors
+    print(format_colored(transcript.words, num_colors))
     print(f"score {transcript.score:.9f}")
     if args.out:
-        write_colored_transcript(transcript, args.out, alphabet.num_colors)
+        write_colored_transcript(transcript, args.out, num_colors)
     return 0
 
 

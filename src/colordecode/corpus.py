@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decoder import ColoredTranscript, LogitsMatrix
+from .decoder import ColoredTranscript, LogitsMatrix, MalformedLogits
 from .lexicon import ColoredAlphabet
 from .ngram_lm import NGramModel
 
@@ -180,7 +180,8 @@ def write_manifest(utterances: Sequence[Utterance], path) -> None:
 
 
 def read_logits(path) -> LogitsMatrix:
-    """Load one logits file, binary or JSON."""
+    """Load one logits file, binary or JSON. Contents that are not
+    per-frame distributions raise MalformedLogits naming the file."""
     path = Path(path)
     if not path.exists():
         raise MissingLogitsFile(str(path))
@@ -205,15 +206,23 @@ def read_logits(path) -> LogitsMatrix:
             raise IoFailure(
                 f"{path}: body has {len(body)} bytes, expected {expected}"
             )
-        data = np.frombuffer(body, dtype="<f8").reshape(frames, columns)
-        return LogitsMatrix.from_natural_log(data, columns=columns)
+        rows = np.frombuffer(body, dtype="<f8").reshape(frames, columns)
+        build = LogitsMatrix.from_natural_log
+    else:
+        try:
+            doc = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise IoFailure(
+                f"{path}: neither {MAGIC!r} binary nor JSON: {exc}"
+            ) from None
+        if not isinstance(doc, dict) or "frames" not in doc:
+            raise IoFailure(f"{path}: JSON logits need a 'frames' key")
+        rows, columns = doc["frames"], doc.get("columns")
+        build = LogitsMatrix.from_linear
     try:
-        doc = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IoFailure(f"{path}: neither {MAGIC!r} binary nor JSON: {exc}") from None
-    if not isinstance(doc, dict) or "frames" not in doc:
-        raise IoFailure(f"{path}: JSON logits need a 'frames' key")
-    return LogitsMatrix.from_linear(doc["frames"], columns=doc.get("columns"))
+        return build(rows, columns=columns)
+    except MalformedLogits as exc:
+        raise MalformedLogits(f"{path}: {exc}") from None
 
 
 def write_logits(matrix: LogitsMatrix, path) -> None:

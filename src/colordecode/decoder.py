@@ -36,7 +36,6 @@ __all__ = [
     "DecoderConfig",
     "DecodeStats",
     "get_best_beams",
-    "merge_duplicate_prefixes",
     "decode",
 ]
 
@@ -107,7 +106,7 @@ class LogitsMatrix:
             bad = np.where(np.abs(sums - 1.0) > _ROW_SUM_TOL)[0]
             if bad.size:
                 raise MalformedLogits(
-                    f"row {bad[0]} sums to {sums[bad[0]]!r}, expected 1"
+                    f"row {bad[0]} sums to {float(sums[bad[0]])}, expected 1"
                 )
 
     @property
@@ -170,13 +169,10 @@ class DecoderConfig:
     tries: Sequence[LexiconTrie] | None
     scorer: Scorer
     beam_width: int = 64
-    prune_threshold: float | None = None
 
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError("beam width must be at least 1")
-        if self.prune_threshold is not None and self.prune_threshold <= 0:
-            raise ValueError("prune threshold must be positive")
 
 
 @dataclass
@@ -195,23 +191,6 @@ def get_best_beams(beams: Sequence[Beam], limit: int) -> list[Beam]:
     """Top beams by score; ties prefer shorter, then lexicographically
     smaller prefixes, so ranking is deterministic."""
     return sorted(beams, key=_rank_key)[:limit]
-
-
-def merge_duplicate_prefixes(beams: Sequence[Beam]) -> list[Beam]:
-    """Sum acoustic masses of beams sharing a colored prefix.
-
-    Text metadata is a pure function of the prefix, so the first beam's
-    copy is kept verbatim.
-    """
-    merged: dict[tuple[tuple[int, int], ...], Beam] = {}
-    for b in beams:
-        kept = merged.get(b.chars)
-        if kept is None:
-            merged[b.chars] = b
-        else:
-            kept.p_blank = logaddexp10(kept.p_blank, b.p_blank)
-            kept.p_nonblank = logaddexp10(kept.p_nonblank, b.p_nonblank)
-    return list(merged.values())
 
 
 def decode(
@@ -262,9 +241,6 @@ def decode(
 
     for row in logits.log10_rows():
         best = get_best_beams(beams, config.beam_width)
-        if config.prune_threshold is not None:
-            floor = best[0].score - config.prune_threshold
-            best = [b for b in best if b.score >= floor]
 
         next_map: dict[tuple[tuple[int, int], ...], Beam] = {}
         expanded = 0
@@ -348,7 +324,7 @@ def decode(
         words = b.words
         fscore = b.score
         if pending is not None:
-            word, color, _off = pending
+            word, color = pending
             delta, _ = scorer.word_delta(b.scorer_state, word, color)
             fscore += delta
             words = words + ((word, color),)

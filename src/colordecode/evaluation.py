@@ -27,7 +27,7 @@ from .corpus import (
     read_logits,
     synthesize_corpus,
 )
-from .decoder import ColoredTranscript, DecoderConfig, decode
+from .decoder import ColoredTranscript, DecoderConfig, ShapeMismatch, decode
 from .lexicon import ColoredAlphabet, LexiconTrie, build_trie
 from .metrics import EvalReport, MethodResult, cer, jargon_wer, wer
 from .ngram_lm import EMPTY_STATE, NGramModel
@@ -147,9 +147,6 @@ class GridSpec:
                                     num_bins=nb,
                                 )
 
-    def size(self, kind: str) -> int:
-        return sum(1 for _ in self.points(kind))
-
 
 @dataclass
 class MethodRuntime:
@@ -213,10 +210,18 @@ def _init_worker(runtime: MethodRuntime) -> None:
     _WORKER_RUNTIME = runtime
 
 
+def _decode_file(path: str, cfg: DecoderConfig) -> ColoredTranscript:
+    matrix = read_logits(path)
+    try:
+        return decode(matrix, cfg)
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"{path}: {exc}") from None
+
+
 def _decode_path(path: str) -> ColoredTranscript:
     runtime = _WORKER_RUNTIME
     assert runtime is not None
-    return decode(read_logits(path), runtime.decoder_config())
+    return _decode_file(path, runtime.decoder_config())
 
 
 def decode_utterances(
@@ -225,7 +230,8 @@ def decode_utterances(
     jobs: int = 1,
 ) -> list[ColoredTranscript]:
     """Decode a corpus in manifest order, fanning out over processes
-    when ``jobs`` exceeds one."""
+    when ``jobs`` exceeds one. The first unreadable or malformed logits
+    file aborts the run with an error naming it."""
     paths = [str(u.logits_path) for u in utterances]
     if jobs > 1 and len(paths) > 1:
         workers = min(jobs, len(paths))
@@ -237,7 +243,7 @@ def decode_utterances(
         ) as pool:
             return list(pool.map(_decode_path, paths, chunksize=chunk))
     cfg = runtime.decoder_config()
-    return [decode(read_logits(p), cfg) for p in paths]
+    return [_decode_file(p, cfg) for p in paths]
 
 
 def _rates(
@@ -293,24 +299,6 @@ class GridSearchResult:
     cer: float
     jargon_wer: float | None
     rows: list[tuple[GridPoint, float, float, float | None]]
-
-    def best_runtime(
-        self,
-        lexicons: Sequence[Sequence[str]],
-        models: Sequence[NGramModel],
-        alphabet: ColoredAlphabet,
-        beam_width: int = 64,
-        bin_table: BinTable | None = None,
-    ) -> MethodRuntime:
-        return build_runtime(
-            self.kind,
-            lexicons,
-            models,
-            self.best.config,
-            alphabet,
-            beam_width,
-            bin_table,
-        )
 
 
 def run_grid_search(

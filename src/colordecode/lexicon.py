@@ -24,7 +24,6 @@ __all__ = [
     "Extension",
     "word_successors",
     "finish_word",
-    "get_next_chars",
 ]
 
 
@@ -107,23 +106,11 @@ class TrieNode:
 class LexiconTrie:
     """Spellings of one color's lexicon, keyed by alphabet column."""
 
-    __slots__ = ("color", "root", "words")
+    __slots__ = ("color", "root")
 
     def __init__(self, color: int):
         self.color = color
         self.root = TrieNode()
-        self.words: set[str] = set()
-
-    def walk(self, cols: Sequence[int]) -> TrieNode | None:
-        node = self.root
-        for col in cols:
-            node = node.children.get(col)
-            if node is None:
-                return None
-        return node
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
 
 
 def build_trie(
@@ -151,7 +138,6 @@ def build_trie(
             col = alphabet.char_column(char)
             node = node.children.setdefault(col, TrieNode())
         node.word = word
-        trie.words.add(word)
     return trie
 
 
@@ -177,15 +163,13 @@ class Extension(NamedTuple):
     """One legal next character from a WordState.
 
     ``completes`` is the word ended by this character (always via the
-    separator), or None. ``off_lexicon`` flags completions of words no
-    trie contains.
+    separator), or None.
     """
 
     col: int
     color: int
     state: WordState
     completes: str | None
-    off_lexicon: bool
 
 
 def _spell(alphabet: ColoredAlphabet, cols: tuple[int, ...]) -> str:
@@ -221,19 +205,11 @@ def word_successors(
                 # a separator completes the pending word; at a boundary it
                 # is just consumed (its color inherited from the left)
                 completes = _spell(alphabet, state.chars) if state.chars else None
-                out.append(
-                    Extension(
-                        col,
-                        prev_color,
-                        WordState(prev_color, None, ()),
-                        completes,
-                        False,
-                    )
-                )
+                nxt = WordState(prev_color, None, ())
+                out.append(Extension(col, prev_color, nxt, completes))
                 continue
-            out.append(
-                Extension(col, 0, WordState(0, None, state.chars + (col,)), None, False)
-            )
+            nxt = WordState(0, None, state.chars + (col,))
+            out.append(Extension(col, 0, nxt, None))
         return out
 
     if not state.chars:
@@ -241,20 +217,11 @@ def word_successors(
         # may repeat (colored like the previous character, 0 at the start)
         for trie in tries:
             for col, node in trie.root.children.items():
-                out.append(
-                    Extension(
-                        col,
-                        trie.color,
-                        WordState(trie.color, node, (col,)),
-                        None,
-                        False,
-                    )
-                )
+                nxt = WordState(trie.color, node, (col,))
+                out.append(Extension(col, trie.color, nxt, None))
         if sep_col is not None:
             color = state.color if state.color is not None else 0
-            out.append(
-                Extension(sep_col, color, WordState(color, None, ()), None, False)
-            )
+            out.append(Extension(sep_col, color, WordState(color, None, ()), None))
         return out
 
     color = state.color
@@ -263,17 +230,11 @@ def word_successors(
 
     if node is not None:
         for col, child in node.children.items():
-            out.append(
-                Extension(
-                    col, color, WordState(color, child, state.chars + (col,)), None, False
-                )
-            )
+            nxt = WordState(color, child, state.chars + (col,))
+            out.append(Extension(col, color, nxt, None))
         if sep_col is not None and node.word is not None:
-            out.append(
-                Extension(
-                    sep_col, color, WordState(color, None, ()), node.word, False
-                )
-            )
+            nxt = WordState(color, None, ())
+            out.append(Extension(sep_col, color, nxt, node.word))
 
     if allow_off_lexicon:
         on_trie = set()
@@ -291,19 +252,11 @@ def word_successors(
                         color,
                         WordState(color, None, ()),
                         _spell(alphabet, state.chars),
-                        True,
                     )
                 )
             else:
-                out.append(
-                    Extension(
-                        col,
-                        color,
-                        WordState(color, None, state.chars + (col,)),
-                        None,
-                        False,
-                    )
-                )
+                nxt = WordState(color, None, state.chars + (col,))
+                out.append(Extension(col, color, nxt, None))
     return out
 
 
@@ -312,10 +265,10 @@ def finish_word(
     tries: Sequence[LexiconTrie] | None,
     state: WordState,
     allow_off_lexicon: bool = False,
-) -> tuple[str, int, bool] | None:
+) -> tuple[str, int] | None:
     """Resolve a partial word at the end of the utterance.
 
-    Returns (word, color, off_lexicon) when the partial spells something
+    Returns (word, color) when the partial spells something
     reportable: a word-final trie node, an unconstrained-mode string, or
     (with ``allow_off_lexicon``) any leftover spelling. Returns None when
     there is nothing pending or the spelling must be dropped.
@@ -323,37 +276,12 @@ def finish_word(
     if not state.chars:
         return None
     if tries is None:
-        return _spell(alphabet, state.chars), 0, False
+        return _spell(alphabet, state.chars), 0
     color = state.color
     assert color is not None
     if state.node is not None and state.node.word is not None:
-        return state.node.word, color, False
+        return state.node.word, color
     if allow_off_lexicon:
-        return _spell(alphabet, state.chars), color, True
+        return _spell(alphabet, state.chars), color
     return None
 
-
-def get_next_chars(
-    alphabet: ColoredAlphabet,
-    tries: Sequence[LexiconTrie] | None,
-    beam_tail: tuple[str, int | None],
-    allow_off_lexicon: bool = False,
-) -> set[tuple[str, int]]:
-    """Legal (character, color) continuations after a partial word.
-
-    ``beam_tail`` is (partial word text, color of that partial or None at
-    a fresh boundary). Convenience wrapper over ``word_successors`` for
-    callers that think in characters rather than columns.
-    """
-    partial, color = beam_tail
-    cols = tuple(alphabet.char_column(c) for c in partial)
-    if tries is None or not cols:
-        state = WordState(color, None, cols) if cols else WordState(color, None, ())
-    else:
-        assert color is not None
-        node = tries[color].walk(cols)
-        state = WordState(color, node, cols)
-        if node is None and not allow_off_lexicon:
-            return set()
-    exts = word_successors(alphabet, tries, state, allow_off_lexicon)
-    return {(alphabet.base_chars[e.col], e.color) for e in exts}

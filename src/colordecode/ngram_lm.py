@@ -27,8 +27,6 @@ __all__ = [
     "NGramModel",
     "DEFAULT_OOV_LOG10",
     "color_token",
-    "token_color",
-    "strip_color",
     "parse_arpa",
     "serialize_arpa",
     "load_arpa",
@@ -37,8 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_OOV_LOG10 = -10.0
-
-_COLORED_TOKEN = re.compile(r"^(\d+):")
 
 
 class MalformedArpa(ValueError):
@@ -60,17 +56,6 @@ class DuplicateColoredToken(ValueError):
 def color_token(word: str, color: int) -> str:
     """Rename a surface word into color space: ``clozaril`` + 1 -> ``1:clozaril``."""
     return f"{color}:{word}"
-
-
-def token_color(token: str) -> int | None:
-    """Color id of a colored token, or None if the token is uncolored."""
-    m = _COLORED_TOKEN.match(token)
-    return int(m.group(1)) if m else None
-
-
-def strip_color(token: str) -> str:
-    """Surface form of a colored token; uncolored tokens pass through."""
-    return _COLORED_TOKEN.sub("", token, count=1)
 
 
 class LmState(NamedTuple):
@@ -149,19 +134,6 @@ class NGramModel:
             if back is not None and back[1] is not None:
                 penalty += back[1]
             context = context[1:]
-
-    def sentence_logprob(
-        self,
-        words: Iterable[str],
-        oov_log10: float = DEFAULT_OOV_LOG10,
-    ) -> float:
-        """Sum of per-word scores starting from the empty context."""
-        total = 0.0
-        state = EMPTY_STATE
-        for word in words:
-            lp, state = self.score_word(state, word, oov_log10)
-            total += lp
-        return total
 
 
 def _check_prefixes(model: NGramModel) -> None:

@@ -149,7 +149,7 @@ def exhaustive_decode(
         fwords = words
         fscore = ctc_path_sum(rows, [c for c, _ in chars]) + p_text
         if pending is not None:
-            word, color, _off = pending
+            word, color = pending
             delta, _ = scorer.word_delta(scorer_state, word, color)
             fscore += delta
             fwords = words + ((word, color),)

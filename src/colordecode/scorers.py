@@ -38,8 +38,6 @@ __all__ = [
     "MissingBinTable",
     "EmptyCalibration",
     "ScorerConfig",
-    "interp_linear",
-    "interp_loglinear",
     "bayes_posterior_log10",
     "interp_bayes",
     "BinTable",
@@ -118,27 +116,8 @@ class ScorerConfig:
         return pens[color] if color < len(pens) else pens[-1]
 
 
-def interp_linear(pg: float, pj: float, lam: float) -> float:
-    """(1-lam) * pg + lam * pj on linear-domain probabilities."""
-    return (1.0 - lam) * pg + lam * pj
-
-
-def interp_loglinear(pg: float, pj: float, lam: float) -> float:
-    """pg**(1-lam) * pj**lam on linear-domain probabilities.
-
-    Endpoints are exact even when the zero-weighted probability is 0, so
-    lam=0 never poisons a score with the domain model's zeros.
-    """
-    if lam == 0.0:
-        return pg
-    if lam == 1.0:
-        return pj
-    if pg == 0.0 or pj == 0.0:
-        return 0.0
-    return pg ** (1.0 - lam) * pj ** lam
-
-
 def _combine_linear_log10(lg: float, lj: float, lam: float) -> float:
+    """log10((1-lam) * 10**lg + lam * 10**lj)."""
     if lam == 0.0:
         return lg
     if lam == 1.0:
@@ -147,6 +126,9 @@ def _combine_linear_log10(lg: float, lj: float, lam: float) -> float:
 
 
 def _combine_loglinear_log10(lg: float, lj: float, lam: float) -> float:
+    """(1-lam) * lg + lam * lj. Endpoints are exact even when the
+    zero-weighted model gives -inf, so lam=0 never poisons a score with
+    the domain model's zeros."""
     if lam == 0.0:
         return lg
     if lam == 1.0:

@@ -79,3 +79,15 @@ def random_c1_instance(rng: random.Random):
     alpha = rng.choice([0.5, 1.0])
     beta = rng.choice([0.0, 0.5])
     return chars, sep, word_list, model, rows, alpha, beta
+
+
+def trie_words(trie) -> set[str]:
+    """Every word a LexiconTrie spells, found by following ``root.children``."""
+    words = set()
+    stack = [trie.root]
+    while stack:
+        node = stack.pop()
+        if node.word is not None:
+            words.add(node.word)
+        stack.extend(node.children.values())
+    return words

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 
+import numpy as np
 import pytest
 
 from colordecode import cli
+from colordecode.corpus import MAGIC
 from colordecode.ngram_lm import NGramModel, load_arpa, save_arpa
 
 LOG10_HALF = math.log10(0.5)
@@ -457,3 +460,58 @@ def test_lexicon_outside_alphabet_fails_cleanly(tmp_path, capsys):
     )
     assert rc == 1
     assert err.startswith("error:")
+
+
+def write_ctcl(path, natural_log_rows):
+    rows = np.asarray(natural_log_rows, dtype="<f8")
+    header = f"{rows.shape[0]} {rows.shape[1]}\n".encode("ascii")
+    path.write_bytes(MAGIC + header + rows.tobytes())
+    return path
+
+
+BAD_LOGITS = {
+    # 28 columns (27 characters plus blank), each 0.5: the row sums to 14
+    "rows-sum-14.ctcl": np.log(np.full((2, 28), 0.5)),
+    # proper distributions, but 5 columns where the alphabet needs 28
+    "five-columns.ctcl": np.log(np.full((2, 5), 0.2)),
+}
+
+
+@pytest.mark.parametrize("bad_name", sorted(BAD_LOGITS))
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_names_the_malformed_logits_file(
+    synth_dir, tmp_path, capsys, jobs, bad_name
+):
+    good = shutil.copy(synth_dir / "logits" / "utt0000.ctcl", tmp_path / "good.ctcl")
+    bad = write_ctcl(tmp_path / bad_name, BAD_LOGITS[bad_name])
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(
+        "".join(
+            json.dumps({"id": f"u{i}", "logits": str(path), "reference": "a"}) + "\n"
+            for i, path in enumerate([good, bad])
+        ),
+        encoding="utf-8",
+    )
+    argv = [
+        "eval",
+        str(manifest),
+        "--lexicon",
+        str(synth_dir / "general.txt"),
+        "--beam-width",
+        "4",
+        "--jobs",
+        jobs,
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and bad_name in err
+    assert "Traceback" not in err
+
+
+def test_decode_names_the_malformed_logits_file(tmp_path, capsys):
+    bad = write_ctcl(tmp_path / "rows-sum-14.ctcl", BAD_LOGITS["rows-sum-14.ctcl"])
+    rc, out, err = run_cli(["decode", str(bad)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {bad}: row 0 sums to 14.0, expected 1\n"

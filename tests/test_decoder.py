@@ -3,9 +3,8 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import colordecode.decoder as decoder_module
 from colordecode.decoder import (
     Beam,
     ColoredTranscript,
@@ -16,12 +15,12 @@ from colordecode.decoder import (
     ShapeMismatch,
     decode,
     get_best_beams,
-    merge_duplicate_prefixes,
 )
 from colordecode.lexicon import WORD_START, ColoredAlphabet, build_trie
 from colordecode.logmath import NEG_INF, logsumexp10
+from colordecode.ngram_lm import NGramModel
 from colordecode.oracle import exhaustive_decode, random_instance
-from colordecode.scorers import NullScorer, ScorerConfig
+from colordecode.scorers import NullScorer, ScorerConfig, SingleLmScorer
 from conftest import random_rows
 
 # ---------------------------------------------------------------------------
@@ -116,42 +115,6 @@ def test_get_best_beams_breaks_ties_deterministically():
     ]
 
 
-def test_merge_duplicate_prefixes_sums_masses():
-    a = _beam(((0, 0),), math.log10(0.04), math.log10(0.1))
-    b = _beam(((0, 0),), math.log10(0.06), math.log10(0.2))
-    c = _beam(((1, 0),), -1.0, NEG_INF)
-    merged = merge_duplicate_prefixes([a, b, c])
-    assert len(merged) == 2
-    kept = next(m for m in merged if m.chars == ((0, 0),))
-    assert kept.p_blank == pytest.approx(math.log10(0.1), abs=1e-12)
-    assert kept.p_nonblank == pytest.approx(math.log10(0.3), abs=1e-12)
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from([(), ((0, 0),), ((0, 0), (1, 1))]),
-            st.floats(min_value=-20, max_value=0),
-            st.floats(min_value=-20, max_value=0),
-        ),
-        min_size=1,
-        max_size=8,
-    )
-)
-def test_merge_conserves_total_mass(items):
-    beams = [_beam(chars, pb, pnb) for chars, pb, pnb in items]
-    before = logsumexp10(
-        [b.p_blank for b in beams] + [b.p_nonblank for b in beams]
-    )
-    merged = merge_duplicate_prefixes(beams)
-    after = logsumexp10(
-        [b.p_blank for b in merged] + [b.p_nonblank for b in merged]
-    )
-    assert after == pytest.approx(before, abs=1e-9)
-    assert len({b.chars for b in merged}) == len(merged)
-
-
 # ---------------------------------------------------------------------------
 # decode: frozen fixtures
 # ---------------------------------------------------------------------------
@@ -231,10 +194,6 @@ def test_config_validation():
     alphabet = ColoredAlphabet(("a",), 1, None)
     with pytest.raises(ValueError):
         DecoderConfig(alphabet, None, NullScorer(ScorerConfig()), beam_width=0)
-    with pytest.raises(ValueError):
-        DecoderConfig(
-            alphabet, None, NullScorer(ScorerConfig()), prune_threshold=0.0
-        )
 
 
 def test_unconstrained_greedy_text():
@@ -321,6 +280,86 @@ def test_random_instances_match_oracle():
             assert got.score == pytest.approx(oracle.best.score, abs=1e-9)
 
 
+def _unigram_scorer(rng: random.Random, word_chars: str) -> SingleLmScorer:
+    vocab = sorted(
+        {
+            "".join(rng.choice(word_chars) for _ in range(rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 4))
+        }
+    )
+    weights = [rng.random() + 0.05 for _ in vocab]
+    total = sum(weights)
+    model = NGramModel(
+        max_order=1,
+        entries={(w,): (math.log10(x / total), None) for w, x in zip(vocab, weights)},
+    )
+    config = ScorerConfig(
+        alpha=rng.choice([0.5, 1.0]),
+        beta=rng.choice([0.0, 0.5]),
+        unknown_word_penalty=(-3.0,),
+    )
+    return SingleLmScorer(config, model)
+
+
+def _unconstrained_instance(rng: random.Random):
+    """Random rows over one to three characters, half the time with the
+    last one as word separator. Returns (alphabet, logits, word chars)."""
+    k = rng.randint(1, 3)
+    chars = "abc"[:k]
+    sep = chars[-1] if k >= 2 and rng.random() < 0.5 else None
+    word_chars = chars.replace(sep, "") if sep else chars
+    alphabet = ColoredAlphabet(tuple(chars), 1, sep)
+    rows = random_rows(rng, rng.randint(0, 4), k + 1)
+    logits = LogitsMatrix.from_linear(rows, columns=k + 1)
+    return alphabet, logits, word_chars
+
+
+def test_unconstrained_matches_oracle():
+    """``tries=None`` at a saturating beam equals the exhaustive oracle in
+    words and score, with and without a separator, under no model and
+    under a unigram model."""
+    rng = random.Random(20261018)
+    with_separator = 0
+    for _ in range(150):
+        alphabet, logits, word_chars = _unconstrained_instance(rng)
+        if rng.random() < 0.5:
+            scorer = NullScorer(ScorerConfig())
+        else:
+            scorer = _unigram_scorer(rng, word_chars)
+        oracle = exhaustive_decode(logits, scorer, alphabet, None)
+        width = len(oracle.all_scores) + 1
+        got = decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=width))
+        assert got.words == oracle.best.words
+        if math.isinf(oracle.best.score):
+            assert math.isinf(got.score)
+        else:
+            assert got.score == pytest.approx(oracle.best.score, abs=1e-9)
+        with_separator += alphabet.word_separator is not None
+    assert 0 < with_separator < 150
+
+
+def test_merge_conserves_total_mass(monkeypatch):
+    """Unconstrained, at a saturating beam, each CTC alignment collapses
+    to exactly one prefix, so every frame's merged beams together carry
+    probability 1; a lost or double-counted path moves the total."""
+    masses: list[float] = []
+
+    def rank_and_measure(beams, limit):
+        masses.append(logsumexp10([b.total for b in beams]))
+        return get_best_beams(beams, limit)
+
+    monkeypatch.setattr(decoder_module, "get_best_beams", rank_and_measure)
+    rng = random.Random(77)
+    for _ in range(60):
+        alphabet, logits, _ = _unconstrained_instance(rng)
+        width = sum(alphabet.size**n for n in range(logits.frames + 1))
+        masses.clear()
+        scorer = NullScorer(ScorerConfig())
+        decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=width))
+        assert len(masses) == logits.frames + 1
+        assert masses == pytest.approx([0.0] * len(masses), abs=1e-9)
+
+
 def test_narrow_beam_never_beats_saturated_beam():
     """Any beam width scores at most the saturated-width (= oracle) score.
 
@@ -340,27 +379,6 @@ def test_narrow_beam_never_beats_saturated_beam():
                 DecoderConfig(inst.alphabet, inst.tries, inst.scorer, beam_width=width),
             )
             assert got.score <= oracle.best.score + 1e-9
-
-
-def test_prune_threshold_only_discards():
-    rng = random.Random(7)
-    for _ in range(20):
-        inst = random_instance(rng)
-        wide = decode(
-            inst.logits,
-            DecoderConfig(inst.alphabet, inst.tries, inst.scorer, beam_width=256),
-        )
-        pruned = decode(
-            inst.logits,
-            DecoderConfig(
-                inst.alphabet,
-                inst.tries,
-                inst.scorer,
-                beam_width=256,
-                prune_threshold=5.0,
-            ),
-        )
-        assert pruned.score <= wide.score + 1e-9
 
 
 def test_decoded_colors_are_in_range():

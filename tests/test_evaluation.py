@@ -28,29 +28,34 @@ from colordecode.scorers import (
     ScorerConfig,
     SingleLmScorer,
 )
+from conftest import trie_words
 
 # ---------------------------------------------------------------------------
 # Grid enumeration
 # ---------------------------------------------------------------------------
 
 
+def _size(grid: GridSpec, kind: str) -> int:
+    return sum(1 for _ in grid.points(kind))
+
+
 def test_default_grid_sizes():
     grid = GridSpec()
-    assert grid.size("none") == 5
-    assert grid.size("general") == 5 * 5 * 2
-    assert grid.size("jargon") == 5 * 5 * 2
-    assert grid.size("linear") == 5 * 5 * 4 * 3
-    assert grid.size("loglinear") == 5 * 5 * 4 * 3
-    assert grid.size("coloring") == 5 * 5 * 4 * 5
-    assert grid.size("bins") == 5 * 5 * 4 * 2
-    assert grid.size("bayes") == 5 * 5 * 4
+    assert _size(grid, "none") == 5
+    assert _size(grid, "general") == 5 * 5 * 2
+    assert _size(grid, "jargon") == 5 * 5 * 2
+    assert _size(grid, "linear") == 5 * 5 * 4 * 3
+    assert _size(grid, "loglinear") == 5 * 5 * 4 * 3
+    assert _size(grid, "coloring") == 5 * 5 * 4 * 5
+    assert _size(grid, "bins") == 5 * 5 * 4 * 2
+    assert _size(grid, "bayes") == 5 * 5 * 4
 
 
 def test_comparison_grid_sizes():
-    assert COMPARISON_GRID.size("coloring") == 2 * 2
-    assert COMPARISON_GRID.size("linear") == 2 * 3
-    assert COMPARISON_GRID.size("general") == 2
-    assert COMPARISON_GRID.size("none") == 1
+    assert _size(COMPARISON_GRID, "coloring") == 2 * 2
+    assert _size(COMPARISON_GRID, "linear") == 2 * 3
+    assert _size(COMPARISON_GRID, "general") == 2
+    assert _size(COMPARISON_GRID, "none") == 1
 
 
 def test_points_only_vary_relevant_dimensions():
@@ -112,7 +117,7 @@ def test_build_runtime_coloring_keeps_colors():
     assert rt.alphabet.num_colors == 2
     assert len(rt.tries) == 2
     assert rt.tries[0].color == 0 and rt.tries[1].color == 1
-    assert "zz" in rt.tries[1] and "zz" not in rt.tries[0]
+    assert "zz" in trie_words(rt.tries[1]) and "zz" not in trie_words(rt.tries[0])
     assert isinstance(rt.scorer, ColoringScorer)
 
 
@@ -127,7 +132,7 @@ def test_build_runtime_baselines_union_lexicons():
     )
     assert rt.alphabet.num_colors == 1
     assert len(rt.tries) == 1
-    assert rt.tries[0].words == {"ab", "cd", "zz"}
+    assert trie_words(rt.tries[0]) == {"ab", "cd", "zz"}
     assert isinstance(rt.scorer, SingleLmScorer)
 
 

@@ -10,9 +10,9 @@ from colordecode.lexicon import (
     WordState,
     build_trie,
     finish_word,
-    get_next_chars,
     word_successors,
 )
+from conftest import trie_words
 
 # ---------------------------------------------------------------------------
 # Alphabet
@@ -68,15 +68,13 @@ def test_trie_shares_prefixes():
     assert a_node.word == "a"
     assert set(a_node.children) == {1}
     assert a_node.children[1].word == "ab"
-    assert trie.walk((0, 1)) is a_node.children[1]
-    assert trie.walk((1,)) is None
-    assert "ab" in trie and "ba" not in trie
+    assert trie_words(trie) == {"a", "ab"}
 
 
 def test_trie_lowercases():
     ab = ColoredAlphabet(("a", "b"), 1, None)
     trie = build_trie(ab, 0, ["AB"])
-    assert "ab" in trie
+    assert trie_words(trie) == {"ab"}
 
 
 @pytest.mark.parametrize("word", ["", "a b", "az"])
@@ -98,9 +96,13 @@ def test_trie_membership_matches_set():
         "".join(rng.choice("abc") for _ in range(rng.randint(1, 4)))
         for _ in range(200)
     }
+    assert trie_words(trie) == words
     for w in probes | words:
-        assert (w in trie) == (w in words)
-        node = trie.walk(tuple(ab.char_column(c) for c in w))
+        node = trie.root
+        for c in w:
+            node = node.children.get(ab.char_column(c))
+            if node is None:
+                break
         assert (node is not None and node.word == w) == (w in words)
 
 
@@ -138,7 +140,6 @@ def test_separator_completes_word_with_inherited_color():
     assert len(seps) == 1
     assert seps[0].color == 1
     assert seps[0].completes == "b"
-    assert seps[0].off_lexicon is False
     assert seps[0].state == WordState(1, None, ())
 
 
@@ -197,7 +198,7 @@ def test_off_lexicon_midword_allows_same_color_chars():
     # off-lexicon word ("a" alone is not in color 0)
     assert by_char == {("b", 0), ("a", 0), (" ", 0)}
     sep = [e for e in exts if e.col == ab.separator_column][0]
-    assert sep.completes == "a" and sep.off_lexicon is True
+    assert sep.completes == "a"
     off = [e for e in exts if e.col == 0][0]
     assert off.state.node is None and off.state.chars == (0, 0)
 
@@ -224,8 +225,21 @@ def test_unconstrained_mode_allows_everything():
     sep_at_start = [e for e in start if e.col == ab.separator_column][0]
     assert sep_at_start.completes is None
     mid = word_successors(ab, None, WordState(0, None, (0, 1)))
+    assert {(ab.base_chars[e.col], e.color) for e in mid} == {
+        ("a", 0),
+        ("b", 0),
+        (" ", 0),
+    }
     sep = [e for e in mid if e.col == ab.separator_column][0]
     assert sep.completes == "ab"
+
+
+def test_off_trie_partial_successors():
+    ab = ColoredAlphabet(("a", "b"), 1, None)
+    tries = [build_trie(ab, 0, ["ab"])]
+    off_trie_b = WordState(0, None, (1,))
+    assert _next_set(ab, tries, off_trie_b) == set()
+    assert _next_set(ab, tries, off_trie_b, allow=True) == {("a", 0), ("b", 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -236,48 +250,13 @@ def test_unconstrained_mode_allows_everything():
 def test_finish_word_variants():
     ab = ColoredAlphabet(("a", "b"), 2, None)
     tries = [build_trie(ab, 0, ["ab"]), build_trie(ab, 1, ["b"])]
-    node_ab = tries[0].walk((0, 1))
-    node_a = tries[0].walk((0,))
-    assert finish_word(ab, tries, WordState(0, node_ab, (0, 1))) == ("ab", 0, False)
+    node_a = tries[0].root.children[0]
+    node_ab = node_a.children[1]
+    assert finish_word(ab, tries, WordState(0, node_ab, (0, 1))) == ("ab", 0)
     assert finish_word(ab, tries, WordState(0, node_a, (0,))) is None
-    assert finish_word(ab, tries, WordState(0, node_a, (0,)), True) == ("a", 0, True)
-    assert finish_word(ab, tries, WordState(0, None, (1, 1)), True) == ("bb", 0, True)
+    assert finish_word(ab, tries, WordState(0, node_a, (0,)), True) == ("a", 0)
+    assert finish_word(ab, tries, WordState(0, None, (1, 1)), True) == ("bb", 0)
     assert finish_word(ab, tries, WordState(1, None, ())) is None
-    assert finish_word(ab, None, WordState(0, None, (0, 1))) == ("ab", 0, False)
+    assert finish_word(ab, None, WordState(0, None, (0, 1))) == ("ab", 0)
     assert finish_word(ab, tries, WORD_START) is None
 
-
-# ---------------------------------------------------------------------------
-# get_next_chars wrapper
-# ---------------------------------------------------------------------------
-
-
-def test_get_next_chars_matches_spec_examples():
-    ab = ColoredAlphabet(("a", "b"), 2, None)
-    tries = [build_trie(ab, 0, ["ab"]), build_trie(ab, 1, ["b"])]
-    assert get_next_chars(ab, tries, ("", None)) == {("a", 0), ("b", 1)}
-    assert get_next_chars(ab, tries, ("a", 0)) == {("b", 0)}
-
-
-def test_get_next_chars_boundary_separator_inherits_color():
-    ab = ColoredAlphabet(("a", "b", " "), 2, " ")
-    tries = [build_trie(ab, 0, ["a"]), build_trie(ab, 1, ["b"])]
-    assert (" ", 1) in get_next_chars(ab, tries, ("", 1))
-    assert (" ", 0) in get_next_chars(ab, tries, ("", None))
-
-
-def test_get_next_chars_off_trie_partial():
-    ab = ColoredAlphabet(("a", "b"), 1, None)
-    tries = [build_trie(ab, 0, ["ab"])]
-    assert get_next_chars(ab, tries, ("b", 0)) == set()
-    allowed = get_next_chars(ab, tries, ("b", 0), allow_off_lexicon=True)
-    assert allowed == {("a", 0), ("b", 0)}
-
-
-def test_get_next_chars_unconstrained():
-    ab = ColoredAlphabet(("a", "b", " "), 1, " ")
-    assert get_next_chars(ab, None, ("ab", 0)) == {
-        ("a", 0),
-        ("b", 0),
-        (" ", 0),
-    }

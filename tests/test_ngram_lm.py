@@ -16,8 +16,6 @@ from colordecode.ngram_lm import (
     merge_colored,
     parse_arpa,
     serialize_arpa,
-    strip_color,
-    token_color,
 )
 
 # ---------------------------------------------------------------------------
@@ -27,13 +25,8 @@ from colordecode.ngram_lm import (
 
 def test_color_token_round_trip():
     assert color_token("fever", 1) == "1:fever"
-    assert token_color("1:fever") == 1
-    assert strip_color("1:fever") == "fever"
-    assert token_color("fever") is None
-    assert strip_color("fever") == "fever"
-    # Only a leading <digits>: prefix counts as a color tag.
-    assert token_color(":fever") is None
-    assert strip_color("2:3:x") == "3:x"
+    # A token that already looks colored is renamed again, not re-tagged.
+    assert color_token("3:x", 2) == "2:3:x"
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +93,12 @@ def test_advance_truncates():
     assert state.context == ("c", "d")
 
 
-def test_sentence_logprob(backoff_model):
-    lp = backoff_model.sentence_logprob(["a", "a", "b"])
+def test_score_word_chain(backoff_model):
+    lp = 0.0
+    state = EMPTY_STATE
+    for word in ["a", "a", "b"]:
+        step, state = backoff_model.score_word(state, word)
+        lp += step
     # P(a) + P(a|a) + P(b|a) = -1.0 + -0.3 + -0.7
     assert lp == pytest.approx(-2.0, abs=1e-12)
 

@@ -18,7 +18,7 @@ from colordecode.oracle import (
     run_verification,
 )
 from colordecode.scorers import NullScorer, ScorerConfig
-from conftest import random_rows
+from conftest import random_rows, trie_words
 
 # ---------------------------------------------------------------------------
 # Forward pass
@@ -179,7 +179,7 @@ def test_random_instance_deterministic():
     b = random_instance(random.Random(77))
     assert a.alphabet.base_chars == b.alphabet.base_chars
     assert a.alphabet.num_colors == b.alphabet.num_colors
-    assert [t.words for t in a.tries] == [t.words for t in b.tries]
+    assert [trie_words(t) for t in a.tries] == [trie_words(t) for t in b.tries]
     assert a.logits.log10_rows() == b.logits.log10_rows()
 
 

@@ -20,17 +20,17 @@ from colordecode.scorers import (
     NullScorer,
     ScorerConfig,
     SingleLmScorer,
+    _combine_linear_log10,
+    _combine_loglinear_log10,
     bayes_posterior_log10,
     fit_bin_table,
     interp_bayes,
-    interp_linear,
-    interp_loglinear,
     make_scorer,
 )
 from conftest import random_c1_instance
 
 unit = st.floats(min_value=0.0, max_value=1.0)
-prob = st.floats(min_value=1e-12, max_value=1.0)
+log_prob = st.floats(min_value=-12.0, max_value=0.0)
 
 # ---------------------------------------------------------------------------
 # Config
@@ -69,44 +69,50 @@ def test_penalty_broadcasts_last_value():
 
 
 # ---------------------------------------------------------------------------
-# Interpolation primitives
+# Interpolation primitives (log10 in, log10 out)
 # ---------------------------------------------------------------------------
 
 
 def test_linear_fixture():
-    assert interp_linear(0.4, 0.2, 0.5) == pytest.approx(0.3, abs=1e-12)
+    got = _combine_linear_log10(math.log10(0.4), math.log10(0.2), 0.5)
+    assert got == pytest.approx(math.log10(0.3), abs=1e-12)
 
 
 def test_loglinear_fixture():
-    assert interp_loglinear(0.25, 0.04, 0.5) == pytest.approx(0.1, abs=1e-12)
+    got = _combine_loglinear_log10(math.log10(0.25), math.log10(0.04), 0.5)
+    assert got == pytest.approx(math.log10(0.1), abs=1e-12)
 
 
-@given(prob, prob)
-def test_endpoints_exact(pg, pj):
-    assert interp_linear(pg, pj, 0.0) == pg
-    assert interp_linear(pg, pj, 1.0) == pj
-    assert interp_loglinear(pg, pj, 0.0) == pg
-    assert interp_loglinear(pg, pj, 1.0) == pj
+@given(log_prob, log_prob)
+def test_endpoints_exact(lg, lj):
+    assert _combine_linear_log10(lg, lj, 0.0) == lg
+    assert _combine_linear_log10(lg, lj, 1.0) == lj
+    assert _combine_loglinear_log10(lg, lj, 0.0) == lg
+    assert _combine_loglinear_log10(lg, lj, 1.0) == lj
 
 
 def test_loglinear_zero_handling():
-    assert interp_loglinear(0.0, 0.5, 0.5) == 0.0
-    assert interp_loglinear(0.5, 0.0, 0.5) == 0.0
-    assert interp_loglinear(0.0, 0.5, 0.0) == 0.0
-    assert interp_loglinear(0.0, 0.5, 1.0) == 0.5
+    half = math.log10(0.5)
+    assert _combine_loglinear_log10(NEG_INF, half, 0.5) == NEG_INF
+    assert _combine_loglinear_log10(half, NEG_INF, 0.5) == NEG_INF
+    assert _combine_loglinear_log10(NEG_INF, half, 0.0) == NEG_INF
+    assert _combine_loglinear_log10(NEG_INF, half, 1.0) == half
+    # a zero on one side only halves the linear mix
+    assert _combine_linear_log10(NEG_INF, half, 0.5) == pytest.approx(
+        2 * half, abs=1e-12
+    )
 
 
-@given(prob, prob, unit)
-def test_linear_bounded_by_inputs(pg, pj, lam):
-    lo, hi = min(pg, pj), max(pg, pj)
-    assert lo - 1e-15 <= interp_linear(pg, pj, lam) <= hi + 1e-15
+@given(log_prob, log_prob, unit)
+def test_linear_bounded_by_inputs(lg, lj, lam):
+    lo, hi = min(lg, lj), max(lg, lj)
+    assert lo - 1e-12 <= _combine_linear_log10(lg, lj, lam) <= hi + 1e-12
 
 
-@given(prob, prob, unit)
-def test_loglinear_bounded_by_inputs(pg, pj, lam):
-    lo, hi = min(pg, pj), max(pg, pj)
-    got = interp_loglinear(pg, pj, lam)
-    assert lo * (1 - 1e-12) <= got <= hi * (1 + 1e-12)
+@given(log_prob, log_prob, unit)
+def test_loglinear_bounded_by_inputs(lg, lj, lam):
+    lo, hi = min(lg, lj), max(lg, lj)
+    assert lo - 1e-12 <= _combine_loglinear_log10(lg, lj, lam) <= hi + 1e-12
 
 
 # ---------------------------------------------------------------------------
