@@ -225,11 +225,6 @@ def test_unconstrained_mode_allows_everything():
     sep_at_start = [e for e in start if e.col == ab.separator_column][0]
     assert sep_at_start.completes is None
     mid = word_successors(ab, None, WordState(0, None, (0, 1)))
-    assert {(ab.base_chars[e.col], e.color) for e in mid} == {
-        ("a", 0),
-        ("b", 0),
-        (" ", 0),
-    }
     sep = [e for e in mid if e.col == ab.separator_column][0]
     assert sep.completes == "ab"
 
@@ -240,6 +235,22 @@ def test_off_trie_partial_successors():
     off_trie_b = WordState(0, None, (1,))
     assert _next_set(ab, tries, off_trie_b) == set()
     assert _next_set(ab, tries, off_trie_b, allow=True) == {("a", 0), ("b", 0)}
+
+
+def test_get_next_chars_boundary_separator_inherits_color():
+    ab = ColoredAlphabet(("a", "b", " "), 2, " ")
+    tries = [build_trie(ab, 0, ["a"]), build_trie(ab, 1, ["b"])]
+    assert (" ", 1) in _next_set(ab, tries, WordState(1, None, ()))
+    assert (" ", 0) in _next_set(ab, tries, WORD_START)
+
+
+def test_get_next_chars_unconstrained():
+    ab = ColoredAlphabet(("a", "b", " "), 1, " ")
+    assert _next_set(ab, None, WordState(0, None, (0, 1))) == {
+        ("a", 0),
+        ("b", 0),
+        (" ", 0),
+    }
 
 
 # ---------------------------------------------------------------------------
