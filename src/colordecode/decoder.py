@@ -1,23 +1,35 @@
 """Colored CTC prefix beam search.
 
-Hypotheses are colored character prefixes: tuples of (column, color)
-pairs. Each prefix keeps two acoustic masses in log10, the probability of
-all frame paths ending in blank (``p_blank``) and in the prefix's last
-character (``p_nonblank``), plus a text score ``p_text`` accumulated from
-the fusion scorer at every completed word (and per-character penalties
-for off-lexicon spellings). Beams are ranked by acoustic mass times text
-score.
+Hypotheses are colored character prefixes, interned as ``Prefix`` nodes
+of a tree. A node holds its parent, the (column, color) label it adds and
+its depth, plus the text metadata that is a pure function of the prefix:
+the text score ``p_text`` accumulated from the fusion scorer at every
+completed word (and per-character penalties for off-lexicon spellings),
+the completed words, the grammar state and the scorer state. Each node
+memoizes its children by label, so extending a live prefix by the same
+label always yields the same node, and a child's metadata, word delta
+included, is computed once, when the node is first made. The memo holds
+weak references: a node keeps its ancestors alive but not its
+descendants, so the tree has no reference cycles and a branch that
+leaves the beam is freed as soon as nothing points to it.
+
+A beam pairs a node with two acoustic masses in log10, the probability
+of all frame paths ending in blank (``p_blank``) and in the prefix's
+last character (``p_nonblank``). Beams are ranked by acoustic mass times
+text score.
 
 The CTC repeat rule compares raw columns, ignoring color: extending a
 prefix with the column it already ends in consumes only the blank-ending
 mass, so colors never manufacture acoustic paths that plain CTC would
-collapse. Text metadata (words, grammar state, scorer state) is a pure
-function of the prefix, which is what makes merging duplicate prefixes by
-mass summation sound.
+collapse. Because text metadata is a pure function of the prefix and
+every live prefix has exactly one node, duplicate prefixes merge by
+summing masses under the node's identity.
 """
 
 from __future__ import annotations
 
+import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,6 +44,7 @@ __all__ = [
     "MalformedLogits",
     "LogitsMatrix",
     "ColoredTranscript",
+    "Prefix",
     "Beam",
     "DecoderConfig",
     "DecodeStats",
@@ -69,11 +82,7 @@ class LogitsMatrix:
     def from_linear(
         cls, rows: Sequence[Sequence[float]], columns: int | None = None
     ) -> "LogitsMatrix":
-        arr = np.asarray(rows, dtype=np.float64)
-        if arr.size == 0:
-            if columns is None:
-                raise MalformedLogits("empty logits need an explicit column count")
-            arr = arr.reshape(0, columns)
+        arr = cls._as_array(rows, columns)
         cls._validate_linear(arr)
         with np.errstate(divide="ignore"):
             natural = np.log(arr)
@@ -85,13 +94,31 @@ class LogitsMatrix:
     def from_natural_log(
         cls, rows: Sequence[Sequence[float]], columns: int | None = None
     ) -> "LogitsMatrix":
-        arr = np.asarray(rows, dtype=np.float64)
+        arr = cls._as_array(rows, columns)
+        cls._validate_linear(np.exp(arr))
+        return cls(arr, arr / LN10)
+
+    @staticmethod
+    def _as_array(
+        rows: Sequence[Sequence[float]], columns: int | None
+    ) -> np.ndarray:
+        """``rows`` as a float64 array; ``columns`` shapes an empty one."""
+        try:
+            arr = np.asarray(rows, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise MalformedLogits(
+                "logits rows must be equal-length lists of numbers"
+            ) from None
         if arr.size == 0:
             if columns is None:
                 raise MalformedLogits("empty logits need an explicit column count")
-            arr = arr.reshape(0, columns)
-        cls._validate_linear(np.exp(arr))
-        return cls(arr, arr / LN10)
+            try:
+                arr = arr.reshape(0, columns)
+            except (TypeError, ValueError):
+                raise MalformedLogits(
+                    f"column count {columns!r} is not a non-negative integer"
+                ) from None
+        return arr
 
     @staticmethod
     def _validate_linear(arr: np.ndarray) -> None:
@@ -136,15 +163,70 @@ class ColoredTranscript:
         return " ".join(w for w, _ in self.words)
 
 
+class Prefix:
+    """One interned colored prefix: its parent plus one (column, color)
+    label, and the text metadata that this prefix determines.
+
+    The root has no parent and no label. ``children`` maps a label to a
+    weak reference to the child node with it, if one was made.
+    """
+
+    __slots__ = (
+        "parent",
+        "col",
+        "color",
+        "depth",
+        "p_text",
+        "words",
+        "word_state",
+        "scorer_state",
+        "children",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        parent: "Prefix | None",
+        col: int | None,
+        color: int | None,
+        p_text: float,
+        words: tuple[tuple[str, int], ...],
+        word_state: WordState,
+        scorer_state: object,
+    ):
+        self.parent = parent
+        self.col = col
+        self.color = color
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.p_text = p_text
+        self.words = words
+        self.word_state = word_state
+        self.scorer_state = scorer_state
+        self.children: dict[tuple[int, int], weakref.ref[Prefix]] = {}
+
+    def __lt__(self, other: "Prefix") -> bool:
+        """Lexicographic order of the label sequences, a proper prefix
+        first. Walks up only to the nearest common ancestor."""
+        a, b = self, other
+        while a.depth > b.depth:
+            a = a.parent
+        while b.depth > a.depth:
+            b = b.parent
+        if a is b:
+            return self.depth < other.depth
+        while a.parent is not b.parent:
+            a = a.parent
+            b = b.parent
+        return (a.col, a.color) < (b.col, b.color)
+
+
 @dataclass(slots=True)
 class Beam:
-    chars: tuple[tuple[int, int], ...]
+    """A prefix node and the acoustic masses of the paths ending in it."""
+
+    prefix: Prefix
     p_blank: float
     p_nonblank: float
-    p_text: float
-    words: tuple[tuple[str, int], ...]
-    word_state: WordState
-    scorer_state: object
 
     @property
     def total(self) -> float:
@@ -152,7 +234,7 @@ class Beam:
 
     @property
     def score(self) -> float:
-        return self.total + self.p_text
+        return self.total + self.prefix.p_text
 
 
 @dataclass
@@ -184,13 +266,16 @@ class DecodeStats:
 
 
 def _rank_key(beam: Beam):
-    return (-beam.score, len(beam.chars), beam.chars)
+    # Beam.score, inlined: this runs once per candidate per frame
+    prefix = beam.prefix
+    score = logaddexp10(beam.p_blank, beam.p_nonblank) + prefix.p_text
+    return (-score, prefix.depth, prefix)
 
 
 def get_best_beams(beams: Sequence[Beam], limit: int) -> list[Beam]:
     """Top beams by score; ties prefer shorter, then lexicographically
     smaller prefixes, so ranking is deterministic."""
-    return sorted(beams, key=_rank_key)[:limit]
+    return heapq.nsmallest(limit, beams, key=_rank_key)
 
 
 def decode(
@@ -218,124 +303,111 @@ def decode(
     allow_off = subword_penalty is not None
     blank = alphabet.blank_index
 
-    succ_cache: dict[WordState, list[Extension]] = {}
+    # each extension paired with its label, the children memo's key,
+    # built once per grammar state rather than once per probe
+    succ_cache: dict[WordState, list[tuple[Extension, tuple[int, int]]]] = {}
 
-    def successors(state: WordState) -> list[Extension]:
+    def successors(state: WordState) -> list[tuple[Extension, tuple[int, int]]]:
         cached = succ_cache.get(state)
         if cached is None:
-            cached = word_successors(alphabet, tries, state, allow_off)
+            cached = [
+                (ext, (ext.col, ext.color))
+                for ext in word_successors(alphabet, tries, state, allow_off)
+            ]
             succ_cache[state] = cached
         return cached
 
-    beams: list[Beam] = [
-        Beam(
-            chars=(),
-            p_blank=0.0,
-            p_nonblank=NEG_INF,
-            p_text=0.0,
-            words=(),
-            word_state=WORD_START,
-            scorer_state=scorer.initial_state(),
-        )
-    ]
+    def make_child(node: Prefix, ext: Extension, label: tuple[int, int]) -> Prefix:
+        """A new node for ``node`` extended by ``ext``, entered in the
+        parent's memo; the only place a word is scored mid-utterance."""
+        p_text = node.p_text
+        words = node.words
+        scorer_state = node.scorer_state
+        if ext.completes is not None:
+            delta, scorer_state = scorer.word_delta(
+                scorer_state, ext.completes, ext.color
+            )
+            p_text += delta
+            words = words + ((ext.completes, ext.color),)
+        elif tries is not None and ext.state.node is None and ext.state.chars:
+            # off-trie character
+            p_text += subword_penalty
+        child = Prefix(node, ext.col, ext.color, p_text, words, ext.state, scorer_state)
+        node.children[label] = weakref.ref(child)
+        return child
+
+    root = Prefix(None, None, None, 0.0, (), WORD_START, scorer.initial_state())
+    beams: list[Beam] = [Beam(root, 0.0, NEG_INF)]
 
     for row in logits.log10_rows():
         best = get_best_beams(beams, config.beam_width)
 
-        next_map: dict[tuple[tuple[int, int], ...], Beam] = {}
+        # keyed by node identity: each live prefix has exactly one node
+        next_map: dict[Prefix, Beam] = {}
         expanded = 0
         spawned = 0
 
         for b in best:
             expanded += 1
-            total = b.total
+            node = b.prefix
+            last = node.col
+            p_blank = b.p_blank
+            total = logaddexp10(p_blank, b.p_nonblank)
 
             # stay: emit blank, or repeat the last character within one
             # CTC segment
             stay_blank = total + row[blank]
-            stay_nonblank = (
-                b.p_nonblank + row[b.chars[-1][0]] if b.chars else NEG_INF
-            )
-            kept = next_map.get(b.chars)
+            stay_nonblank = b.p_nonblank + row[last] if node.depth else NEG_INF
+            kept = next_map.get(node)
             if kept is None:
-                next_map[b.chars] = Beam(
-                    chars=b.chars,
-                    p_blank=stay_blank,
-                    p_nonblank=stay_nonblank,
-                    p_text=b.p_text,
-                    words=b.words,
-                    word_state=b.word_state,
-                    scorer_state=b.scorer_state,
-                )
+                next_map[node] = Beam(node, stay_blank, stay_nonblank)
             else:
                 kept.p_blank = logaddexp10(kept.p_blank, stay_blank)
                 kept.p_nonblank = logaddexp10(kept.p_nonblank, stay_nonblank)
 
-            for ext in successors(b.word_state):
+            children = node.children
+            for ext, label in successors(node.word_state):
                 spawned += 1
                 # extending with the column the prefix ends in starts a
                 # new CTC segment, so only blank-ending paths carry over
-                if b.chars and b.chars[-1][0] == ext.col:
-                    mass = b.p_blank
-                else:
-                    mass = total
-                mass += row[ext.col]
+                mass = (p_blank if ext.col == last else total) + row[ext.col]
                 if mass == NEG_INF:
                     continue
-                key = b.chars + ((ext.col, ext.color),)
-                kept = next_map.get(key)
-                if kept is not None:
+                ref = children.get(label)
+                child = None if ref is None else ref()
+                if child is None:
+                    child = make_child(node, ext, label)
+                kept = next_map.get(child)
+                if kept is None:
+                    next_map[child] = Beam(child, NEG_INF, mass)
+                else:
                     kept.p_nonblank = logaddexp10(kept.p_nonblank, mass)
-                    continue
-                p_text = b.p_text
-                words = b.words
-                scorer_state = b.scorer_state
-                if ext.completes is not None:
-                    delta, scorer_state = scorer.word_delta(
-                        scorer_state, ext.completes, ext.color
-                    )
-                    p_text += delta
-                    words = words + ((ext.completes, ext.color),)
-                elif (
-                    tries is not None
-                    and ext.state.node is None
-                    and ext.state.chars
-                ):
-                    # off-trie character
-                    p_text += subword_penalty
-                next_map[key] = Beam(
-                    chars=key,
-                    p_blank=NEG_INF,
-                    p_nonblank=mass,
-                    p_text=p_text,
-                    words=words,
-                    word_state=ext.state,
-                    scorer_state=scorer_state,
-                )
 
         if stats is not None:
             stats.expanded.append(expanded)
             stats.spawned.append(spawned)
         beams = list(next_map.values())
 
-    candidates: list[tuple[float, Beam, tuple[tuple[str, int], ...]]] = []
+    # (rank key, final score, words) per finished beam
+    candidates: list[tuple[tuple, float, tuple[tuple[str, int], ...]]] = []
     for b in get_best_beams(beams, config.beam_width):
-        pending = finish_word(alphabet, tries, b.word_state, allow_off)
-        words = b.words
+        node = b.prefix
+        pending = finish_word(alphabet, tries, node.word_state, allow_off)
+        words = node.words
         fscore = b.score
         if pending is not None:
             word, color = pending
-            delta, _ = scorer.word_delta(b.scorer_state, word, color)
+            delta, _ = scorer.word_delta(node.scorer_state, word, color)
             fscore += delta
             words = words + ((word, color),)
-        elif b.word_state.chars:
+        elif node.word_state.chars:
             continue  # unfinished spelling with no way to report it
         if fscore == NEG_INF:
             continue
-        candidates.append((fscore, b, words))
+        candidates.append(((-fscore, node.depth, node), fscore, words))
 
     if not candidates:
         return ColoredTranscript((), NEG_INF)
-    candidates.sort(key=lambda c: (-c[0], len(c[1].chars), c[1].chars))
-    fscore, _beam, words = candidates[0]
+    # distinct nodes make the rank keys distinct, so min never looks past them
+    _key, fscore, words = min(candidates)
     return ColoredTranscript(words, fscore)

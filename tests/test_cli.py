@@ -462,19 +462,28 @@ def test_lexicon_outside_alphabet_fails_cleanly(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def write_ctcl(path, natural_log_rows):
+def ctcl_bytes(natural_log_rows) -> bytes:
     rows = np.asarray(natural_log_rows, dtype="<f8")
     header = f"{rows.shape[0]} {rows.shape[1]}\n".encode("ascii")
-    path.write_bytes(MAGIC + header + rows.tobytes())
-    return path
+    return MAGIC + header + rows.tobytes()
+
+
+def json_bytes(doc) -> bytes:
+    return json.dumps(doc).encode("utf-8")
 
 
 BAD_LOGITS = {
     # 28 columns (27 characters plus blank), each 0.5: the row sums to 14
-    "rows-sum-14.ctcl": np.log(np.full((2, 28), 0.5)),
+    "rows-sum-14.ctcl": ctcl_bytes(np.log(np.full((2, 28), 0.5))),
     # proper distributions, but 5 columns where the alphabet needs 28
-    "five-columns.ctcl": np.log(np.full((2, 5), 0.2)),
+    "five-columns.ctcl": ctcl_bytes(np.log(np.full((2, 5), 0.2))),
+    # frames numpy cannot turn into a float matrix
+    "ragged.json": json_bytes({"frames": [[0.5, 0.5], [1.0]]}),
+    "non-numeric.json": json_bytes({"frames": [[0.5, "a"]]}),
+    # no frames, and a column count that is not an integer
+    "text-columns.json": json_bytes({"frames": [], "columns": "x"}),
 }
+JSON_BAD_LOGITS = sorted(name for name in BAD_LOGITS if name.endswith(".json"))
 
 
 @pytest.mark.parametrize("bad_name", sorted(BAD_LOGITS))
@@ -483,7 +492,8 @@ def test_eval_names_the_malformed_logits_file(
     synth_dir, tmp_path, capsys, jobs, bad_name
 ):
     good = shutil.copy(synth_dir / "logits" / "utt0000.ctcl", tmp_path / "good.ctcl")
-    bad = write_ctcl(tmp_path / bad_name, BAD_LOGITS[bad_name])
+    bad = tmp_path / bad_name
+    bad.write_bytes(BAD_LOGITS[bad_name])
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text(
         "".join(
@@ -510,8 +520,19 @@ def test_eval_names_the_malformed_logits_file(
 
 
 def test_decode_names_the_malformed_logits_file(tmp_path, capsys):
-    bad = write_ctcl(tmp_path / "rows-sum-14.ctcl", BAD_LOGITS["rows-sum-14.ctcl"])
+    bad = tmp_path / "rows-sum-14.ctcl"
+    bad.write_bytes(BAD_LOGITS["rows-sum-14.ctcl"])
     rc, out, err = run_cli(["decode", str(bad)], capsys)
     assert rc == 1
     assert out == ""
     assert err == f"error: {bad}: row 0 sums to 14.0, expected 1\n"
+
+
+@pytest.mark.parametrize("bad_name", JSON_BAD_LOGITS)
+def test_decode_names_the_unconvertible_json_logits_file(tmp_path, capsys, bad_name):
+    bad = tmp_path / bad_name
+    bad.write_bytes(BAD_LOGITS[bad_name])
+    rc, out, err = run_cli(["decode", str(bad)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1

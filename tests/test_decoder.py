@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from colordecode.decoder import (
     DecoderConfig,
     LogitsMatrix,
     MalformedLogits,
+    Prefix,
     ShapeMismatch,
     decode,
     get_best_beams,
@@ -51,6 +54,9 @@ def test_logits_zero_probability_becomes_neg_inf():
 def test_logits_empty_needs_column_hint():
     m = LogitsMatrix.from_linear([], columns=3)
     assert m.frames == 0 and m.columns == 3
+    for columns in (None, "x", 2.5, -1):
+        with pytest.raises(MalformedLogits):
+            LogitsMatrix.from_natural_log([], columns=columns)
 
 
 @pytest.mark.parametrize(
@@ -60,6 +66,8 @@ def test_logits_empty_needs_column_hint():
         [[1.2, -0.2]],  # negative entry
         [[float("nan"), 1.0]],  # NaN
         [[1.0]],  # single column: no room for blank + one char
+        [[0.5, 0.5], [1.0]],  # ragged
+        [[0.5, "a"]],  # not a number
     ],
 )
 def test_logits_validation(rows):
@@ -78,41 +86,85 @@ def test_logits_row_sum_tolerance():
 # ---------------------------------------------------------------------------
 
 
-def _beam(chars, pb, pnb, ptext=0.0):
-    return Beam(
-        chars=chars,
-        p_blank=pb,
-        p_nonblank=pnb,
-        p_text=ptext,
-        words=(),
-        word_state=WORD_START,
-        scorer_state=None,
-    )
+def _root() -> Prefix:
+    return Prefix(None, None, None, 0.0, (), WORD_START, None)
+
+
+def _interned(root: Prefix, labels) -> Prefix:
+    """The node spelling ``labels`` below ``root``, made through the
+    children memo the way the decoder makes it."""
+    node = root
+    for label in labels:
+        ref = node.children.get(label)
+        child = None if ref is None else ref()
+        if child is None:
+            child = Prefix(node, *label, 0.0, (), WORD_START, None)
+            node.children[label] = weakref.ref(child)
+        node = child
+    return node
+
+
+def _labels(node: Prefix) -> tuple[tuple[int, int], ...]:
+    """The (column, color) labels from the root down to ``node``."""
+    out = []
+    while node.parent is not None:
+        out.append((node.col, node.color))
+        node = node.parent
+    return tuple(reversed(out))
 
 
 def test_get_best_beams_orders_and_limits():
+    root = _root()
     beams = [
-        _beam(((0, 0),), NEG_INF, -2.0),
-        _beam((), -1.0, NEG_INF),
-        _beam(((1, 0),), NEG_INF, -3.0),
+        Beam(_interned(root, ((0, 0),)), NEG_INF, -2.0),
+        Beam(root, -1.0, NEG_INF),
+        Beam(_interned(root, ((1, 0),)), NEG_INF, -3.0),
     ]
     best = get_best_beams(beams, 2)
-    assert [b.chars for b in best] == [(), ((0, 0),)]
+    assert [_labels(b.prefix) for b in best] == [(), ((0, 0),)]
     assert len(get_best_beams(beams, 10)) == 3
 
 
 def test_get_best_beams_breaks_ties_deterministically():
+    root = _root()
     beams = [
-        _beam(((1, 0),), -1.0, NEG_INF),
-        _beam(((0, 0), (1, 0)), -1.0, NEG_INF),
-        _beam(((0, 0),), -1.0, NEG_INF),
+        Beam(_interned(root, ((1, 0),)), -1.0, NEG_INF),
+        Beam(_interned(root, ((0, 0), (1, 0))), -1.0, NEG_INF),
+        Beam(_interned(root, ((0, 0),)), -1.0, NEG_INF),
     ]
     best = get_best_beams(beams, 3)
-    assert [b.chars for b in best] == [
+    assert [_labels(b.prefix) for b in best] == [
         ((0, 0),),
         ((1, 0),),
         ((0, 0), (1, 0)),
     ]
+
+
+def test_get_best_beams_ranks_ties_like_materialized_prefixes():
+    """Among beams of few distinct scores, ranking equals sorting by
+    (-score, depth, label tuple): the node comparison walking up to the
+    common ancestor agrees with comparing whole spelled prefixes."""
+    rng = random.Random(1812)
+    for _ in range(200):
+        root = _root()
+        spellings = {
+            tuple(
+                (rng.randrange(3), rng.randrange(2))
+                for _ in range(rng.randint(0, 4))
+            )
+            for _ in range(rng.randint(1, 25))
+        }
+        beams = [
+            Beam(_interned(root, labels), rng.choice([-1.0, -2.0]), NEG_INF)
+            for labels in spellings
+        ]
+        rng.shuffle(beams)
+        limit = rng.randint(1, len(beams) + 1)
+        expected = sorted(
+            beams, key=lambda b: (-b.score, len(_labels(b.prefix)), _labels(b.prefix))
+        )[:limit]
+        got = get_best_beams(beams, limit)
+        assert [_labels(b.prefix) for b in got] == [_labels(b.prefix) for b in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +412,27 @@ def test_merge_conserves_total_mass(monkeypatch):
         assert masses == pytest.approx([0.0] * len(masses), abs=1e-9)
 
 
+def test_narrow_beams_merge_every_duplicate_prefix(monkeypatch):
+    """At beams 1-3 a prefix often leaves the beam while a child of it
+    stays. Extending the survivors must still reach the one node that
+    spells each prefix, so the candidates ranked after every frame spell
+    pairwise distinct prefixes; two nodes for one prefix would split its
+    mass."""
+
+    def rank_distinct(beams, limit):
+        spelled = [_labels(b.prefix) for b in beams]
+        assert len(set(spelled)) == len(spelled)
+        return get_best_beams(beams, limit)
+
+    monkeypatch.setattr(decoder_module, "get_best_beams", rank_distinct)
+    rng = random.Random(2873)
+    for _ in range(1000):
+        inst = random_instance(rng, max_frames=8, max_words=4)
+        for width in (1, 2, 3):
+            config = DecoderConfig(inst.alphabet, inst.tries, inst.scorer, beam_width=width)
+            decode(inst.logits, config)
+
+
 def test_narrow_beam_never_beats_saturated_beam():
     """Any beam width scores at most the saturated-width (= oracle) score.
 
@@ -451,3 +524,22 @@ def test_spawned_bounded_by_alphabet_size_per_beam():
     )
     for expanded, spawned in zip(stats.expanded, stats.spawned):
         assert spawned <= expanded * (alphabet.size + 1)
+
+
+def test_decode_leaves_no_cyclic_garbage():
+    """The children memo holds weak references, so the prefix tree has
+    no reference cycles: pruned branches are freed by reference counting
+    and a 300-frame decode leaves nothing for the cycle collector."""
+    alphabet, tries = _partitioned_setup(4)
+    logits = LogitsMatrix.from_linear(random_rows(random.Random(8), 300, 10))
+    config = DecoderConfig(alphabet, tries, NullScorer(ScorerConfig(beta=0.5)), beam_width=16)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        got = decode(logits, config)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert got.words
