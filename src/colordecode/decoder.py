@@ -35,7 +35,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .lexicon import ColoredAlphabet, Extension, LexiconTrie, WORD_START, WordState, finish_word, word_successors
+from .lexicon import (
+    ColoredAlphabet,
+    Extension,
+    LexiconTrie,
+    WORD_START,
+    WordState,
+    _spell,
+    finish_word,
+    word_successors,
+)
 from .logmath import LN10, NEG_INF, logaddexp10
 from .scorers import Scorer
 
@@ -102,7 +111,8 @@ class LogitsMatrix:
     def _as_array(
         rows: Sequence[Sequence[float]], columns: int | None
     ) -> np.ndarray:
-        """``rows`` as a float64 array; ``columns`` shapes an empty one."""
+        """``rows`` as a float64 array; ``columns`` shapes an empty one
+        and must match the row width of a non-empty one."""
         try:
             arr = np.asarray(rows, dtype=np.float64)
         except (TypeError, ValueError):
@@ -118,6 +128,10 @@ class LogitsMatrix:
                 raise MalformedLogits(
                     f"column count {columns!r} is not a non-negative integer"
                 ) from None
+        elif columns is not None and arr.ndim == 2 and arr.shape[1] != columns:
+            raise MalformedLogits(
+                f"column count {columns!r} contradicts rows of width {arr.shape[1]}"
+            )
         return arr
 
     @staticmethod
@@ -237,7 +251,7 @@ class Beam:
         return self.total + self.prefix.p_text
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderConfig:
     """Everything the search needs besides the logits.
 
@@ -245,12 +259,20 @@ class DecoderConfig:
     color). Off-lexicon spelling is enabled by giving the scorer config a
     non-None ``unknown_subword_penalty``; that penalty is charged to
     ``p_text`` once per character that leaves every trie.
+
+    The config also holds the successor list of every grammar state its
+    decodes have reached, built on first use and shared by every
+    utterance it decodes.
     """
 
     alphabet: ColoredAlphabet
     tries: Sequence[LexiconTrie] | None
     scorer: Scorer
     beam_width: int = 64
+    # each extension paired with its label, the children memo's key
+    _successors: dict[WordState, list[tuple[Extension, tuple[int, int]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.beam_width < 1:
@@ -278,6 +300,17 @@ def get_best_beams(beams: Sequence[Beam], limit: int) -> list[Beam]:
     return heapq.nsmallest(limit, beams, key=_rank_key)
 
 
+def _pending_columns(node: Prefix) -> list[int]:
+    """Columns of the word ``node`` is spelling, read off its ancestors
+    back to the last word boundary; empty at a boundary."""
+    cols: list[int] = []
+    while node.word_state.in_word:
+        cols.append(node.col)
+        node = node.parent
+    cols.reverse()
+    return cols
+
+
 def decode(
     logits: LogitsMatrix,
     config: DecoderConfig,
@@ -303,19 +336,7 @@ def decode(
     allow_off = subword_penalty is not None
     blank = alphabet.blank_index
 
-    # each extension paired with its label, the children memo's key,
-    # built once per grammar state rather than once per probe
-    succ_cache: dict[WordState, list[tuple[Extension, tuple[int, int]]]] = {}
-
-    def successors(state: WordState) -> list[tuple[Extension, tuple[int, int]]]:
-        cached = succ_cache.get(state)
-        if cached is None:
-            cached = [
-                (ext, (ext.col, ext.color))
-                for ext in word_successors(alphabet, tries, state, allow_off)
-            ]
-            succ_cache[state] = cached
-        return cached
+    successors = config._successors
 
     def make_child(node: Prefix, ext: Extension, label: tuple[int, int]) -> Prefix:
         """A new node for ``node`` extended by ``ext``, entered in the
@@ -323,16 +344,18 @@ def decode(
         p_text = node.p_text
         words = node.words
         scorer_state = node.scorer_state
-        if ext.completes is not None:
-            delta, scorer_state = scorer.word_delta(
-                scorer_state, ext.completes, ext.color
-            )
+        state = ext.state
+        if ext.completes:
+            word = ext.word
+            if word is None:
+                word = _spell(alphabet, _pending_columns(node))
+            delta, scorer_state = scorer.word_delta(scorer_state, word, ext.color)
             p_text += delta
-            words = words + ((ext.completes, ext.color),)
-        elif tries is not None and ext.state.node is None and ext.state.chars:
+            words = words + ((word, ext.color),)
+        elif tries is not None and state.node is None and state.in_word:
             # off-trie character
             p_text += subword_penalty
-        child = Prefix(node, ext.col, ext.color, p_text, words, ext.state, scorer_state)
+        child = Prefix(node, ext.col, ext.color, p_text, words, state, scorer_state)
         node.children[label] = weakref.ref(child)
         return child
 
@@ -366,7 +389,14 @@ def decode(
                 kept.p_nonblank = logaddexp10(kept.p_nonblank, stay_nonblank)
 
             children = node.children
-            for ext, label in successors(node.word_state):
+            state = node.word_state
+            succ = successors.get(state)
+            if succ is None:
+                succ = successors[state] = [
+                    (ext, (ext.col, ext.color))
+                    for ext in word_successors(alphabet, tries, state, allow_off)
+                ]
+            for ext, label in succ:
                 spawned += 1
                 # extending with the column the prefix ends in starts a
                 # new CTC segment, so only blank-ending paths carry over
@@ -392,7 +422,10 @@ def decode(
     candidates: list[tuple[tuple, float, tuple[tuple[str, int], ...]]] = []
     for b in get_best_beams(beams, config.beam_width):
         node = b.prefix
-        pending = finish_word(alphabet, tries, node.word_state, allow_off)
+        state = node.word_state
+        pending = finish_word(
+            alphabet, tries, state, _pending_columns(node), allow_off
+        )
         words = node.words
         fscore = b.score
         if pending is not None:
@@ -400,7 +433,7 @@ def decode(
             delta, _ = scorer.word_delta(node.scorer_state, word, color)
             fscore += delta
             words = words + ((word, color),)
-        elif node.word_state.chars:
+        elif state.in_word:
             continue  # unfinished spelling with no way to report it
         if fscore == NEG_INF:
             continue

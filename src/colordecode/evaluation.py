@@ -202,12 +202,13 @@ def build_runtime(
     return MethodRuntime(ab, tries, scorer, beam_width)
 
 
-_WORKER_RUNTIME: MethodRuntime | None = None
+# one config per worker, so its successor table lives across utterances
+_WORKER_CONFIG: DecoderConfig | None = None
 
 
 def _init_worker(runtime: MethodRuntime) -> None:
-    global _WORKER_RUNTIME
-    _WORKER_RUNTIME = runtime
+    global _WORKER_CONFIG
+    _WORKER_CONFIG = runtime.decoder_config()
 
 
 def _decode_file(path: str, cfg: DecoderConfig) -> ColoredTranscript:
@@ -219,9 +220,8 @@ def _decode_file(path: str, cfg: DecoderConfig) -> ColoredTranscript:
 
 
 def _decode_path(path: str) -> ColoredTranscript:
-    runtime = _WORKER_RUNTIME
-    assert runtime is not None
-    return _decode_file(path, runtime.decoder_config())
+    assert _WORKER_CONFIG is not None
+    return _decode_file(path, _WORKER_CONFIG)
 
 
 def decode_utterances(

@@ -142,37 +142,47 @@ def build_trie(
 
 
 class WordState(NamedTuple):
-    """Position inside the word currently being spelled.
+    """What the word grammar needs to know about a prefix.
 
-    ``chars`` is the column sequence of the partial word; empty means we
-    sit at a word boundary. ``color`` is the color being spelled (at a
-    boundary: the color of the previous character, for separator
-    inheritance; None only at the utterance start). ``node`` is the trie
-    position, or None when spelling off-lexicon or in unconstrained mode.
+    ``in_word`` is True while a word is being spelled and False at a word
+    boundary. ``color`` is the color being spelled (at a boundary: the
+    color of the previous character, for separator inheritance; None only
+    at the utterance start). ``node`` is the trie position of the partial
+    word, or None at a boundary, off-lexicon, or in unconstrained mode.
+
+    The state does not hold the spelling itself, so there are at most
+    ``colors * (trie nodes + 2) + 1`` states and a decoder can build each
+    one's successor list once. Whoever walks the grammar keeps the
+    columns of the pending word; a trie node's ``word`` equals the
+    spelling of its path, so only a word that left every trie (or an
+    unconstrained one) needs them.
     """
 
     color: int | None
     node: TrieNode | None
-    chars: tuple[int, ...]
+    in_word: bool
 
 
-WORD_START = WordState(None, None, ())
+WORD_START = WordState(None, None, False)
 
 
 class Extension(NamedTuple):
     """One legal next character from a WordState.
 
-    ``completes`` is the word ended by this character (always via the
-    separator), or None.
+    ``completes`` is True when this character (always the separator)
+    ends the pending word. ``word`` is that word when the trie names it;
+    it is None for a word spelled off-lexicon or unconstrained, which the
+    caller spells from its own record of the pending columns.
     """
 
     col: int
     color: int
     state: WordState
-    completes: str | None
+    completes: bool = False
+    word: str | None = None
 
 
-def _spell(alphabet: ColoredAlphabet, cols: tuple[int, ...]) -> str:
+def _spell(alphabet: ColoredAlphabet, cols: Sequence[int]) -> str:
     return "".join(alphabet.base_chars[c] for c in cols)
 
 
@@ -200,41 +210,39 @@ def word_successors(
 
     if tries is None:
         prev_color = state.color if state.color is not None else 0
+        boundary = WordState(prev_color, None, False)
+        spelling = WordState(0, None, True)
         for col in range(alphabet.size):
             if col == sep_col:
                 # a separator completes the pending word; at a boundary it
                 # is just consumed (its color inherited from the left)
-                completes = _spell(alphabet, state.chars) if state.chars else None
-                nxt = WordState(prev_color, None, ())
-                out.append(Extension(col, prev_color, nxt, completes))
-                continue
-            nxt = WordState(0, None, state.chars + (col,))
-            out.append(Extension(col, 0, nxt, None))
+                out.append(Extension(col, prev_color, boundary, state.in_word))
+            else:
+                out.append(Extension(col, 0, spelling))
         return out
 
-    if not state.chars:
+    if not state.in_word:
         # word boundary: any lexicon may start a word, and the separator
         # may repeat (colored like the previous character, 0 at the start)
         for trie in tries:
             for col, node in trie.root.children.items():
-                nxt = WordState(trie.color, node, (col,))
-                out.append(Extension(col, trie.color, nxt, None))
+                nxt = WordState(trie.color, node, True)
+                out.append(Extension(col, trie.color, nxt))
         if sep_col is not None:
             color = state.color if state.color is not None else 0
-            out.append(Extension(sep_col, color, WordState(color, None, ()), None))
+            out.append(Extension(sep_col, color, WordState(color, None, False)))
         return out
 
     color = state.color
     assert color is not None
     node = state.node
+    boundary = WordState(color, None, False)
 
     if node is not None:
         for col, child in node.children.items():
-            nxt = WordState(color, child, state.chars + (col,))
-            out.append(Extension(col, color, nxt, None))
+            out.append(Extension(col, color, WordState(color, child, True)))
         if sep_col is not None and node.word is not None:
-            nxt = WordState(color, None, ())
-            out.append(Extension(sep_col, color, nxt, node.word))
+            out.append(Extension(sep_col, color, boundary, True, node.word))
 
     if allow_off_lexicon:
         on_trie = set()
@@ -242,21 +250,14 @@ def word_successors(
             on_trie = set(node.children)
             if sep_col is not None and node.word is not None:
                 on_trie.add(sep_col)
+        off_trie = WordState(color, None, True)
         for col in range(alphabet.size):
             if col in on_trie:
                 continue
             if col == sep_col:
-                out.append(
-                    Extension(
-                        sep_col,
-                        color,
-                        WordState(color, None, ()),
-                        _spell(alphabet, state.chars),
-                    )
-                )
+                out.append(Extension(sep_col, color, boundary, True))
             else:
-                nxt = WordState(color, None, state.chars + (col,))
-                out.append(Extension(col, color, nxt, None))
+                out.append(Extension(col, color, off_trie))
     return out
 
 
@@ -264,24 +265,25 @@ def finish_word(
     alphabet: ColoredAlphabet,
     tries: Sequence[LexiconTrie] | None,
     state: WordState,
+    spelled: Sequence[int],
     allow_off_lexicon: bool = False,
 ) -> tuple[str, int] | None:
     """Resolve a partial word at the end of the utterance.
 
-    Returns (word, color) when the partial spells something
-    reportable: a word-final trie node, an unconstrained-mode string, or
-    (with ``allow_off_lexicon``) any leftover spelling. Returns None when
-    there is nothing pending or the spelling must be dropped.
+    ``spelled`` holds the columns of the pending word. Returns (word,
+    color) when the partial spells something reportable: a word-final
+    trie node, an unconstrained-mode string, or (with
+    ``allow_off_lexicon``) any leftover spelling. Returns None when there
+    is nothing pending or the spelling must be dropped.
     """
-    if not state.chars:
+    if not state.in_word:
         return None
     if tries is None:
-        return _spell(alphabet, state.chars), 0
+        return _spell(alphabet, spelled), 0
     color = state.color
     assert color is not None
     if state.node is not None and state.node.word is not None:
         return state.node.word, color
     if allow_off_lexicon:
-        return _spell(alphabet, state.chars), color
+        return _spell(alphabet, spelled), color
     return None
-

@@ -20,7 +20,7 @@ from .lexicon import (
     ColoredAlphabet,
     LexiconTrie,
     WORD_START,
-    WordState,
+    _spell,
     build_trie,
     finish_word,
     word_successors,
@@ -140,10 +140,10 @@ def exhaustive_decode(
     best_score = NEG_INF
     visited = 0
 
-    def consider(chars, words, p_text, word_state, scorer_state) -> None:
+    def consider(chars, spelled, words, p_text, word_state, scorer_state) -> None:
         nonlocal best_key, best_words, best_score
-        pending = finish_word(alphabet, tries, word_state, allow_off)
-        if pending is None and word_state.chars:
+        pending = finish_word(alphabet, tries, word_state, spelled, allow_off)
+        if pending is None and word_state.in_word:
             all_scores[chars] = NEG_INF
             return
         fwords = words
@@ -162,35 +162,36 @@ def exhaustive_decode(
             best_words = fwords
             best_score = fscore
 
-    def walk(chars, words, p_text, word_state, scorer_state) -> None:
+    def walk(chars, spelled, words, p_text, word_state, scorer_state) -> None:
+        # ``spelled``: the columns of the pending word, the tail of ``chars``
         nonlocal visited
         visited += 1
         if visited > guard:
             raise InstanceTooLarge(f"more than {guard} prefixes")
-        consider(chars, words, p_text, word_state, scorer_state)
+        consider(chars, spelled, words, p_text, word_state, scorer_state)
         if len(chars) >= cap:
             return
         for ext in word_successors(alphabet, tries, word_state, allow_off):
             new_words = words
             new_text = p_text
             new_state = scorer_state
-            if ext.completes is not None:
-                delta, new_state = scorer.word_delta(
-                    scorer_state, ext.completes, ext.color
-                )
+            if ext.completes:
+                word = ext.word if ext.word is not None else _spell(alphabet, spelled)
+                delta, new_state = scorer.word_delta(scorer_state, word, ext.color)
                 new_text += delta
-                new_words = words + ((ext.completes, ext.color),)
-            elif tries is not None and ext.state.node is None and ext.state.chars:
+                new_words = words + ((word, ext.color),)
+            elif tries is not None and ext.state.node is None and ext.state.in_word:
                 new_text += subword_penalty
             walk(
                 chars + ((ext.col, ext.color),),
+                spelled + (ext.col,) if ext.state.in_word else (),
                 new_words,
                 new_text,
                 ext.state,
                 new_state,
             )
 
-    walk((), (), 0.0, WORD_START, scorer.initial_state())
+    walk((), (), (), 0.0, WORD_START, scorer.initial_state())
 
     if best_key is None:
         return OracleResult(ColoredTranscript((), NEG_INF), all_scores)

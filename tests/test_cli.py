@@ -482,6 +482,8 @@ BAD_LOGITS = {
     "non-numeric.json": json_bytes({"frames": [[0.5, "a"]]}),
     # no frames, and a column count that is not an integer
     "text-columns.json": json_bytes({"frames": [], "columns": "x"}),
+    # rows as wide as the alphabet needs, under a column count they contradict
+    "contradicted-columns.json": json_bytes({"frames": [[1 / 28] * 28], "columns": 3}),
 }
 JSON_BAD_LOGITS = sorted(name for name in BAD_LOGITS if name.endswith(".json"))
 

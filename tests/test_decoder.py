@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -19,12 +20,12 @@ from colordecode.decoder import (
     decode,
     get_best_beams,
 )
-from colordecode.lexicon import WORD_START, ColoredAlphabet, build_trie
+from colordecode.lexicon import WORD_START, ColoredAlphabet, build_trie, word_successors
 from colordecode.logmath import NEG_INF, logsumexp10
-from colordecode.ngram_lm import NGramModel
-from colordecode.oracle import exhaustive_decode, random_instance
-from colordecode.scorers import NullScorer, ScorerConfig, SingleLmScorer
-from conftest import random_rows
+from colordecode.ngram_lm import NGramModel, merge_colored
+from colordecode.oracle import ctc_path_sum, exhaustive_decode, random_instance
+from colordecode.scorers import ColoringScorer, NullScorer, ScorerConfig, SingleLmScorer
+from conftest import random_rows, trie_words
 
 # ---------------------------------------------------------------------------
 # LogitsMatrix
@@ -59,20 +60,23 @@ def test_logits_empty_needs_column_hint():
             LogitsMatrix.from_natural_log([], columns=columns)
 
 
+_BAD_ROWS = [
+    ([[0.5, 0.6]], None),  # does not sum to 1
+    ([[1.2, -0.2]], None),  # negative entry
+    ([[float("nan"), 1.0]], None),  # NaN
+    ([[1.0]], None),  # single column: no room for blank + one char
+    ([[0.5, 0.5], [1.0]], None),  # ragged
+    ([[0.5, "a"]], None),  # not a number
+    ([[0.5, 0.5]], 3),  # a column count the rows contradict
+]
+
+
 @pytest.mark.parametrize(
-    "rows",
-    [
-        [[0.5, 0.6]],  # does not sum to 1
-        [[1.2, -0.2]],  # negative entry
-        [[float("nan"), 1.0]],  # NaN
-        [[1.0]],  # single column: no room for blank + one char
-        [[0.5, 0.5], [1.0]],  # ragged
-        [[0.5, "a"]],  # not a number
-    ],
+    "rows, columns", _BAD_ROWS, ids=[f"rows{i}" for i in range(len(_BAD_ROWS))]
 )
-def test_logits_validation(rows):
+def test_logits_validation(rows, columns):
     with pytest.raises(MalformedLogits):
-        LogitsMatrix.from_linear(rows)
+        LogitsMatrix.from_linear(rows, columns=columns)
 
 
 def test_logits_row_sum_tolerance():
@@ -543,3 +547,108 @@ def test_decode_leaves_no_cyclic_garbage():
         if was_enabled:
             gc.enable()
     assert got.words
+
+
+# ---------------------------------------------------------------------------
+# off-lexicon spelling and the per-config successor table
+# ---------------------------------------------------------------------------
+
+
+def _offlex_coloring_config(subword_penalty=-2.0, beam_width=16):
+    """Two colors over "abc" plus a separator, scored by a coloring
+    scorer that allows off-lexicon spelling."""
+    alphabet = ColoredAlphabet(("a", "b", "c", " "), 2, " ")
+    lexicons = [["ab", "abc", "ba"], ["b", "cab"]]
+    tries = [build_trie(alphabet, c, words) for c, words in enumerate(lexicons)]
+    models = [
+        NGramModel(max_order=1, entries={(w,): (math.log10(1 / len(words)), None) for w in words})
+        for words in lexicons
+    ]
+    scorer = ColoringScorer(
+        ScorerConfig(
+            unknown_word_penalty=(-1.0, -1.0), unknown_subword_penalty=subword_penalty
+        ),
+        merge_colored((m, c) for c, m in enumerate(models)),
+        2,
+    )
+    return DecoderConfig(alphabet, tries, scorer, beam_width=beam_width)
+
+
+def _trie_nodes(node) -> int:
+    return sum(1 + _trie_nodes(child) for child in node.children.values())
+
+
+def test_successor_table_is_built_once_per_config(monkeypatch):
+    """The grammar state leaves the spelling out, so a config meets at
+    most ``1 + sum over colors of (trie nodes + 2)`` states, and builds
+    each one's successor list once for every utterance it decodes."""
+    calls = []
+
+    def counting(alphabet, tries, state, allow_off_lexicon=False):
+        calls.append(state)
+        return word_successors(alphabet, tries, state, allow_off_lexicon)
+
+    monkeypatch.setattr(decoder_module, "word_successors", counting)
+    config = _offlex_coloring_config()
+    rng = random.Random(4)
+    corpus = [LogitsMatrix.from_linear(random_rows(rng, 20, 5)) for _ in range(6)]
+
+    decode(corpus[0], config)
+    assert calls and len(calls) == len(set(calls))
+    first = len(calls)
+    decode(corpus[0], config)
+    assert len(calls) == first
+    for logits in corpus[1:]:
+        decode(logits, config)
+    assert any(s.in_word and s.node is None for s in calls)  # off-trie states met
+    bound = 1 + sum(_trie_nodes(t.root) + 2 for t in config.tries)
+    assert len(calls) == len(set(calls)) <= bound
+
+
+def test_off_lexicon_words_match_oracle():
+    """With off-lexicon spelling on in every instance, a saturating
+    beam finds the oracle's transcript and score: words that leave their
+    trie are spelled from the prefix, by separators and at the end."""
+    rng = random.Random(1408)
+    spelled = 0
+    for _ in range(300):
+        inst = random_instance(rng, max_frames=6)
+        scorer = ColoringScorer(
+            dataclasses.replace(inst.scorer.config, unknown_subword_penalty=-2.0),
+            inst.scorer.merged,
+            inst.scorer.num_colors,
+        )
+        oracle = exhaustive_decode(inst.logits, scorer, inst.alphabet, inst.tries)
+        config = DecoderConfig(
+            inst.alphabet, inst.tries, scorer, beam_width=len(oracle.all_scores) + 1
+        )
+        got = decode(inst.logits, config)
+        assert got.words == oracle.best.words
+        if oracle.best.score == NEG_INF:
+            assert got.score == NEG_INF
+        else:
+            assert got.score == pytest.approx(oracle.best.score, abs=1e-9)
+        on_trie = {w for t in inst.tries for w in trie_words(t)}
+        spelled += sum(w not in on_trie for w, _ in got.words)
+    assert spelled > 0
+
+
+def test_word_leaving_its_trie_is_spelled_mid_utterance_and_at_the_end():
+    """"abb" starts on color 0's "ab" and leaves it, closed by a
+    separator; "aa" leaves the same trie and is closed by the end of the
+    utterance. Both come back spelled, each charged one off-trie
+    character."""
+    config = _offlex_coloring_config(subword_penalty=-0.5, beam_width=64)
+    alphabet, scorer = config.alphabet, config.scorer
+    path = [0, 1, 4, 1, 3, 0, 4, 0]  # a b - b sep a - a (4 = blank)
+    rows = [[0.996 if c == target else 0.001 for c in range(5)] for target in path]
+    logits = LogitsMatrix.from_linear(rows)
+
+    got = decode(logits, config)
+
+    assert got.words == (("abb", 0), ("aa", 0))
+    first, state = scorer.word_delta(scorer.initial_state(), "abb", 0)
+    second, _ = scorer.word_delta(state, "aa", 0)
+    label = [alphabet.char_column(c) for c in "abb aa"]
+    expected = ctc_path_sum(logits.log10_rows(), label) + first + second + 2 * -0.5
+    assert got.score == pytest.approx(expected, abs=1e-9)

@@ -127,20 +127,20 @@ def test_boundary_opens_every_color():
 def test_midword_follows_trie():
     ab = ColoredAlphabet(("a", "b"), 2, None)
     tries = [build_trie(ab, 0, ["ab"]), build_trie(ab, 1, ["b"])]
-    state = WordState(0, tries[0].root.children[0], (0,))
+    state = WordState(0, tries[0].root.children[0], True)
     assert _next_set(ab, tries, state) == {("b", 0)}
 
 
 def test_separator_completes_word_with_inherited_color():
     ab = ColoredAlphabet(("a", "b", " "), 2, " ")
     tries = [build_trie(ab, 0, ["a"]), build_trie(ab, 1, ["b"])]
-    state = WordState(1, tries[1].root.children[1], (1,))
+    state = WordState(1, tries[1].root.children[1], True)
     exts = word_successors(ab, tries, state)
     seps = [e for e in exts if e.col == ab.separator_column]
     assert len(seps) == 1
     assert seps[0].color == 1
-    assert seps[0].completes == "b"
-    assert seps[0].state == WordState(1, None, ())
+    assert seps[0].completes and seps[0].word == "b"
+    assert seps[0].state == WordState(1, None, False)
 
 
 def test_boundary_offers_separator():
@@ -150,16 +150,16 @@ def test_boundary_offers_separator():
     start = _next_set(ab, tries, WORD_START)
     assert (" ", 0) in start
     # After finishing a color-1 word, a repeated separator keeps color 1.
-    after = word_successors(ab, tries, WordState(1, None, ()))
+    after = word_successors(ab, tries, WordState(1, None, False))
     seps = [e for e in after if e.col == ab.separator_column]
     assert len(seps) == 1 and seps[0].color == 1
-    assert seps[0].completes is None
+    assert not seps[0].completes
 
 
 def test_separator_not_offered_midword_unless_final():
     ab = ColoredAlphabet(("a", "b", " "), 1, " ")
     tries = [build_trie(ab, 0, ["ab"])]
-    state = WordState(0, tries[0].root.children[0], (0,))  # "a" of "ab"
+    state = WordState(0, tries[0].root.children[0], True)  # "a" of "ab"
     assert _next_set(ab, tries, state) == {("b", 0)}
 
 
@@ -171,14 +171,16 @@ def test_midword_color_never_changes():
         build_trie(ab, 2, ["cab", "c"]),
     ]
     stack = [WORD_START]
+    visited = {WORD_START}
     seen = 0
     while stack:
         state = stack.pop()
         for ext in word_successors(ab, tries, state):
-            if state.chars:
+            if state.in_word:
                 assert ext.color == state.color
                 seen += 1
-            if ext.state.chars and len(ext.state.chars) < 4:
+            if ext.state not in visited:
+                visited.add(ext.state)
                 stack.append(ext.state)
     assert seen > 0
 
@@ -191,16 +193,17 @@ def test_midword_color_never_changes():
 def test_off_lexicon_midword_allows_same_color_chars():
     ab = ColoredAlphabet(("a", "b", " "), 2, " ")
     tries = [build_trie(ab, 0, ["ab"]), build_trie(ab, 1, ["b"])]
-    state = WordState(0, tries[0].root.children[0], (0,))
+    state = WordState(0, tries[0].root.children[0], True)
     exts = word_successors(ab, tries, state, allow_off_lexicon=True)
     by_char = {(ab.base_chars[e.col], e.color) for e in exts}
     # trie edge "b", off-trie repeat "a", and the separator completing an
-    # off-lexicon word ("a" alone is not in color 0)
+    # off-lexicon word ("a" alone is not in color 0), which the caller
+    # spells: the state does not hold its columns
     assert by_char == {("b", 0), ("a", 0), (" ", 0)}
     sep = [e for e in exts if e.col == ab.separator_column][0]
-    assert sep.completes == "a"
+    assert sep.completes and sep.word is None
     off = [e for e in exts if e.col == 0][0]
-    assert off.state.node is None and off.state.chars == (0, 0)
+    assert off.state == WordState(0, None, True)
 
 
 def test_boundary_never_starts_off_lexicon():
@@ -223,16 +226,16 @@ def test_unconstrained_mode_allows_everything():
         (" ", 0),
     }
     sep_at_start = [e for e in start if e.col == ab.separator_column][0]
-    assert sep_at_start.completes is None
-    mid = word_successors(ab, None, WordState(0, None, (0, 1)))
+    assert not sep_at_start.completes
+    mid = word_successors(ab, None, WordState(0, None, True))
     sep = [e for e in mid if e.col == ab.separator_column][0]
-    assert sep.completes == "ab"
+    assert sep.completes and sep.word is None
 
 
 def test_off_trie_partial_successors():
     ab = ColoredAlphabet(("a", "b"), 1, None)
     tries = [build_trie(ab, 0, ["ab"])]
-    off_trie_b = WordState(0, None, (1,))
+    off_trie_b = WordState(0, None, True)
     assert _next_set(ab, tries, off_trie_b) == set()
     assert _next_set(ab, tries, off_trie_b, allow=True) == {("a", 0), ("b", 0)}
 
@@ -240,13 +243,13 @@ def test_off_trie_partial_successors():
 def test_get_next_chars_boundary_separator_inherits_color():
     ab = ColoredAlphabet(("a", "b", " "), 2, " ")
     tries = [build_trie(ab, 0, ["a"]), build_trie(ab, 1, ["b"])]
-    assert (" ", 1) in _next_set(ab, tries, WordState(1, None, ()))
+    assert (" ", 1) in _next_set(ab, tries, WordState(1, None, False))
     assert (" ", 0) in _next_set(ab, tries, WORD_START)
 
 
 def test_get_next_chars_unconstrained():
     ab = ColoredAlphabet(("a", "b", " "), 1, " ")
-    assert _next_set(ab, None, WordState(0, None, (0, 1))) == {
+    assert _next_set(ab, None, WordState(0, None, True)) == {
         ("a", 0),
         ("b", 0),
         (" ", 0),
@@ -263,11 +266,11 @@ def test_finish_word_variants():
     tries = [build_trie(ab, 0, ["ab"]), build_trie(ab, 1, ["b"])]
     node_a = tries[0].root.children[0]
     node_ab = node_a.children[1]
-    assert finish_word(ab, tries, WordState(0, node_ab, (0, 1))) == ("ab", 0)
-    assert finish_word(ab, tries, WordState(0, node_a, (0,))) is None
-    assert finish_word(ab, tries, WordState(0, node_a, (0,)), True) == ("a", 0)
-    assert finish_word(ab, tries, WordState(0, None, (1, 1)), True) == ("bb", 0)
-    assert finish_word(ab, tries, WordState(1, None, ())) is None
-    assert finish_word(ab, None, WordState(0, None, (0, 1))) == ("ab", 0)
-    assert finish_word(ab, tries, WORD_START) is None
+    assert finish_word(ab, tries, WordState(0, node_ab, True), (0, 1)) == ("ab", 0)
+    assert finish_word(ab, tries, WordState(0, node_a, True), (0,)) is None
+    assert finish_word(ab, tries, WordState(0, node_a, True), (0,), True) == ("a", 0)
+    assert finish_word(ab, tries, WordState(0, None, True), (1, 1), True) == ("bb", 0)
+    assert finish_word(ab, tries, WordState(1, None, False), ()) is None
+    assert finish_word(ab, None, WordState(0, None, True), (0, 1)) == ("ab", 0)
+    assert finish_word(ab, tries, WORD_START, ()) is None
 
