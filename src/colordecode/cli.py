@@ -89,7 +89,7 @@ def _add_alphabet_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_scorer_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fusion",
         choices=SCORER_KINDS,
@@ -99,6 +99,16 @@ def _add_scorer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lm", action="append", default=[], metavar="ARPA",
                    help="language model, repeatable; order matters "
                    "(general first, then jargon)")
+    p.add_argument(
+        "--calibration-manifest",
+        metavar="PATH",
+        help="manifest whose references calibrate the bins method",
+    )
+    p.add_argument("--calibration-seed", type=int, default=0)
+
+
+def _add_hyperparameter_flags(p: argparse.ArgumentParser) -> None:
+    """One scorer setting each; gridsearch takes grids instead."""
     p.add_argument("--alpha", type=float, default=1.0, help="LM weight")
     p.add_argument("--beta", type=float, default=0.0, help="word bonus")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5,
@@ -120,12 +130,6 @@ def _add_scorer_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--bins", type=int, default=53,
                    help="bin count for the bins method (default 53)")
-    p.add_argument(
-        "--calibration-manifest",
-        metavar="PATH",
-        help="manifest whose references calibrate the bins method",
-    )
-    p.add_argument("--calibration-seed", type=int, default=0)
 
 
 def _alphabet_from_args(args) -> ColoredAlphabet:
@@ -348,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
     p.add_argument("--out", help="write markup plus JSON sidecar here")
     _add_alphabet_flags(p)
-    _add_scorer_flags(p)
+    _add_model_flags(p)
+    _add_hyperparameter_flags(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="evaluate one method on a manifest")
@@ -360,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"worker processes (default ${JOBS_ENV} or 1)")
     p.add_argument("--json", action="store_true", help="JSON report")
     _add_alphabet_flags(p)
-    _add_scorer_flags(p)
+    _add_model_flags(p)
+    _add_hyperparameter_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gridsearch", help="search hyperparameters on a manifest")
@@ -376,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-counts", type=_csv_ints, default=None)
     p.add_argument("--all", action="store_true", help="print every grid row")
     _add_alphabet_flags(p)
-    _add_scorer_flags(p)
+    _add_model_flags(p)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("merge-lm", help="merge models into one colored ARPA")

@@ -7,11 +7,18 @@ the text score ``p_text`` accumulated from the fusion scorer at every
 completed word (and per-character penalties for off-lexicon spellings),
 the completed words, the grammar state and the scorer state. Each node
 memoizes its children by label, so extending a live prefix by the same
-label always yields the same node, and a child's metadata, word delta
-included, is computed once, when the node is first made. The memo holds
-weak references: a node keeps its ancestors alive but not its
-descendants, so the tree has no reference cycles and a branch that
-leaves the beam is freed as soon as nothing points to it.
+label always yields the same node. The memo holds weak references: a
+node keeps its ancestors alive but not its descendants, so the tree has
+no reference cycles and a branch that leaves the beam is freed as soon
+as nothing points to it.
+
+A frame scores a child that has no live node without building it: its
+score is its one acoustic mass plus its text score. Only the candidates
+whose score reaches the beam-width-th best score of the frame are
+ranked, and only those children become nodes; the rest could never be
+ranked into the next beam. Word deltas are memoized per utterance by
+(scorer state, word, color), so a word that completes the same history
+again is not rescored.
 
 A beam pairs a node with two acoustic masses in log10, the probability
 of all frame paths ending in blank (``p_blank``) and in the prefix's
@@ -337,36 +344,30 @@ def decode(
     blank = alphabet.blank_index
 
     successors = config._successors
+    beam_width = config.beam_width
 
-    def make_child(node: Prefix, ext: Extension, label: tuple[int, int]) -> Prefix:
-        """A new node for ``node`` extended by ``ext``, entered in the
-        parent's memo; the only place a word is scored mid-utterance."""
-        p_text = node.p_text
-        words = node.words
-        scorer_state = node.scorer_state
-        state = ext.state
-        if ext.completes:
-            word = ext.word
-            if word is None:
-                word = _spell(alphabet, _pending_columns(node))
-            delta, scorer_state = scorer.word_delta(scorer_state, word, ext.color)
-            p_text += delta
-            words = words + ((word, ext.color),)
-        elif tries is not None and state.node is None and state.in_word:
-            # off-trie character
-            p_text += subword_penalty
-        child = Prefix(node, ext.col, ext.color, p_text, words, state, scorer_state)
-        node.children[label] = weakref.ref(child)
-        return child
+    # (scorer state, word, color) -> (delta, next scorer state): within
+    # one utterance a word completing the same history is scored once
+    deltas: dict[tuple[object, str, int], tuple[float, object]] = {}
+
+    def score_word(scorer_state: object, word: str, color: int) -> tuple[float, object]:
+        key = (scorer_state, word, color)
+        scored = deltas.get(key)
+        if scored is None:
+            scored = deltas[key] = scorer.word_delta(scorer_state, word, color)
+        return scored
 
     root = Prefix(None, None, None, 0.0, (), WORD_START, scorer.initial_state())
     beams: list[Beam] = [Beam(root, 0.0, NEG_INF)]
 
     for row in logits.log10_rows():
-        best = get_best_beams(beams, config.beam_width)
+        best = get_best_beams(beams, beam_width)
 
         # keyed by node identity: each live prefix has exactly one node
         next_map: dict[Prefix, Beam] = {}
+        # children with no live node, scored but not yet built:
+        # (score, mass, parent, extension, label, p_text, word, scorer state)
+        fresh: list[tuple] = []
         expanded = 0
         spawned = 0
 
@@ -405,22 +406,65 @@ def decode(
                     continue
                 ref = children.get(label)
                 child = None if ref is None else ref()
-                if child is None:
-                    child = make_child(node, ext, label)
-                kept = next_map.get(child)
-                if kept is None:
-                    next_map[child] = Beam(child, NEG_INF, mass)
-                else:
-                    kept.p_nonblank = logaddexp10(kept.p_nonblank, mass)
+                if child is not None:
+                    kept = next_map.get(child)
+                    if kept is None:
+                        next_map[child] = Beam(child, NEG_INF, mass)
+                    else:
+                        kept.p_nonblank = logaddexp10(kept.p_nonblank, mass)
+                    continue
+                # No live node: its parent is expanded once per frame and
+                # a state's labels are distinct, so this is the child's
+                # only mass this frame. Score it; build it only if it can
+                # rank.
+                p_text = node.p_text
+                word = None
+                scorer_state = node.scorer_state
+                if ext.completes:
+                    word = ext.word
+                    if word is None:
+                        word = _spell(alphabet, _pending_columns(node))
+                    delta, scorer_state = score_word(scorer_state, word, ext.color)
+                    p_text += delta
+                elif tries is not None and ext.state.node is None and ext.state.in_word:
+                    # off-trie character
+                    p_text += subword_penalty
+                fresh.append(
+                    (mass + p_text, mass, node, ext, label, p_text, word, scorer_state)
+                )
 
         if stats is not None:
             stats.expanded.append(expanded)
             stats.spawned.append(spawned)
         beams = list(next_map.values())
+        if len(beams) + len(fresh) > beam_width:
+            # The beam_width-th best score: a candidate strictly below it
+            # can never be ranked in, and one tied with it is kept. Merged
+            # beams are scored as in _rank_key, so the floats compare equal.
+            scores = [
+                logaddexp10(b.p_blank, b.p_nonblank) + b.prefix.p_text for b in beams
+            ]
+            ranked = scores + [c[0] for c in fresh]
+            ranked.sort(reverse=True)
+            cutoff = ranked[beam_width - 1]
+            beams = [b for b, score in zip(beams, scores) if not score < cutoff]
+        else:
+            cutoff = NEG_INF
+        for score, mass, node, ext, label, p_text, word, scorer_state in fresh:
+            if score < cutoff:
+                continue
+            words = node.words
+            if word is not None:
+                words = words + ((word, ext.color),)
+            child = Prefix(
+                node, ext.col, ext.color, p_text, words, ext.state, scorer_state
+            )
+            node.children[label] = weakref.ref(child)
+            beams.append(Beam(child, NEG_INF, mass))
 
     # (rank key, final score, words) per finished beam
     candidates: list[tuple[tuple, float, tuple[tuple[str, int], ...]]] = []
-    for b in get_best_beams(beams, config.beam_width):
+    for b in get_best_beams(beams, beam_width):
         node = b.prefix
         state = node.word_state
         pending = finish_word(
@@ -430,7 +474,7 @@ def decode(
         fscore = b.score
         if pending is not None:
             word, color = pending
-            delta, _ = scorer.word_delta(node.scorer_state, word, color)
+            delta, _ = score_word(node.scorer_state, word, color)
             fscore += delta
             words = words + ((word, color),)
         elif state.in_word:

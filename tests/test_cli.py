@@ -298,6 +298,30 @@ def test_gridsearch_reports_best_point(synth_dir, capsys):
     assert out.count("wer=") == 2  # one row per grid point under --all
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--alpha", "2"],
+        ["--unk-word-penalty", "-5,-5"],
+        ["--unk-subword-penalty", "-3"],
+        ["--bins", "20"],
+    ],
+    ids=lambda f: f[0],
+)
+def test_gridsearch_rejects_single_hyperparameter_flags(tmp_path, flag, capsys):
+    """The grid flags are gridsearch's only hyperparameter inputs; a
+    single-value scorer flag would be ignored, so argparse refuses it.
+    (``--beta`` and ``--lambda`` are argparse prefixes of ``--betas`` and
+    ``--lambdas``, so they set a one-point grid.)"""
+    argv = ["gridsearch", str(tmp_path / "manifest.jsonl"), *flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert flag[0] in err
+
+
 # ---------------------------------------------------------------------------
 # merge-lm
 # ---------------------------------------------------------------------------

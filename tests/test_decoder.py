@@ -652,3 +652,103 @@ def test_word_leaving_its_trie_is_spelled_mid_utterance_and_at_the_end():
     label = [alphabet.char_column(c) for c in "abb aa"]
     expected = ctc_path_sum(logits.log10_rows(), label) + first + second + 2 * -0.5
     assert got.score == pytest.approx(expected, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# children scored before they are built, word deltas memoized per decode
+# ---------------------------------------------------------------------------
+
+
+def test_frame_builds_nodes_only_for_candidates_that_can_rank(monkeypatch):
+    """A child with no live node is scored, and becomes a node only if
+    its score reaches the beam-width-th best of its frame; only the
+    candidates that reach it are ranked. With one color and continuous
+    random logits no two candidates tie, so a frame makes at most
+    ``beam_width`` nodes and ranks at most ``beam_width`` candidates even
+    though off-lexicon spelling offers every column to every beam."""
+    built = [0]
+
+    class CountingPrefix(Prefix):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    built_before_rank: list[int] = []
+    ranked: list[int] = []
+
+    def rank(beams, limit):
+        built_before_rank.append(built[0])
+        ranked.append(len(beams))
+        return get_best_beams(beams, limit)
+
+    monkeypatch.setattr(decoder_module, "Prefix", CountingPrefix)
+    monkeypatch.setattr(decoder_module, "get_best_beams", rank)
+    alphabet = ColoredAlphabet(("a", "b", "c", "d", " "), 1, " ")
+    tries = [build_trie(alphabet, 0, ["ab", "abc", "bad", "d"])]
+    scorer = NullScorer(ScorerConfig(beta=-0.5, unknown_subword_penalty=-1.0))
+    rng = random.Random(18123)
+    for width in (1, 2, 4, 8):
+        config = DecoderConfig(alphabet, tries, scorer, beam_width=width)
+        for _ in range(5):
+            logits = LogitsMatrix.from_linear(random_rows(rng, 30, 6))
+            built[0] = 0
+            built_before_rank.clear()
+            ranked.clear()
+            stats = DecodeStats()
+            got = decode(logits, config, stats)
+            # the root, then one count per frame between its two rankings
+            assert built_before_rank[0] == 1
+            per_frame = [b - a for a, b in zip(built_before_rank, built_before_rank[1:])]
+            assert len(per_frame) == logits.frames
+            assert max(per_frame) <= width
+            assert max(ranked) <= width
+            assert sum(stats.spawned) > sum(per_frame)
+            assert got.words
+
+
+def test_tie_at_the_cutoff_keeps_fresh_candidates():
+    """Two frames uniform over {a, b, blank}, unconstrained, at beam 2.
+    Frame 1 ranks '', 'a' and 'b' at 1/3 each: the cutoff is 1/3, and
+    'a' (built this frame) beats 'b' on label order for the second slot.
+    Frame 2 then gives 'a' mass 3/9 (blank, repeat, and root's 'a'); ''
+    keeps 1/9 and wins the tie with 'b' and 'ab' on depth. Dropping the
+    candidates tied at the cutoff would leave only '' with 1/9. At beam 1
+    '' wins every tie on depth."""
+    alphabet = ColoredAlphabet(("a", "b"), 1, None)
+    logits = LogitsMatrix.from_linear([[1 / 3] * 3] * 2)
+    scorer = NullScorer(ScorerConfig())
+
+    got = decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=2))
+    assert got.words == (("a", 0),)
+    assert got.score == pytest.approx(math.log10(3 / 9), abs=1e-12)
+
+    got = decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=1))
+    assert got.words == ()
+    assert got.score == pytest.approx(math.log10(1 / 9), abs=1e-12)
+
+
+def test_word_delta_runs_once_per_input_per_decode(monkeypatch):
+    """Within one decode a word completing the same scorer state with
+    the same color is scored once, mid-utterance and at the end alike,
+    even when its node was dropped and a later frame offers it again."""
+    config = _offlex_coloring_config(beam_width=4)
+    scorer = config.scorer
+    calls: list[tuple] = []
+    original = scorer.word_delta
+
+    def counting(state, word, color):
+        calls.append((state, word, color))
+        return original(state, word, color)
+
+    monkeypatch.setattr(scorer, "word_delta", counting)
+    rng = random.Random(2211)
+    scored = 0
+    for _ in range(8):
+        logits = LogitsMatrix.from_linear(random_rows(rng, 40, 5))
+        calls.clear()
+        decode(logits, config)
+        assert len(calls) == len(set(calls))
+        scored += len(calls)
+    assert scored > 0
