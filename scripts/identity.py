@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Byte-identity check of the decoder against another checkout.
+
+Decodes one fixed set of inputs with the ``colordecode`` package of this
+working tree and with the one under ``--base DIR``, each in its own
+interpreter, and hashes ``repr`` of every transcript, in order, into one
+SHA-256 per tree. Prints both digests and exits 1 if they differ.
+Both sides are decoded on every run; no output is stored.
+
+The decode set:
+
+- 4,000 ``oracle.random_instance(max_frames=6, max_words=4)`` problems,
+  each decoded at beams 1, 2, 3 and 50; every fifth is decoded
+  unconstrained (``tries=None``);
+- every ``SCORER_KINDS`` entry on a synthetic corpus of language seed 1,
+  with off-lexicon spelling off and with subword penalties 0 and -3, at
+  beams 4, 16 and 64.
+
+    python3 scripts/identity.py --base ../colordecode-parent
+"""
+
+import argparse
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent
+RANDOM_INSTANCES = 4000
+RANDOM_BEAMS = (1, 2, 3, 50)
+CORPUS_SENTENCES = 24
+SUBWORD_PENALTIES = (None, 0.0, -3.0)
+CORPUS_BEAMS = (4, 16, 64)
+
+
+def _random_decodes():
+    from colordecode.decoder import DecoderConfig, decode
+    from colordecode.oracle import random_instance
+
+    rng = random.Random(2024)
+    for i in range(RANDOM_INSTANCES):
+        inst = random_instance(rng, max_frames=6, max_words=4)
+        tries = None if i % 5 == 4 else inst.tries
+        for width in RANDOM_BEAMS:
+            config = DecoderConfig(inst.alphabet, tries, inst.scorer, width)
+            yield decode(inst.logits, config)
+
+
+def _corpus_decodes():
+    from colordecode import corpus, evaluation, scorers
+    from colordecode.decoder import decode
+    from colordecode.lexicon import ColoredAlphabet
+
+    spec = corpus.SynthesisSpec(
+        num_sentences=CORPUS_SENTENCES,
+        jargon_insertion_rate=0.3,
+        noise_level=0.25,
+        frames_per_char=1,
+        rng_seed=1,
+        language_seed=1,
+    )
+    lang = corpus.build_language(1)
+    lexicons = [lang.lexicons.general, lang.lexicons.jargon]
+    general, jargon = corpus.language_models(lang)
+    template = ColoredAlphabet(tuple(corpus.LETTERS + " "), 1, " ")
+    sentences = corpus.sample_sentences(spec, lang)
+    logits = [
+        corpus.synthesize_logits(" ".join(words), template, 0.25, 1)
+        for words, _ in sentences
+    ]
+    # the bin table is fitted as the CLI fits it, from references only
+    references = [
+        corpus.Utterance(f"utt{i:04d}", Path("."), words, mask)
+        for i, (words, mask) in enumerate(sentences)
+    ]
+    pairs = evaluation.calibration_pairs(references, [general, jargon])
+    table = scorers.fit_bin_table(pairs, 53)
+    for kind in scorers.SCORER_KINDS:
+        models = {"none": [], "general": [general], "jargon": [jargon]}.get(
+            kind, [general, jargon]
+        )
+        for penalty in SUBWORD_PENALTIES:
+            config = scorers.ScorerConfig(unknown_subword_penalty=penalty)
+            for width in CORPUS_BEAMS:
+                runtime = evaluation.build_runtime(
+                    kind, lexicons, models, config, template, width,
+                    table if kind == "bins" else None,
+                )
+                cfg = runtime.decoder_config()
+                for matrix in logits:
+                    yield decode(matrix, cfg)
+
+
+def digest() -> str:
+    """The SHA-256 over the decode set, the decode count and the path
+    of the package that decoded it, one line."""
+    import colordecode
+
+    sha = hashlib.sha256()
+    count = 0
+    for source in (_random_decodes(), _corpus_decodes()):
+        for transcript in source:
+            sha.update(repr(transcript).encode())
+            sha.update(b"\n")
+            count += 1
+    return f"{sha.hexdigest()} {count} {Path(colordecode.__file__).parent}"
+
+
+def _start(tree: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-c", "import identity; print(identity.digest())"],
+        cwd=SCRIPTS,
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0], allow_abbrev=False
+    )
+    parser.add_argument("--base", required=True, type=Path,
+                        help="root of the checkout to compare against")
+    args = parser.parse_args(argv)
+
+    trees = {"working tree": SCRIPTS.parent, "base": args.base.resolve()}
+    for name, tree in trees.items():
+        if not (tree / "src" / "colordecode").is_dir():
+            print(f"error: {tree} has no src/colordecode", file=sys.stderr)
+            return 2
+    # both sides at once, one process each
+    procs = {name: _start(tree) for name, tree in trees.items()}
+    outputs = {name: proc.communicate()[0] for name, proc in procs.items()}
+    digests = {}
+    for name, out in outputs.items():
+        if procs[name].returncode != 0:
+            print(f"error: decoding with the {name} failed", file=sys.stderr)
+            return 2
+        sha, count, package = out.strip().split(maxsplit=2)
+        if not Path(package).is_relative_to(trees[name]):
+            print(f"error: the {name} imported {package}", file=sys.stderr)
+            return 2
+        digests[name] = sha
+        print(f"{name:<13} {sha}  {count} decodes  {package}")
+    return 0 if len(set(digests.values())) == 1 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

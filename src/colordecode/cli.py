@@ -16,6 +16,7 @@ failed verification), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -338,11 +339,13 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no prefix matching, so --beta is never read as gridsearch's --betas
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = no_abbrev(
         prog="colordecode",
         description="CTC beam search with lexicon-colored language model fusion",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
     p = sub.add_parser("decode", help="decode one logits file")
     p.add_argument("logits", help="CTCL1 or JSON logits file")

@@ -23,7 +23,7 @@ again is not rescored.
 A beam pairs a node with two acoustic masses in log10, the probability
 of all frame paths ending in blank (``p_blank``) and in the prefix's
 last character (``p_nonblank``). Beams are ranked by acoustic mass times
-text score.
+text score, computed once per beam, when its masses are final.
 
 The CTC repeat rule compares raw columns, ignoring color: extending a
 prefix with the column it already ends in consumes only the blank-ending
@@ -44,7 +44,6 @@ import numpy as np
 
 from .lexicon import (
     ColoredAlphabet,
-    Extension,
     LexiconTrie,
     WORD_START,
     WordState,
@@ -241,21 +240,20 @@ class Prefix:
         return (a.col, a.color) < (b.col, b.color)
 
 
-@dataclass(slots=True)
 class Beam:
-    """A prefix node and the acoustic masses of the paths ending in it."""
+    """A prefix node, the acoustic masses of the paths ending in it, and
+    the figures it is ranked by, set once here: ``total`` is
+    ``logaddexp10(p_blank, p_nonblank)`` and ``score`` adds the node's
+    text score. ``decode`` builds a beam only once its masses are final."""
 
-    prefix: Prefix
-    p_blank: float
-    p_nonblank: float
+    __slots__ = ("prefix", "p_blank", "p_nonblank", "total", "score")
 
-    @property
-    def total(self) -> float:
-        return logaddexp10(self.p_blank, self.p_nonblank)
-
-    @property
-    def score(self) -> float:
-        return self.total + self.prefix.p_text
+    def __init__(self, prefix: Prefix, p_blank: float, p_nonblank: float):
+        self.prefix = prefix
+        self.p_blank = p_blank
+        self.p_nonblank = p_nonblank
+        self.total = total = logaddexp10(p_blank, p_nonblank)
+        self.score = total + prefix.p_text
 
 
 @dataclass(frozen=True)
@@ -276,8 +274,9 @@ class DecoderConfig:
     tries: Sequence[LexiconTrie] | None
     scorer: Scorer
     beam_width: int = 64
-    # each extension paired with its label, the children memo's key
-    _successors: dict[WordState, list[tuple[Extension, tuple[int, int]]]] = field(
+    # per state, (col, label, extension, completes, off_trie) for each
+    # extension; the label keys the children memo
+    _successors: dict[WordState, list[tuple]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -295,15 +294,13 @@ class DecodeStats:
 
 
 def _rank_key(beam: Beam):
-    # Beam.score, inlined: this runs once per candidate per frame
     prefix = beam.prefix
-    score = logaddexp10(beam.p_blank, beam.p_nonblank) + prefix.p_text
-    return (-score, prefix.depth, prefix)
+    return (-beam.score, prefix.depth, prefix)
 
 
 def get_best_beams(beams: Sequence[Beam], limit: int) -> list[Beam]:
-    """Top beams by score; ties prefer shorter, then lexicographically
-    smaller prefixes, so ranking is deterministic."""
+    """Top beams by their stored score; ties prefer shorter, then
+    lexicographically smaller prefixes, so ranking is deterministic."""
     return heapq.nsmallest(limit, beams, key=_rank_key)
 
 
@@ -363,20 +360,18 @@ def decode(
     for row in logits.log10_rows():
         best = get_best_beams(beams, beam_width)
 
-        # keyed by node identity: each live prefix has exactly one node
-        next_map: dict[Prefix, Beam] = {}
+        # node -> [p_blank, p_nonblank]; each live prefix has one node
+        next_map: dict[Prefix, list[float]] = {}
         # children with no live node, scored but not yet built:
         # (score, mass, parent, extension, label, p_text, word, scorer state)
         fresh: list[tuple] = []
-        expanded = 0
         spawned = 0
 
         for b in best:
-            expanded += 1
             node = b.prefix
             last = node.col
             p_blank = b.p_blank
-            total = logaddexp10(p_blank, b.p_nonblank)
+            total = b.total
 
             # stay: emit blank, or repeat the last character within one
             # CTC segment
@@ -384,70 +379,67 @@ def decode(
             stay_nonblank = b.p_nonblank + row[last] if node.depth else NEG_INF
             kept = next_map.get(node)
             if kept is None:
-                next_map[node] = Beam(node, stay_blank, stay_nonblank)
+                next_map[node] = [stay_blank, stay_nonblank]
             else:
-                kept.p_blank = logaddexp10(kept.p_blank, stay_blank)
-                kept.p_nonblank = logaddexp10(kept.p_nonblank, stay_nonblank)
+                kept[0] = logaddexp10(kept[0], stay_blank)
+                kept[1] = logaddexp10(kept[1], stay_nonblank)
 
             children = node.children
             state = node.word_state
             succ = successors.get(state)
             if succ is None:
                 succ = successors[state] = [
-                    (ext, (ext.col, ext.color))
+                    (ext.col, (ext.col, ext.color), ext, ext.completes,
+                     tries is not None and ext.state.node is None and ext.state.in_word)
                     for ext in word_successors(alphabet, tries, state, allow_off)
                 ]
-            for ext, label in succ:
-                spawned += 1
+            spawned += len(succ)
+            p_text = node.p_text
+            # read only by off-trie children, which need off-lexicon spelling
+            off_text = p_text + subword_penalty if allow_off else p_text
+            for col, label, ext, completes, off_trie in succ:
                 # extending with the column the prefix ends in starts a
                 # new CTC segment, so only blank-ending paths carry over
-                mass = (p_blank if ext.col == last else total) + row[ext.col]
+                mass = (p_blank if col == last else total) + row[col]
                 if mass == NEG_INF:
                     continue
-                ref = children.get(label)
-                child = None if ref is None else ref()
-                if child is not None:
-                    kept = next_map.get(child)
-                    if kept is None:
-                        next_map[child] = Beam(child, NEG_INF, mass)
-                    else:
-                        kept.p_nonblank = logaddexp10(kept.p_nonblank, mass)
-                    continue
+                if children:
+                    ref = children.get(label)
+                    child = None if ref is None else ref()
+                    if child is not None:
+                        kept = next_map.get(child)
+                        if kept is None:
+                            next_map[child] = [NEG_INF, mass]
+                        else:
+                            kept[1] = logaddexp10(kept[1], mass)
+                        continue
                 # No live node: its parent is expanded once per frame and
                 # a state's labels are distinct, so this is the child's
                 # only mass this frame. Score it; build it only if it can
                 # rank.
-                p_text = node.p_text
                 word = None
                 scorer_state = node.scorer_state
-                if ext.completes:
-                    word = ext.word
-                    if word is None:
-                        word = _spell(alphabet, _pending_columns(node))
+                text = off_text if off_trie else p_text
+                if completes:
+                    word = ext.word or _spell(alphabet, _pending_columns(node))
                     delta, scorer_state = score_word(scorer_state, word, ext.color)
-                    p_text += delta
-                elif tries is not None and ext.state.node is None and ext.state.in_word:
-                    # off-trie character
-                    p_text += subword_penalty
+                    text = p_text + delta
                 fresh.append(
-                    (mass + p_text, mass, node, ext, label, p_text, word, scorer_state)
+                    (mass + text, mass, node, ext, label, text, word, scorer_state)
                 )
 
         if stats is not None:
-            stats.expanded.append(expanded)
+            stats.expanded.append(len(best))
             stats.spawned.append(spawned)
-        beams = list(next_map.values())
+        # the masses are final: each beam is scored once, as it is built
+        beams = [Beam(node, p_b, p_nb) for node, (p_b, p_nb) in next_map.items()]
         if len(beams) + len(fresh) > beam_width:
             # The beam_width-th best score: a candidate strictly below it
-            # can never be ranked in, and one tied with it is kept. Merged
-            # beams are scored as in _rank_key, so the floats compare equal.
-            scores = [
-                logaddexp10(b.p_blank, b.p_nonblank) + b.prefix.p_text for b in beams
-            ]
-            ranked = scores + [c[0] for c in fresh]
+            # can never be ranked in, and one tied with it is kept.
+            ranked = [b.score for b in beams] + [c[0] for c in fresh]
             ranked.sort(reverse=True)
             cutoff = ranked[beam_width - 1]
-            beams = [b for b, score in zip(beams, scores) if not score < cutoff]
+            beams = [b for b in beams if not b.score < cutoff]
         else:
             cutoff = NEG_INF
         for score, mass, node, ext, label, p_text, word, scorer_state in fresh:
@@ -460,6 +452,7 @@ def decode(
                 node, ext.col, ext.color, p_text, words, ext.state, scorer_state
             )
             node.children[label] = weakref.ref(child)
+            # its total is its one mass, so it scores as it was ranked
             beams.append(Beam(child, NEG_INF, mass))
 
     # (rank key, final score, words) per finished beam

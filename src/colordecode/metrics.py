@@ -24,6 +24,8 @@ class LengthMismatch(ValueError):
 
 def edit_distance(ref: Sequence, hyp: Sequence) -> int:
     """Levenshtein distance with unit costs."""
+    if ref == hyp:
+        return 0
     if not ref:
         return len(hyp)
     if not hyp:
@@ -48,6 +50,8 @@ def align(ref: Sequence, hyp: Sequence) -> list[tuple[int | None, int | None]]:
     the diagonal, then deletion, so the output is deterministic.
     """
     n, m = len(ref), len(hyp)
+    if ref == hyp:
+        return [(i, i) for i in range(n)]
     dist = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n + 1):
         dist[i][0] = i

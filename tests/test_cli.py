@@ -302,6 +302,8 @@ def test_gridsearch_reports_best_point(synth_dir, capsys):
     "flag",
     [
         ["--alpha", "2"],
+        ["--beta", "0.5"],
+        ["--lambda", "0.5"],
         ["--unk-word-penalty", "-5,-5"],
         ["--unk-subword-penalty", "-3"],
         ["--bins", "20"],
@@ -310,9 +312,8 @@ def test_gridsearch_reports_best_point(synth_dir, capsys):
 )
 def test_gridsearch_rejects_single_hyperparameter_flags(tmp_path, flag, capsys):
     """The grid flags are gridsearch's only hyperparameter inputs; a
-    single-value scorer flag would be ignored, so argparse refuses it.
-    (``--beta`` and ``--lambda`` are argparse prefixes of ``--betas`` and
-    ``--lambdas``, so they set a one-point grid.)"""
+    single-value scorer flag would be ignored, so argparse refuses it,
+    also where it is a prefix of a grid flag (``--beta`` of ``--betas``)."""
     argv = ["gridsearch", str(tmp_path / "manifest.jsonl"), *flag]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -21,7 +21,7 @@ from colordecode.decoder import (
     get_best_beams,
 )
 from colordecode.lexicon import WORD_START, ColoredAlphabet, build_trie, word_successors
-from colordecode.logmath import NEG_INF, logsumexp10
+from colordecode.logmath import NEG_INF, logaddexp10, logsumexp10
 from colordecode.ngram_lm import NGramModel, merge_colored
 from colordecode.oracle import ctc_path_sum, exhaustive_decode, random_instance
 from colordecode.scorers import ColoringScorer, NullScorer, ScorerConfig, SingleLmScorer
@@ -127,6 +127,14 @@ def test_get_best_beams_orders_and_limits():
     best = get_best_beams(beams, 2)
     assert [_labels(b.prefix) for b in best] == [(), ((0, 0),)]
     assert len(get_best_beams(beams, 10)) == 3
+
+    # the best score on the deepest prefix: ranked first, ahead of every
+    # shallower beam, so a beam built here ranks on its real score
+    deep = ((1, 0), (0, 0), (1, 0))
+    beams.append(Beam(_interned(root, deep), -0.5, -0.75))
+    best = get_best_beams(beams, 2)
+    assert [_labels(b.prefix) for b in best] == [deep, ()]
+    assert best[0].score == logaddexp10(-0.5, -0.75)
 
 
 def test_get_best_beams_breaks_ties_deterministically():
@@ -414,6 +422,37 @@ def test_merge_conserves_total_mass(monkeypatch):
         decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=width))
         assert len(masses) == logits.frames + 1
         assert masses == pytest.approx([0.0] * len(masses), abs=1e-9)
+
+
+def test_ranked_beams_carry_current_scores(monkeypatch):
+    """Every beam reaching the ranking carries the total of its final
+    masses and that total plus its text score, bit for bit: a merged
+    beam's figures are set after its last merge, and a fresh child's are
+    the ones it passed the cutoff on."""
+    checked = [0]
+
+    def rank_checked(beams, limit):
+        for b in beams:
+            total = logaddexp10(b.p_blank, b.p_nonblank)
+            assert b.total.hex() == total.hex()
+            assert b.score.hex() == (total + b.prefix.p_text).hex()
+        checked[0] += len(beams)
+        return get_best_beams(beams, limit)
+
+    monkeypatch.setattr(decoder_module, "get_best_beams", rank_checked)
+    rng = random.Random(6124)
+    for i in range(300):
+        inst = random_instance(rng, max_frames=8, max_words=4)
+        scorer = ColoringScorer(
+            dataclasses.replace(
+                inst.scorer.config, unknown_subword_penalty=-2.0 if i % 2 else None
+            ),
+            inst.scorer.merged,
+            inst.scorer.num_colors,
+        )
+        for width in (1, 2, 3, 4):
+            decode(inst.logits, DecoderConfig(inst.alphabet, inst.tries, scorer, width))
+    assert checked[0] > 0
 
 
 def test_narrow_beams_merge_every_duplicate_prefix(monkeypatch):

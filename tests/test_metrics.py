@@ -104,6 +104,15 @@ def test_align_deterministic():
     assert align(ref, hyp) == [(0, 0), (1, 1), (2, None)]
 
 
+@pytest.mark.parametrize("ref", [(), ("a",), ("a", "a", "b"), ("b", "a", "b", "a")])
+def test_equal_sequences_align_on_the_diagonal(ref):
+    """Equal word sequences, also as a tuple against a list, are 0 edits
+    apart and align word for word."""
+    for hyp in (ref, tuple(ref), list(ref)):
+        assert edit_distance(ref, hyp) == 0
+        assert align(ref, hyp) == [(i, i) for i in range(len(ref))]
+
+
 # ---------------------------------------------------------------------------
 # wer / cer
 # ---------------------------------------------------------------------------
