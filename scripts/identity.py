@@ -13,8 +13,13 @@ The decode set:
   each decoded at beams 1, 2, 3 and 50; every fifth is decoded
   unconstrained (``tries=None``);
 - every ``SCORER_KINDS`` entry on a synthetic corpus of language seed 1,
-  with off-lexicon spelling off and with subword penalties 0 and -3, at
-  beams 4, 16 and 64.
+  at beams 4, 16 and 64, with off-lexicon spelling off and with subword
+  penalties 0, -3 and +1 (an off-lexicon character then scores above an
+  on-lexicon one), all at word bonus 0, and with spelling off and
+  penalty -3 at word bonus +0.5 (a completed word raises the score);
+- the same corpus decoded unconstrained (``tries=None``, where every
+  grammar state offers all 27 characters) by the ``none`` and
+  ``general`` scorers at word bonuses 0 and +0.5, at beams 4, 16 and 64.
 
     python3 scripts/identity.py --base ../colordecode-parent
 """
@@ -31,8 +36,13 @@ SCRIPTS = Path(__file__).resolve().parent
 RANDOM_INSTANCES = 4000
 RANDOM_BEAMS = (1, 2, 3, 50)
 CORPUS_SENTENCES = 24
-SUBWORD_PENALTIES = (None, 0.0, -3.0)
+# (subword penalty, word bonus) per corpus scorer config
+CORPUS_CONFIGS = (
+    (None, 0.0), (0.0, 0.0), (-3.0, 0.0), (1.0, 0.0), (None, 0.5), (-3.0, 0.5)
+)
 CORPUS_BEAMS = (4, 16, 64)
+UNCONSTRAINED_KINDS = ("none", "general")
+UNCONSTRAINED_BETAS = (0.0, 0.5)
 
 
 def _random_decodes():
@@ -50,7 +60,7 @@ def _random_decodes():
 
 def _corpus_decodes():
     from colordecode import corpus, evaluation, scorers
-    from colordecode.decoder import decode
+    from colordecode.decoder import DecoderConfig, decode
     from colordecode.lexicon import ColoredAlphabet
 
     spec = corpus.SynthesisSpec(
@@ -81,14 +91,22 @@ def _corpus_decodes():
         models = {"none": [], "general": [general], "jargon": [jargon]}.get(
             kind, [general, jargon]
         )
-        for penalty in SUBWORD_PENALTIES:
-            config = scorers.ScorerConfig(unknown_subword_penalty=penalty)
+        for penalty, beta in CORPUS_CONFIGS:
+            config = scorers.ScorerConfig(beta=beta, unknown_subword_penalty=penalty)
             for width in CORPUS_BEAMS:
                 runtime = evaluation.build_runtime(
                     kind, lexicons, models, config, template, width,
                     table if kind == "bins" else None,
                 )
                 cfg = runtime.decoder_config()
+                for matrix in logits:
+                    yield decode(matrix, cfg)
+    for kind in UNCONSTRAINED_KINDS:
+        models = [general] if kind == "general" else []
+        for beta in UNCONSTRAINED_BETAS:
+            scorer = scorers.make_scorer(kind, models, scorers.ScorerConfig(beta=beta))
+            for width in CORPUS_BEAMS:
+                cfg = DecoderConfig(template, None, scorer, width)
                 for matrix in logits:
                     yield decode(matrix, cfg)
 

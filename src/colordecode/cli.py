@@ -61,6 +61,16 @@ def _default_jobs() -> int:
         return 1
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _csv_floats(raw: str) -> list[float]:
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
@@ -364,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", action="append", default=[], metavar="PATH",
                    required=False)
     p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
+    p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
                    help=f"worker processes (default ${JOBS_ENV} or 1)")
     p.add_argument("--json", action="store_true", help="JSON report")
     _add_alphabet_flags(p)
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--lexicon", action="append", default=[], metavar="PATH")
     p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
     p.add_argument("--alphas", type=_csv_floats, default=None)
     p.add_argument("--betas", type=_csv_floats, default=None)
     p.add_argument("--lambdas", type=_csv_floats, default=None)

@@ -20,6 +20,26 @@ ranked into the next beam. Word deltas are memoized per utterance by
 (scorer state, word, color), so a word that completes the same history
 again is not rescored.
 
+A grammar state is wide when its extensions cover at least half of the
+alphabet's non-blank columns, as every in-word state does with
+off-lexicon spelling on; the successor table decides this once per
+state. A wide beam does not score every extension. From the frame's
+first wide beam on, a min-heap holds the largest ``beam_width`` lower
+bounds found so far on the final scores of distinct candidates: each
+expanded beam's larger stay mass plus its text score, and every fresh
+child accepted since. Once the heap is full its least element, the
+floor, is at most the cutoff. A wide beam first merges the mass of every
+live child, whatever its column, then scores its completing children
+(a word delta may be positive) and its on-trie children beside off-trie
+ones, then walks the remaining columns from the likeliest down. Those
+children share one text score, so a child at column ``c`` scores at most
+``(total + row[c]) + text``; IEEE addition is monotone, so once that
+falls strictly below the floor no child of this beam at this or a later
+column can reach the cutoff, and the walk stops. A repeat of the last
+column with no blank-ending mass adds nothing and is passed over. The
+children skipped were below the cutoff, so transcripts and scores are
+bit-identical to scoring every extension.
+
 A beam pairs a node with two acoustic masses in log10, the probability
 of all frame paths ending in blank (``p_blank``) and in the prefix's
 last character (``p_nonblank``). Beams are ranked by acoustic mass times
@@ -171,6 +191,11 @@ class LogitsMatrix:
     def log10_rows(self) -> list[list[float]]:
         return self._log10.tolist()
 
+    def ranked_columns(self) -> list[list[int]]:
+        """Per frame, the non-blank columns from the highest log10 value
+        to the lowest."""
+        return np.argsort(-self._log10[:, :-1], axis=1, kind="stable").tolist()
+
 
 @dataclass(frozen=True)
 class ColoredTranscript:
@@ -274,9 +299,16 @@ class DecoderConfig:
     tries: Sequence[LexiconTrie] | None
     scorer: Scorer
     beam_width: int = 64
-    # per state, (col, label, extension, completes, off_trie) for each
-    # extension; the label keys the children memo
-    _successors: dict[WordState, list[tuple]] = field(
+    # per state, built by _successor_entry: (count, succ, by_col,
+    # walk_off), count being the number of extensions. Each extension is
+    # a (col, label, extension, completes, off_trie) tuple; the label
+    # keys the children memo. A narrow state has every extension in
+    # succ and by_col None. A wide state's by_col holds, per non-blank
+    # column, a tuple of the extensions the frame step walks: those that
+    # complete no word and are off-trie exactly when walk_off is set.
+    # Its succ holds the rest, scored directly: completing extensions,
+    # and on-trie ones beside off-trie ones.
+    _successors: dict[WordState, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -302,6 +334,48 @@ def get_best_beams(beams: Sequence[Beam], limit: int) -> list[Beam]:
     """Top beams by their stored score; ties prefer shorter, then
     lexicographically smaller prefixes, so ranking is deterministic."""
     return heapq.nsmallest(limit, beams, key=_rank_key)
+
+
+def _successor_entry(
+    alphabet: ColoredAlphabet,
+    tries: Sequence[LexiconTrie] | None,
+    state: WordState,
+    allow_off: bool,
+) -> tuple:
+    """The successor table entry of ``state`` (see ``DecoderConfig``).
+    The state is wide when its extensions cover at least half of the
+    alphabet's non-blank columns."""
+    succ = [
+        (ext.col, (ext.col, ext.color), ext, ext.completes,
+         tries is not None and ext.state.node is None and ext.state.in_word)
+        for ext in word_successors(alphabet, tries, state, allow_off)
+    ]
+    if 2 * len({col for col, *_ in succ}) < alphabet.size:
+        return len(succ), succ, None, False
+    # the walked extensions share one text score: the off-trie one when
+    # the state has off-trie extensions, else the prefix's own
+    walk_off = any(off_trie and not completes for *_, completes, off_trie in succ)
+    by_col: list[tuple | None] = [None] * alphabet.size
+    direct = []
+    for item in succ:
+        col, _label, _ext, completes, off_trie = item
+        if completes or off_trie != walk_off:
+            direct.append(item)
+        else:
+            by_col[col] = (by_col[col] or ()) + (item,)
+    return len(succ), direct, by_col, walk_off
+
+
+def _raise_floor(bounds: list[float], score: float, width: int) -> float:
+    """Add ``score`` to ``bounds``, a min-heap of at most ``width``
+    lower bounds on the scores of distinct candidates, keeping the
+    largest; return the floor: the least bound once ``width`` are held,
+    -inf before."""
+    if len(bounds) < width:
+        heapq.heappush(bounds, score)
+        return bounds[0] if len(bounds) == width else NEG_INF
+    heapq.heapreplace(bounds, score)
+    return bounds[0]
 
 
 def _pending_columns(node: Prefix) -> list[int]:
@@ -357,7 +431,8 @@ def decode(
     root = Prefix(None, None, None, 0.0, (), WORD_START, scorer.initial_state())
     beams: list[Beam] = [Beam(root, 0.0, NEG_INF)]
 
-    for row in logits.log10_rows():
+    ranked_columns = None  # per frame; made at the first wide beam
+    for t, row in enumerate(logits.log10_rows()):
         best = get_best_beams(beams, beam_width)
 
         # node -> [p_blank, p_nonblank]; each live prefix has one node
@@ -366,6 +441,12 @@ def decode(
         # (score, mass, parent, extension, label, p_text, word, scorer state)
         fresh: list[tuple] = []
         spawned = 0
+        # Lower bounds on the final scores of distinct candidates, a
+        # min-heap of the beam_width largest, started by the frame's
+        # first wide beam. Once full, its least element is a floor that
+        # the cutoff cannot fall below.
+        bounds: list[float] | None = None
+        floor = NEG_INF
 
         for b in best:
             node = b.prefix
@@ -386,47 +467,145 @@ def decode(
 
             children = node.children
             state = node.word_state
-            succ = successors.get(state)
-            if succ is None:
-                succ = successors[state] = [
-                    (ext.col, (ext.col, ext.color), ext, ext.completes,
-                     tries is not None and ext.state.node is None and ext.state.in_word)
-                    for ext in word_successors(alphabet, tries, state, allow_off)
-                ]
-            spawned += len(succ)
+            entry = successors.get(state)
+            if entry is None:
+                entry = successors[state] = _successor_entry(
+                    alphabet, tries, state, allow_off
+                )
+            count, succ, by_col, walk_off = entry
+            spawned += count
             p_text = node.p_text
             # read only by off-trie children, which need off-lexicon spelling
             off_text = p_text + subword_penalty if allow_off else p_text
-            for col, label, ext, completes, off_trie in succ:
-                # extending with the column the prefix ends in starts a
-                # new CTC segment, so only blank-ending paths carry over
+
+            if by_col is None:
+                for col, label, ext, completes, off_trie in succ:
+                    # extending with the column the prefix ends in starts
+                    # a new CTC segment, so only blank-ending paths carry
+                    # over
+                    mass = (p_blank if col == last else total) + row[col]
+                    if mass == NEG_INF:
+                        continue
+                    if children:
+                        ref = children.get(label)
+                        child = None if ref is None else ref()
+                        if child is not None:
+                            kept = next_map.get(child)
+                            if kept is None:
+                                next_map[child] = [NEG_INF, mass]
+                            else:
+                                kept[1] = logaddexp10(kept[1], mass)
+                            continue
+                    # No live node: its parent is expanded once per frame
+                    # and a state's labels are distinct, so this is the
+                    # child's only mass this frame. Score it; build it
+                    # only if it can rank.
+                    word = None
+                    scorer_state = node.scorer_state
+                    text = off_text if off_trie else p_text
+                    if completes:
+                        word = ext.word or _spell(alphabet, _pending_columns(node))
+                        delta, scorer_state = score_word(scorer_state, word, ext.color)
+                        text = p_text + delta
+                    fresh.append(
+                        (mass + text, mass, node, ext, label, text, word, scorer_state)
+                    )
+                continue
+
+            # A wide state: children are scored column by column from the
+            # likeliest down, and only while they can reach the floor.
+            if bounds is None:
+                if ranked_columns is None:
+                    ranked_columns = logits.ranked_columns()
+                # a beam's final score is at least its larger stay mass
+                # plus its text score
+                bounds = []
+                for o in best:
+                    stay = o.total + row[blank]
+                    if o.prefix.depth:
+                        repeat = o.p_nonblank + row[o.prefix.col]
+                        if repeat > stay:
+                            stay = repeat
+                    bounds.append(stay + o.prefix.p_text)
+                heapq.heapify(bounds)
+                if len(bounds) == beam_width:
+                    floor = bounds[0]
+
+            # Live children take their mass whatever their column: each
+            # may stay in the beam on its own mass.
+            for (col, _color), ref in children.items():
+                child = ref()
+                if child is None:
+                    continue
+                mass = (p_blank if col == last else total) + row[col]
+                if mass == NEG_INF:
+                    continue
+                kept = next_map.get(child)
+                if kept is None:
+                    next_map[child] = [NEG_INF, mass]
+                else:
+                    kept[1] = logaddexp10(kept[1], mass)
+
+            # A word delta may be positive, so completing children are
+            # always scored, and so are on-trie ones beside off-trie ones.
+            for col, label, ext, completes, _off_trie in succ:
                 mass = (p_blank if col == last else total) + row[col]
                 if mass == NEG_INF:
                     continue
                 if children:
                     ref = children.get(label)
-                    child = None if ref is None else ref()
-                    if child is not None:
-                        kept = next_map.get(child)
-                        if kept is None:
-                            next_map[child] = [NEG_INF, mass]
-                        else:
-                            kept[1] = logaddexp10(kept[1], mass)
+                    if ref is not None and ref() is not None:
                         continue
-                # No live node: its parent is expanded once per frame and
-                # a state's labels are distinct, so this is the child's
-                # only mass this frame. Score it; build it only if it can
-                # rank.
                 word = None
                 scorer_state = node.scorer_state
-                text = off_text if off_trie else p_text
+                text = p_text
                 if completes:
                     word = ext.word or _spell(alphabet, _pending_columns(node))
                     delta, scorer_state = score_word(scorer_state, word, ext.color)
                     text = p_text + delta
-                fresh.append(
-                    (mass + text, mass, node, ext, label, text, word, scorer_state)
-                )
+                score = mass + text
+                if score < floor:
+                    continue
+                fresh.append((score, mass, node, ext, label, text, word, scorer_state))
+                if score > floor:
+                    floor = _raise_floor(bounds, score, beam_width)
+
+            # A walked child scores at most total + row[col] plus its
+            # text score, and IEEE addition is monotone, so once that
+            # falls below the floor no later column can reach it.
+            text = off_text if walk_off else p_text
+            scorer_state = node.scorer_state
+            for col in ranked_columns[t]:
+                bound = total + row[col]
+                score = bound + text
+                if score < floor:
+                    break
+                exts = by_col[col]
+                if exts is None:
+                    continue
+                if col == last:
+                    mass = p_blank + row[col]
+                    if mass == NEG_INF:
+                        # a repeat with no blank-ending mass; later
+                        # columns may still extend
+                        continue
+                    score = mass + text
+                    if score < floor:
+                        continue
+                elif bound == NEG_INF:
+                    break  # so is every later column's
+                else:
+                    mass = bound
+                for _col, label, ext, _completes, _off_trie in exts:
+                    if children:
+                        ref = children.get(label)
+                        if ref is not None and ref() is not None:
+                            continue
+                    fresh.append(
+                        (score, mass, node, ext, label, text, None, scorer_state)
+                    )
+                    if score > floor:
+                        floor = _raise_floor(bounds, score, beam_width)
 
         if stats is not None:
             stats.expanded.append(len(best))

@@ -323,7 +323,8 @@ def run_grid_search(
     best_jw: float | None = None
     rows: list[tuple[GridPoint, float, float, float | None]] = []
 
-    for index, point in enumerate(grid.points(kind)):
+    # every point's config is validated before the first decode
+    for index, point in enumerate(list(grid.points(kind))):
         bin_table = None
         if kind == "bins":
             if calibration is None:

@@ -105,6 +105,11 @@ class ScorerConfig:
             raise ValueError("lam must lie in [0, 1]")
         if not self.unknown_word_penalty:
             raise ValueError("need at least one unknown-word penalty")
+        if not all(math.isfinite(p) for p in self.unknown_word_penalty):
+            raise ValueError("unknown-word penalties must be finite")
+        sub = self.unknown_subword_penalty
+        if sub is not None and not math.isfinite(sub):
+            raise ValueError("the unknown-subword penalty must be finite")
         if self.color_prior is not None:
             if any(p < 0.0 for p in self.color_prior):
                 raise ValueError("color prior entries must be nonnegative")

@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from colordecode import cli
+from colordecode import cli, evaluation
 from colordecode.corpus import MAGIC
 from colordecode.ngram_lm import NGramModel, load_arpa, save_arpa
 
@@ -323,6 +323,73 @@ def test_gridsearch_rejects_single_hyperparameter_flags(tmp_path, flag, capsys):
     assert flag[0] in err
 
 
+@pytest.mark.parametrize("command", ["eval", "gridsearch"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(synth_dir, command, jobs, capsys):
+    argv = [
+        command,
+        str(synth_dir / "manifest.jsonl"),
+        "--lexicon",
+        str(synth_dir / "general.txt"),
+        "--jobs",
+        jobs,
+    ]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage:")
+    assert f"--jobs: must be at least 1, got {jobs}" in err
+
+
+@pytest.mark.parametrize(
+    "fusion, grid",
+    [
+        ("coloring", ["--word-penalties", "-10", "--subword-penalties", "0,nan"]),
+        ("coloring", ["--word-penalties", "-10", "--subword-penalties=-inf"]),
+        ("linear", ["--word-penalties", "nan"]),
+        ("general", ["--word-penalties=-10,inf"]),
+    ],
+)
+def test_gridsearch_rejects_non_finite_penalties(
+    synth_dir, fusion, grid, capsys, monkeypatch
+):
+    """A NaN grid point used to decode to garbage and rank as WER 100;
+    the grid is refused before any point is decoded."""
+    monkeypatch.setattr(
+        evaluation, "decode_utterances", lambda *a, **k: pytest.fail("decoded")
+    )
+    models = ["general.arpa"] if fusion == "general" else ["general.arpa", "jargon.arpa"]
+    argv = [
+        "gridsearch",
+        str(synth_dir / "manifest.jsonl"),
+        "--lexicon",
+        str(synth_dir / "general.txt"),
+        "--lexicon",
+        str(synth_dir / "jargon.txt"),
+        "--fusion",
+        fusion,
+        *(a for m in models for a in ("--lm", str(synth_dir / m))),
+        "--alphas",
+        "1.0",
+        "--betas",
+        "0.0",
+        "--lambdas",
+        "0.5",
+        "--beam-width",
+        "4",
+        "--jobs",
+        "1",
+        *grid,
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be finite" in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # merge-lm
 # ---------------------------------------------------------------------------
@@ -375,6 +442,41 @@ def test_decode_requires_logits_positional():
     with pytest.raises(SystemExit) as exc:
         cli.main(["decode"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--unk-subword-penalty=nan"],
+        ["--unk-subword-penalty=-inf"],
+        ["--unk-word-penalty=-10,nan"],
+        ["--unk-word-penalty=inf"],
+    ],
+)
+def test_decode_rejects_non_finite_penalties(tiny_setup, flag, capsys):
+    """``--unk-subword-penalty nan`` used to print ``score nan`` and a
+    garbage transcript with exit 0."""
+    argv = [
+        "decode",
+        tiny_setup["logits"],
+        "--alphabet",
+        "ab ",
+        "--lexicon",
+        tiny_setup["general"],
+        "--lexicon",
+        tiny_setup["jargon"],
+        "--fusion",
+        "coloring",
+        "--lm",
+        tiny_setup["general_lm"],
+        "--lm",
+        tiny_setup["jargon_lm"],
+        *flag,
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be finite" in err
 
 
 def test_linear_fusion_requires_two_models(tiny_setup, capsys):

@@ -791,3 +791,142 @@ def test_word_delta_runs_once_per_input_per_decode(monkeypatch):
         assert len(calls) == len(set(calls))
         scored += len(calls)
     assert scored > 0
+
+
+# ---------------------------------------------------------------------------
+# wide grammar states: the score floor
+# ---------------------------------------------------------------------------
+
+
+def _decode_recorded(monkeypatch, logits, config, every_extension=False):
+    """Decode, and record the candidates ranked after every frame as
+    sorted (labels, p_blank, p_nonblank) triples, masses by ``float.hex``.
+    With ``every_extension`` every grammar state counts as narrow, so the
+    frame step scores every extension of every beam; the floor must not
+    change a single bit of what that plain loop produces."""
+    frames = []
+
+    def rank(beams, limit):
+        frames.append(
+            sorted((_labels(b.prefix), b.p_blank.hex(), b.p_nonblank.hex()) for b in beams)
+        )
+        return get_best_beams(beams, limit)
+
+    entry = decoder_module._successor_entry
+
+    def narrow_entry(*args):
+        count, succ, by_col, _walk_off = entry(*args)
+        walked = [item for items in by_col or () if items for item in items]
+        return count, succ + walked, None, False
+
+    with monkeypatch.context() as m:
+        m.setattr(decoder_module, "get_best_beams", rank)
+        if every_extension:
+            m.setattr(decoder_module, "_successor_entry", narrow_entry)
+        got = decode(logits, dataclasses.replace(config))
+    return repr(got), frames
+
+
+def _assert_floor_is_exact(monkeypatch, logits, config):
+    assert _decode_recorded(monkeypatch, logits, config) == _decode_recorded(
+        monkeypatch, logits, config, every_extension=True
+    )
+
+
+def _abcd_config():
+    """One color over "abcd" plus a separator, lexicon {"a"}, free
+    off-lexicon spelling, beam 2: within a word every letter leaves the
+    trie, so the frame step walks them by column (a wide state); a word
+    boundary offers only "a" and the separator (narrow)."""
+    alphabet = ColoredAlphabet(("a", "b", "c", "d", " "), 1, " ")
+    tries = [build_trie(alphabet, 0, ["a"])]
+    scorer = NullScorer(ScorerConfig(unknown_subword_penalty=0.0))
+    return DecoderConfig(alphabet, tries, scorer, beam_width=2)
+
+
+def test_wide_states_agree_with_scoring_every_extension(monkeypatch):
+    """Off-lexicon spelling on, so with at most three characters every
+    in-word state is wide. At beams 1-4, with subword penalties below,
+    at and above zero and word bonuses 0 and 0.5, every frame ranks the
+    same candidates with the same masses, and the transcript and score
+    are the same, as when every extension is scored. Every fourth
+    instance has uniform frames, where candidates tie exactly with the
+    beam-width-th best score and must still be ranked."""
+    floors = [0]
+    raise_floor = decoder_module._raise_floor
+
+    def counting(bounds, score, width):
+        floor = raise_floor(bounds, score, width)
+        floors[0] += floor != NEG_INF
+        return floor
+
+    monkeypatch.setattr(decoder_module, "_raise_floor", counting)
+    rng = random.Random(7207)
+    for i in range(240):
+        inst = random_instance(rng, max_frames=6, max_words=4)
+        scorer = ColoringScorer(
+            dataclasses.replace(
+                inst.scorer.config,
+                unknown_subword_penalty=(-2.0, 0.0, 1.0)[i % 3],
+                beta=0.5 if i % 2 else 0.0,
+            ),
+            inst.scorer.merged,
+            inst.scorer.num_colors,
+        )
+        logits = inst.logits
+        if i % 4 == 3:
+            cols = logits.columns
+            logits = LogitsMatrix.from_linear([[1 / cols] * cols] * logits.frames, cols)
+        for width in (1, 2, 3, 4):
+            config = DecoderConfig(inst.alphabet, inst.tries, scorer, width)
+            _assert_floor_is_exact(monkeypatch, logits, config)
+    assert floors[0] > 0
+
+
+def test_live_child_below_the_floor_takes_its_parents_mass(monkeypatch):
+    """In the last frame blank dominates, so the walk of "a" stops at
+    its first column. Its live child "ab" sits at a column below the
+    floor, yet it stays in the beam on its own mass and must still take
+    the mass of the paths "aab", "a-b" and "-ab" from "a": the score of
+    "ab" is its whole CTC mass."""
+    config = _abcd_config()
+    rows = [
+        [0.6, 0.025, 0.025, 0.025, 0.025, 0.3],
+        [0.1, 0.5, 0.02, 0.02, 0.02, 0.34],
+        [0.01, 0.01, 0.01, 0.01, 0.01, 0.95],
+    ]
+    logits = LogitsMatrix.from_linear(rows)
+
+    got = decode(logits, dataclasses.replace(config))
+
+    assert got.words == (("ab", 0),)
+    expected = ctc_path_sum(logits.log10_rows(), [0, 1])
+    assert got.score == pytest.approx(expected, abs=1e-12)
+    _assert_floor_is_exact(monkeypatch, logits, config)
+
+
+def test_repeat_column_without_blank_mass_does_not_end_the_walk(monkeypatch):
+    """"a" is fresh after frame 1, so it has no blank-ending mass, and in
+    frame 2 its own column ranks first: repeating it adds nothing. The
+    walk must go on to "b", or "ab" misses the paths "abb" and "ab-"."""
+    config = _abcd_config()
+    rows = [
+        [0.85, 0.025, 0.025, 0.025, 0.025, 0.05],
+        [0.45, 0.44, 0.1 / 3, 0.1 / 3, 0.1 / 3, 0.01],
+        [0.0125, 0.9, 0.0125, 0.0125, 0.0125, 0.05],
+    ]
+    logits = LogitsMatrix.from_linear(rows)
+    assert logits.ranked_columns()[1][0] == 0
+
+    got = decode(logits, dataclasses.replace(config))
+
+    assert got.words == (("ab", 0),)
+    expected = ctc_path_sum(logits.log10_rows(), [0, 1])
+    assert got.score == pytest.approx(expected, abs=1e-12)
+    _assert_floor_is_exact(monkeypatch, logits, config)
+
+
+def test_ranked_columns_order_non_blank_columns_by_log10():
+    logits = LogitsMatrix.from_linear([[0.1, 0.4, 0.0, 0.2, 0.3], [0.25] * 4 + [0.0]])
+    assert logits.ranked_columns() == [[1, 3, 0, 2], [0, 1, 2, 3]]
+    assert LogitsMatrix.from_linear([], columns=3).ranked_columns() == []

@@ -50,6 +50,11 @@ def test_config_defaults_valid():
         {"alpha": float("inf")},
         {"beta": float("nan")},
         {"unknown_word_penalty": ()},
+        {"unknown_word_penalty": (float("nan"),)},
+        {"unknown_word_penalty": (-10.0, float("-inf"))},
+        {"unknown_subword_penalty": float("nan")},
+        {"unknown_subword_penalty": float("inf")},
+        {"unknown_subword_penalty": float("-inf")},
         {"color_prior": (0.5, 0.4)},
         {"color_prior": (-0.2, 1.2)},
     ],
