@@ -60,7 +60,7 @@ def _random_decodes():
 
 def _corpus_decodes():
     from colordecode import corpus, evaluation, scorers
-    from colordecode.decoder import DecoderConfig, decode
+    from colordecode.decoder import decode
     from colordecode.lexicon import ColoredAlphabet
 
     spec = corpus.SynthesisSpec(
@@ -104,11 +104,28 @@ def _corpus_decodes():
     for kind in UNCONSTRAINED_KINDS:
         models = [general] if kind == "general" else []
         for beta in UNCONSTRAINED_BETAS:
-            scorer = scorers.make_scorer(kind, models, scorers.ScorerConfig(beta=beta))
+            config = scorers.ScorerConfig(beta=beta)
             for width in CORPUS_BEAMS:
-                cfg = DecoderConfig(template, None, scorer, width)
+                cfg = _unconstrained_config(kind, models, config, template, width)
                 for matrix in logits:
                     yield decode(matrix, cfg)
+
+
+def _unconstrained_config(kind, models, config, template, width):
+    """``build_runtime(kind, None, ...)``'s decoder config; a checkout
+    whose ``build_runtime`` needs lexicons gets the same config built
+    by hand, so the script can compare against it."""
+    from colordecode import evaluation, scorers
+    from colordecode.corpus import EmptyLexicon
+    from colordecode.decoder import DecoderConfig
+
+    try:
+        return evaluation.build_runtime(
+            kind, None, models, config, template, width
+        ).decoder_config()
+    except EmptyLexicon:
+        scorer = scorers.make_scorer(kind, models, config)
+        return DecoderConfig(template, None, scorer, width)
 
 
 def digest() -> str:

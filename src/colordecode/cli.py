@@ -32,7 +32,7 @@ from .corpus import (
     synthesize_corpus,
     write_colored_transcript,
 )
-from .decoder import DecoderConfig, decode
+from .decoder import decode
 from .evaluation import (
     GridSpec,
     build_runtime,
@@ -43,7 +43,7 @@ from .evaluation import (
 from .lexicon import ColoredAlphabet, UnknownChar
 from .ngram_lm import load_arpa, merge_colored, save_arpa
 from .oracle import InstanceTooLarge, run_verification
-from .scorers import SCORER_KINDS, ScorerConfig, fit_bin_table, make_scorer
+from .scorers import SCORER_KINDS, ScorerConfig, fit_bin_table
 
 DEFAULT_BEAM_WIDTH = 64
 JOBS_ENV = "COLOR_DECODE_JOBS"
@@ -71,18 +71,23 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _csv_floats(raw: str) -> list[float]:
+def _csv(raw: str, kind: type, what: str) -> list:
+    """A non-empty comma list of ``kind`` values; blank items are skipped."""
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [kind(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {raw!r}")
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a comma list of {what}: {raw!r}")
+    return values
+
+
+def _csv_floats(raw: str) -> list[float]:
+    return _csv(raw, float, "numbers")
 
 
 def _csv_ints(raw: str) -> list[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {raw!r}")
+    return _csv(raw, int, "integers")
 
 
 def _add_alphabet_flags(p: argparse.ArgumentParser) -> None:
@@ -191,21 +196,19 @@ def cmd_decode(args) -> int:
     config = _scorer_config_from_args(args)
     bin_table = _bin_table_from_args(args, models)
 
-    if args.lexicon:
-        lexicons = [read_lexicon(p) for p in args.lexicon]
-        if args.fusion == "coloring" and len(models) != len(lexicons):
+    # no lexicon decodes unconstrained
+    lexicons = [read_lexicon(p) for p in args.lexicon] or None
+    if args.fusion == "coloring":
+        if lexicons is None:
+            raise UsageError("--fusion coloring needs --lexicon files")
+        if len(models) != len(lexicons):
             raise UsageError(
                 "--fusion coloring needs as many --lm files as --lexicon files"
             )
-        cfg = build_runtime(
-            args.fusion, lexicons, models, config, template,
-            args.beam_width, bin_table,
-        ).decoder_config()
-    else:
-        if args.fusion == "coloring":
-            raise UsageError("--fusion coloring needs --lexicon files")
-        scorer = make_scorer(args.fusion, models, config, bin_table=bin_table)
-        cfg = DecoderConfig(template, None, scorer, beam_width=args.beam_width)
+    cfg = build_runtime(
+        args.fusion, lexicons, models, config, template,
+        args.beam_width, bin_table,
+    ).decoder_config()
 
     matrix = read_logits(args.logits)
     transcript = decode(matrix, cfg)
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", action="append", default=[], metavar="PATH",
                    help="lexicon word list, repeatable; omit for "
                    "unconstrained decoding")
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
+    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
     p.add_argument("--out", help="write markup plus JSON sidecar here")
     _add_alphabet_flags(p)
     _add_model_flags(p)
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--lexicon", action="append", default=[], metavar="PATH",
                    required=False)
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
+    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
     p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
                    help=f"worker processes (default ${JOBS_ENV} or 1)")
     p.add_argument("--json", action="store_true", help="JSON report")
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gridsearch", help="search hyperparameters on a manifest")
     p.add_argument("manifest")
     p.add_argument("--lexicon", action="append", default=[], metavar="PATH")
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
+    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
     p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
     p.add_argument("--alphas", type=_csv_floats, default=None)
     p.add_argument("--betas", type=_csv_floats, default=None)

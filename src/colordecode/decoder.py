@@ -23,16 +23,21 @@ again is not rescored.
 A grammar state is wide when its extensions cover at least half of the
 alphabet's non-blank columns, as every in-word state does with
 off-lexicon spelling on; the successor table decides this once per
-state. A wide beam does not score every extension. From the frame's
-first wide beam on, a min-heap holds the largest ``beam_width`` lower
-bounds found so far on the final scores of distinct candidates: each
-expanded beam's larger stay mass plus its text score, and every fresh
-child accepted since. Once the heap is full its least element, the
-floor, is at most the cutoff. A wide beam first merges the mass of every
-live child, whatever its column, then scores its completing children
-(a word delta may be positive) and its on-trie children beside off-trie
-ones, then walks the remaining columns from the likeliest down. Those
-children share one text score, so a child at column ``c`` scores at most
+state. From the frame's first wide beam on, a min-heap holds the largest
+``beam_width`` lower bounds found so far on the final scores of distinct
+candidates: each expanded beam's larger stay mass plus its text score,
+and every fresh child accepted since. Once the heap is full its least
+element, the floor, is at most the cutoff.
+
+Every beam, narrow or wide, runs one loop over its directly scored
+extensions: a live child takes the extension's mass, a fresh child
+strictly below the floor is skipped, and any other fresh child becomes
+a candidate and, once the heap is started, a bound. A narrow beam scores
+all its extensions so. A wide beam first merges the mass of every live
+child, whatever its column, then scores its completing children (a word
+delta may be positive) and its on-trie children beside off-trie ones,
+then walks the remaining columns from the likeliest down. Those children
+share one text score, so a child at column ``c`` scores at most
 ``(total + row[c]) + text``; IEEE addition is monotone, so once that
 falls strictly below the floor no child of this beam at this or a later
 column can reach the cutoff, and the walk stops. A repeat of the last
@@ -478,87 +483,66 @@ def decode(
             # read only by off-trie children, which need off-lexicon spelling
             off_text = p_text + subword_penalty if allow_off else p_text
 
-            if by_col is None:
-                for col, label, ext, completes, off_trie in succ:
-                    # extending with the column the prefix ends in starts
-                    # a new CTC segment, so only blank-ending paths carry
-                    # over
+            if by_col is not None:
+                # a wide state: the first one of the frame starts the floor
+                if bounds is None:
+                    if ranked_columns is None:
+                        ranked_columns = logits.ranked_columns()
+                    # a beam's final score is at least its larger stay
+                    # mass plus its text score
+                    bounds = []
+                    for o in best:
+                        stay = o.total + row[blank]
+                        if o.prefix.depth:
+                            repeat = o.p_nonblank + row[o.prefix.col]
+                            if repeat > stay:
+                                stay = repeat
+                        bounds.append(stay + o.prefix.p_text)
+                    heapq.heapify(bounds)
+                    if len(bounds) == beam_width:
+                        floor = bounds[0]
+
+                # Live children take their mass whatever their column:
+                # each may stay in the beam on its own mass.
+                for (col, _color), ref in children.items():
+                    child = ref()
+                    if child is None:
+                        continue
                     mass = (p_blank if col == last else total) + row[col]
                     if mass == NEG_INF:
                         continue
-                    if children:
-                        ref = children.get(label)
-                        child = None if ref is None else ref()
-                        if child is not None:
-                            kept = next_map.get(child)
-                            if kept is None:
-                                next_map[child] = [NEG_INF, mass]
-                            else:
-                                kept[1] = logaddexp10(kept[1], mass)
-                            continue
-                    # No live node: its parent is expanded once per frame
-                    # and a state's labels are distinct, so this is the
-                    # child's only mass this frame. Score it; build it
-                    # only if it can rank.
-                    word = None
-                    scorer_state = node.scorer_state
-                    text = off_text if off_trie else p_text
-                    if completes:
-                        word = ext.word or _spell(alphabet, _pending_columns(node))
-                        delta, scorer_state = score_word(scorer_state, word, ext.color)
-                        text = p_text + delta
-                    fresh.append(
-                        (mass + text, mass, node, ext, label, text, word, scorer_state)
-                    )
-                continue
+                    kept = next_map.get(child)
+                    if kept is None:
+                        next_map[child] = [NEG_INF, mass]
+                    else:
+                        kept[1] = logaddexp10(kept[1], mass)
 
-            # A wide state: children are scored column by column from the
-            # likeliest down, and only while they can reach the floor.
-            if bounds is None:
-                if ranked_columns is None:
-                    ranked_columns = logits.ranked_columns()
-                # a beam's final score is at least its larger stay mass
-                # plus its text score
-                bounds = []
-                for o in best:
-                    stay = o.total + row[blank]
-                    if o.prefix.depth:
-                        repeat = o.p_nonblank + row[o.prefix.col]
-                        if repeat > stay:
-                            stay = repeat
-                    bounds.append(stay + o.prefix.p_text)
-                heapq.heapify(bounds)
-                if len(bounds) == beam_width:
-                    floor = bounds[0]
-
-            # Live children take their mass whatever their column: each
-            # may stay in the beam on its own mass.
-            for (col, _color), ref in children.items():
-                child = ref()
-                if child is None:
-                    continue
-                mass = (p_blank if col == last else total) + row[col]
-                if mass == NEG_INF:
-                    continue
-                kept = next_map.get(child)
-                if kept is None:
-                    next_map[child] = [NEG_INF, mass]
-                else:
-                    kept[1] = logaddexp10(kept[1], mass)
-
-            # A word delta may be positive, so completing children are
-            # always scored, and so are on-trie ones beside off-trie ones.
-            for col, label, ext, completes, _off_trie in succ:
+            # A wide state scores its completing children (a word delta
+            # may be positive) and on-trie ones beside off-trie ones here.
+            for col, label, ext, completes, off_trie in succ:
+                # extending with the column the prefix ends in starts a
+                # new CTC segment, so only blank-ending paths carry over
                 mass = (p_blank if col == last else total) + row[col]
                 if mass == NEG_INF:
                     continue
                 if children:
                     ref = children.get(label)
-                    if ref is not None and ref() is not None:
+                    child = None if ref is None else ref()
+                    if child is not None:
+                        if by_col is None:
+                            kept = next_map.get(child)
+                            if kept is None:
+                                next_map[child] = [NEG_INF, mass]
+                            else:
+                                kept[1] = logaddexp10(kept[1], mass)
                         continue
+                # No live node: its parent is expanded once per frame and
+                # a state's labels are distinct, so this is the child's
+                # only mass this frame. Score it; build it only if it can
+                # rank.
                 word = None
                 scorer_state = node.scorer_state
-                text = p_text
+                text = off_text if off_trie else p_text
                 if completes:
                     word = ext.word or _spell(alphabet, _pending_columns(node))
                     delta, scorer_state = score_word(scorer_state, word, ext.color)
@@ -567,8 +551,10 @@ def decode(
                 if score < floor:
                     continue
                 fresh.append((score, mass, node, ext, label, text, word, scorer_state))
-                if score > floor:
+                if bounds is not None and score > floor:
                     floor = _raise_floor(bounds, score, beam_width)
+            if by_col is None:
+                continue
 
             # A walked child scores at most total + row[col] plus its
             # text score, and IEEE addition is monotone, so once that

@@ -168,7 +168,7 @@ class MethodRuntime:
 
 def build_runtime(
     kind: str,
-    lexicons: Sequence[Sequence[str]],
+    lexicons: Sequence[Sequence[str]] | None,
     models: Sequence[NGramModel],
     config: ScorerConfig,
     alphabet: ColoredAlphabet,
@@ -180,13 +180,16 @@ def build_runtime(
     Coloring keeps one trie per lexicon (colors in list order) and
     scores against the colored merge of ``models``. Every other kind
     decodes over the union of all lexicon words in a single color, with
-    uncolored model histories. ``alphabet`` is a template; its color
-    count is replaced by what the method needs.
+    uncolored model histories; with ``lexicons`` None it decodes
+    unconstrained (no tries), which coloring cannot. ``alphabet`` is a
+    template; its color count is replaced by what the method needs.
     """
-    if not lexicons or any(not lex for lex in lexicons):
+    if lexicons is not None and (not lexicons or any(not lex for lex in lexicons)):
         raise EmptyLexicon("every lexicon needs at least one word")
 
     if kind == "coloring":
+        if lexicons is None:
+            raise ValueError("coloring needs one lexicon per color")
         num_colors = len(lexicons)
         ab = ColoredAlphabet(
             alphabet.base_chars, num_colors, alphabet.word_separator
@@ -195,9 +198,11 @@ def build_runtime(
         scorer = make_scorer(kind, models, config, num_colors=num_colors)
         return MethodRuntime(ab, tries, scorer, beam_width)
 
-    union = tuple(dict.fromkeys(w for lex in lexicons for w in lex))
     ab = ColoredAlphabet(alphabet.base_chars, 1, alphabet.word_separator)
-    tries = [build_trie(ab, 0, union)]
+    tries = None
+    if lexicons is not None:
+        union = tuple(dict.fromkeys(w for lex in lexicons for w in lex))
+        tries = [build_trie(ab, 0, union)]
     scorer = make_scorer(kind, models, config, bin_table=bin_table)
     return MethodRuntime(ab, tries, scorer, beam_width)
 
@@ -246,14 +251,13 @@ def decode_utterances(
     return [_decode_file(p, cfg) for p in paths]
 
 
-def _rates(
+def _references(
     utterances: Sequence[Utterance],
-    transcripts: Sequence[ColoredTranscript],
-) -> tuple[float, float, float | None]:
+) -> tuple[list[list[str]], list[list[bool]]]:
+    """Reference words and jargon masks, checked before any decode."""
     refs = []
     masks = []
-    hyps = []
-    for utt, t in zip(utterances, transcripts):
+    for utt in utterances:
         if utt.reference is None:
             raise ValueError(f"utterance {utt.id!r} has no reference")
         refs.append(list(utt.reference))
@@ -262,7 +266,15 @@ def _rates(
             if utt.jargon_mask is not None
             else [False] * len(utt.reference)
         )
-        hyps.append([w for w, _ in t.words])
+    return refs, masks
+
+
+def _rates(
+    refs: list[list[str]],
+    masks: list[list[bool]],
+    transcripts: Sequence[ColoredTranscript],
+) -> tuple[float, float, float | None]:
+    hyps = [[w for w, _ in t.words] for t in transcripts]
     return wer(refs, hyps), cer(refs, hyps), jargon_wer(refs, masks, hyps)
 
 
@@ -274,10 +286,11 @@ def evaluate(
     configs: Sequence[dict | None] | None = None,
 ) -> EvalReport:
     """Decode the corpus once per method and tabulate error rates."""
+    refs, masks = _references(utterances)
     results = []
     for i, (name, runtime) in enumerate(methods):
         transcripts = decode_utterances(utterances, runtime, jobs)
-        w, c, jw = _rates(utterances, transcripts)
+        w, c, jw = _rates(refs, masks, transcripts)
         results.append(
             MethodResult(
                 method=name,
@@ -315,16 +328,21 @@ def run_grid_search(
     """Try every grid point on a validation corpus and keep the best.
 
     Ranking is (WER, CER, enumeration order). The bin method fits one
-    table per bin count from ``calibration``.
+    table per bin count from ``calibration``. A grid with no points is
+    refused.
     """
+    # every point's config is validated, and every reference found,
+    # before the first decode
+    points = list(grid.points(kind))
+    if not points:
+        raise ValueError(f"the {kind} grid has no points")
+    refs, masks = _references(utterances)
     tables: dict[int, BinTable] = {}
     best: tuple[float, float, int] | None = None
     best_point: GridPoint | None = None
     best_jw: float | None = None
     rows: list[tuple[GridPoint, float, float, float | None]] = []
-
-    # every point's config is validated before the first decode
-    for index, point in enumerate(list(grid.points(kind))):
+    for index, point in enumerate(points):
         bin_table = None
         if kind == "bins":
             if calibration is None:
@@ -338,7 +356,7 @@ def run_grid_search(
             kind, lexicons, models, point.config, alphabet, beam_width, bin_table
         )
         transcripts = decode_utterances(utterances, runtime, jobs)
-        w, c, jw = _rates(utterances, transcripts)
+        w, c, jw = _rates(refs, masks, transcripts)
         rows.append((point, w, c, jw))
         key = (w, c, index)
         if best is None or key < best:

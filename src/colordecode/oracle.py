@@ -105,10 +105,10 @@ def ctc_path_sum(rows, cols) -> float:
 class OracleResult:
     """Best transcript plus the full score table.
 
-    ``all_scores`` maps every grammar-reachable colored prefix (within
-    the length cap) to its finalized score, -inf when the prefix cannot
-    finish or has no acoustic mass. Its size bounds the beam width needed
-    for the search to be exhaustive.
+    ``all_scores`` maps every grammar-reachable colored prefix, no longer
+    than the frame count, to its finalized score, -inf when the prefix
+    cannot finish or has no acoustic mass. Its size bounds the beam width
+    needed for the search to be exhaustive.
     """
 
     best: ColoredTranscript
@@ -120,7 +120,6 @@ def exhaustive_decode(
     scorer: Scorer,
     alphabet: ColoredAlphabet,
     tries,
-    max_label_len: int | None = None,
     guard: int = 10**6,
 ) -> OracleResult:
     """Score every reachable labeling and return the argmax.
@@ -130,7 +129,6 @@ def exhaustive_decode(
     Raises InstanceTooLarge past ``guard`` enumerated prefixes.
     """
     rows = logits.log10_rows()
-    cap = logits.frames if max_label_len is None else min(max_label_len, logits.frames)
     subword_penalty = scorer.config.unknown_subword_penalty
     allow_off = subword_penalty is not None
 
@@ -169,7 +167,7 @@ def exhaustive_decode(
         if visited > guard:
             raise InstanceTooLarge(f"more than {guard} prefixes")
         consider(chars, spelled, words, p_text, word_state, scorer_state)
-        if len(chars) >= cap:
+        if len(chars) >= len(rows):
             return
         for ext in word_successors(alphabet, tries, word_state, allow_off):
             new_words = words

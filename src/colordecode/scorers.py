@@ -159,23 +159,19 @@ def bayes_posterior_log10(
     return [j - total for j in joint]
 
 
+# log10 of the uniform prior over the general and the domain model
+_BAYES_LOG_PRIORS = (math.log10(0.5), math.log10(0.5))
+
+
 def interp_bayes(
-    lg_hist: float,
-    lj_hist: float,
-    lg_next: float,
-    lj_next: float,
-    prior: tuple[float, float] = (0.5, 0.5),
+    lg_hist: float, lj_hist: float, lg_next: float, lj_next: float
 ) -> float:
     """One Bayes-weighted combination step, all arguments log10.
 
-    The history masses select the mixture weights; the next-word
-    probabilities are then mixed under those weights.
+    The history masses select the mixture weights under a uniform prior;
+    the next-word probabilities are then mixed under those weights.
     """
-    log_priors = [
-        math.log10(prior[0]) if prior[0] > 0 else NEG_INF,
-        math.log10(prior[1]) if prior[1] > 0 else NEG_INF,
-    ]
-    wg, wj = bayes_posterior_log10(log_priors, [lg_hist, lj_hist])
+    wg, wj = bayes_posterior_log10(_BAYES_LOG_PRIORS, [lg_hist, lj_hist])
     return logaddexp10(wg + lg_next, wj + lj_next)
 
 
@@ -393,22 +389,15 @@ class BayesScorer(Scorer):
 
     State carries both model contexts plus each model's cumulative log10
     mass over the words seen so far; the next word is mixed under weights
-    proportional to prior * 10**history. Histories include the same
-    penalty substitution as everything else, so an OOV run shifts weight
-    toward whichever model is less surprised.
+    proportional to 10**history, the prior being uniform. Histories
+    include the same penalty substitution as everything else, so an OOV
+    run shifts weight toward whichever model is less surprised.
     """
 
-    def __init__(
-        self,
-        config: ScorerConfig,
-        general: NGramModel,
-        domain: NGramModel,
-        prior: tuple[float, float] = (0.5, 0.5),
-    ):
+    def __init__(self, config: ScorerConfig, general: NGramModel, domain: NGramModel):
         super().__init__(config)
         self.general = general
         self.domain = domain
-        self.prior = prior
 
     def initial_state(self) -> tuple[LmState, LmState, float, float]:
         return (EMPTY_STATE, EMPTY_STATE, 0.0, 0.0)
@@ -417,7 +406,7 @@ class BayesScorer(Scorer):
         st_g, st_j, h_g, h_j = state
         lg, ng = self.general.score_word(st_g, word, oov_log10=self.config.penalty(0))
         lj, nj = self.domain.score_word(st_j, word, oov_log10=self.config.penalty(1))
-        combined = interp_bayes(h_g, h_j, lg, lj, self.prior)
+        combined = interp_bayes(h_g, h_j, lg, lj)
         delta = self.config.alpha * combined + self.config.beta
         return delta, (ng, nj, h_g + lg, h_j + lj)
 

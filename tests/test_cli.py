@@ -118,6 +118,15 @@ def test_decode_forced_single_char(tmp_path, capsys):
     assert out == "a\nscore 0.000000000\n"
 
 
+def test_decode_without_lexicons_is_unconstrained(tiny_setup, capsys):
+    """No ``--lexicon`` spells any word, in one color."""
+    argv = ["decode", tiny_setup["logits"], "--alphabet", "ab "]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 0
+    assert err == ""
+    assert out == "aa bb\nscore 0.000000000\n"
+
+
 def test_decode_coloring_prints_markup_and_score(tiny_setup, capsys):
     argv = [
         "decode",
@@ -323,16 +332,29 @@ def test_gridsearch_rejects_single_hyperparameter_flags(tmp_path, flag, capsys):
     assert flag[0] in err
 
 
-@pytest.mark.parametrize("command", ["eval", "gridsearch"])
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_a_usage_error(synth_dir, command, jobs, capsys):
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("eval", "--jobs"),
+        ("gridsearch", "--jobs"),
+        ("decode", "--beam-width"),
+        ("eval", "--beam-width"),
+        ("gridsearch", "--beam-width"),
+    ],
+    ids=["eval", "gridsearch", "decode-beam-width", "eval-beam-width",
+         "gridsearch-beam-width"],
+)
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(synth_dir, command, flag, value, capsys):
+    """``--jobs`` and ``--beam-width`` below 1 are refused by argparse."""
+    source = "logits/utt0000.ctcl" if command == "decode" else "manifest.jsonl"
     argv = [
         command,
-        str(synth_dir / "manifest.jsonl"),
+        str(synth_dir / source),
         "--lexicon",
         str(synth_dir / "general.txt"),
-        "--jobs",
-        jobs,
+        flag,
+        value,
     ]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -340,7 +362,28 @@ def test_jobs_below_one_is_a_usage_error(synth_dir, command, jobs, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage:")
-    assert f"--jobs: must be at least 1, got {jobs}" in err
+    assert f"{flag}: must be at least 1, got {value}" in err
+
+
+@pytest.mark.parametrize(
+    "grid", [["--alphas", ""], ["--alphas", ","], ["--bin-counts", " , "]]
+)
+def test_gridsearch_rejects_an_empty_grid_list(synth_dir, grid, capsys):
+    """An empty grid list used to parse as "not given" and sweep the
+    whole default grid."""
+    argv = [
+        "gridsearch",
+        str(synth_dir / "manifest.jsonl"),
+        "--lexicon",
+        str(synth_dir / "general.txt"),
+        *grid,
+    ]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{grid[0]}: not a comma list of" in err
 
 
 @pytest.mark.parametrize(
@@ -505,7 +548,11 @@ def test_coloring_fusion_requires_lexicons(tiny_setup, capsys):
     ]
     rc, _, err = run_cli(argv, capsys)
     assert rc == 2
-    assert "--lexicon" in err
+    assert "--fusion coloring needs --lexicon files" in err
+    argv += ["--lexicon", tiny_setup["general"], "--lexicon", tiny_setup["jargon"]]
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert "--fusion coloring needs as many --lm files as --lexicon files" in err
 
 
 def test_eval_requires_a_lexicon(synth_dir, capsys):

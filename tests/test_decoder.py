@@ -801,9 +801,10 @@ def test_word_delta_runs_once_per_input_per_decode(monkeypatch):
 def _decode_recorded(monkeypatch, logits, config, every_extension=False):
     """Decode, and record the candidates ranked after every frame as
     sorted (labels, p_blank, p_nonblank) triples, masses by ``float.hex``.
-    With ``every_extension`` every grammar state counts as narrow, so the
-    frame step scores every extension of every beam; the floor must not
-    change a single bit of what that plain loop produces."""
+    With ``every_extension`` every grammar state counts as narrow, so no
+    floor is ever started and the frame step scores every extension of
+    every beam; the floor must not change a single bit of what that
+    every-extension reference produces."""
     frames = []
 
     def rank(beams, limit):

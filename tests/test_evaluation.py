@@ -146,6 +146,21 @@ def test_build_runtime_rejects_empty_lexicon():
         build_runtime("general", [], [general], ScorerConfig(), default_alphabet(1))
 
 
+def test_build_runtime_without_lexicons_is_unconstrained():
+    general, jargon = _tiny_models()
+    rt = build_runtime(
+        "general", None, [general], ScorerConfig(), default_alphabet(2), 8
+    )
+    assert rt.tries is None
+    assert rt.alphabet.num_colors == 1
+    assert rt.beam_width == 8
+    assert isinstance(rt.scorer, SingleLmScorer)
+    with pytest.raises(ValueError, match="coloring needs"):
+        build_runtime(
+            "coloring", None, [general, jargon], ScorerConfig(), default_alphabet(1)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Parallel decoding and evaluation
 # ---------------------------------------------------------------------------
@@ -272,6 +287,43 @@ def test_grid_search_bins_requires_calibration(monkeypatch):
             [general, jargon],
             GridSpec(alphas=(1.0,), betas=(0.0,), bin_counts=(4,)),
             default_alphabet(1),
+        )
+
+
+def test_grid_search_rejects_a_grid_with_no_points(monkeypatch):
+    monkeypatch.setattr(
+        evaluation, "decode_utterances", lambda *a, **k: pytest.fail("decoded")
+    )
+    with pytest.raises(ValueError, match="grid has no points"):
+        run_grid_search(
+            "none",
+            [_fake_utterance()],
+            [["ab", "cd"]],
+            [],
+            GridSpec(betas=()),
+            default_alphabet(1),
+        )
+
+
+def test_missing_reference_fails_before_any_decode(monkeypatch):
+    """A manifest row without a reference is refused before the corpus,
+    or the first grid point, is decoded."""
+    monkeypatch.setattr(
+        evaluation, "decode_utterances", lambda *a, **k: pytest.fail("decoded")
+    )
+    utts = [
+        _fake_utterance(),
+        Utterance("u1", Path("/nonexistent.ctcl"), None, None),
+    ]
+    lexicons = [["ab", "cd"]]
+    runtime = build_runtime(
+        "none", lexicons, [], ScorerConfig(), default_alphabet(1)
+    )
+    with pytest.raises(ValueError, match="'u1' has no reference"):
+        evaluate("unit", utts, [("none", runtime)])
+    with pytest.raises(ValueError, match="'u1' has no reference"):
+        run_grid_search(
+            "none", utts, lexicons, [], GridSpec(betas=(0.0,)), default_alphabet(1)
         )
 
 
