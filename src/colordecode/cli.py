@@ -53,22 +53,36 @@ class UsageError(Exception):
     """Flag combinations argparse cannot catch on its own."""
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _positive_int(raw: str) -> int:
+def _int_at_least(raw: str, minimum: int) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _positive_int(raw: str) -> int:
+    return _int_at_least(raw, 1)
+
+
+def _non_negative_int(raw: str) -> int:
+    return _int_at_least(raw, 0)
+
+
+def _jobs_from_args(args) -> int:
+    """``--jobs`` when given, else ``$COLOR_DECODE_JOBS`` when set and
+    non-empty, else 1."""
+    if args.jobs is not None:
+        return args.jobs
+    raw = os.environ.get(JOBS_ENV, "")
+    if not raw:
+        return 1
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"${JOBS_ENV}: {exc}") from None
 
 
 def _csv(raw: str, kind: type, what: str) -> list:
@@ -221,6 +235,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    jobs = _jobs_from_args(args)
     template = _alphabet_from_args(args)
     models = _load_models(args)
     config = _scorer_config_from_args(args)
@@ -234,13 +249,14 @@ def cmd_eval(args) -> int:
     )
     utterances = read_manifest(args.manifest)
     report = evaluate(
-        args.manifest, utterances, [(args.fusion, runtime)], jobs=args.jobs
+        args.manifest, utterances, [(args.fusion, runtime)], jobs=jobs
     )
     sys.stdout.write(report.as_json() if args.json else report.as_text())
     return 0
 
 
 def cmd_gridsearch(args) -> int:
+    jobs = _jobs_from_args(args)
     template = _alphabet_from_args(args)
     models = _load_models(args)
     if not args.lexicon:
@@ -278,7 +294,7 @@ def cmd_gridsearch(args) -> int:
         grid,
         template,
         beam_width=args.beam_width,
-        jobs=args.jobs,
+        jobs=jobs,
         calibration=calibration,
     )
     print(f"method {args.fusion}: searched {len(result.rows)} configurations")
@@ -377,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", action="append", default=[], metavar="PATH",
                    required=False)
     p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
-    p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help=f"worker processes (default ${JOBS_ENV} or 1)")
     p.add_argument("--json", action="store_true", help="JSON report")
     _add_alphabet_flags(p)
@@ -389,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--lexicon", action="append", default=[], metavar="PATH")
     p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
-    p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help=f"worker processes (default ${JOBS_ENV} or 1)")
     p.add_argument("--alphas", type=_csv_floats, default=None)
     p.add_argument("--betas", type=_csv_floats, default=None)
     p.add_argument("--lambdas", type=_csv_floats, default=None)
@@ -421,10 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="cross-check decoder against the oracle")
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-frames", type=int, default=4)
-    p.add_argument("--max-chars", type=int, default=3)
+    p.add_argument("--max-frames", type=_non_negative_int, default=4)
+    p.add_argument("--max-chars", type=_positive_int, default=3)
     p.set_defaults(func=cmd_verify)
 
     return parser

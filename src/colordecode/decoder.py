@@ -47,8 +47,21 @@ bit-identical to scoring every extension.
 
 A beam pairs a node with two acoustic masses in log10, the probability
 of all frame paths ending in blank (``p_blank``) and in the prefix's
-last character (``p_nonblank``). Beams are ranked by acoustic mass times
-text score, computed once per beam, when its masses are final.
+last character (``p_nonblank``). A beam's score is its acoustic mass
+times its text score, computed once, when its masses are final.
+
+Each frame expands the set of the ``beam_width`` best beams, selected,
+not sorted: the cutoff step leaves more candidates than fit only when
+several tie at the cutoff, and then only the tied beams are ordered
+(shorter, then lexicographically smaller prefix first) to decide which
+of them stay. The order in which the selected beams are expanded changes
+no bit of the result. A prefix's masses for the next frame get at most
+two contributions, its own stay and its one parent's extension, and
+``logaddexp10`` is symmetric bit for bit. The cutoff is the
+``beam_width``-th best of a multiset, and the floor skips only
+candidates strictly below it, however the floor rose, so the same
+candidates survive. Finishing takes the minimum over a strict total
+order.
 
 The CTC repeat rule compares raw columns, ignoring color: extending a
 prefix with the column it already ends in consumes only the blank-ending
@@ -330,15 +343,20 @@ class DecodeStats:
     spawned: list[int] = field(default_factory=list)
 
 
-def _rank_key(beam: Beam):
-    prefix = beam.prefix
-    return (-beam.score, prefix.depth, prefix)
-
-
 def get_best_beams(beams: Sequence[Beam], limit: int) -> list[Beam]:
-    """Top beams by their stored score; ties prefer shorter, then
-    lexicographically smaller prefixes, so ranking is deterministic."""
-    return heapq.nsmallest(limit, beams, key=_rank_key)
+    """The ``limit`` best beams by their stored score, in no promised
+    order. Among beams tied at the ``limit``-th best score, shorter and
+    then lexicographically smaller prefixes are kept, so the selected
+    set is deterministic."""
+    if len(beams) <= limit:
+        return list(beams)
+    cutoff = sorted([b.score for b in beams], reverse=True)[limit - 1]
+    best = [b for b in beams if b.score > cutoff]
+    tied = [b for b in beams if b.score == cutoff]
+    if len(best) + len(tied) > limit:
+        tied.sort(key=lambda b: (b.prefix.depth, b.prefix))
+        del tied[limit - len(best):]
+    return best + tied
 
 
 def _successor_entry(

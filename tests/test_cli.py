@@ -365,6 +365,64 @@ def test_jobs_below_one_is_a_usage_error(synth_dir, command, flag, value, capsys
     assert f"{flag}: must be at least 1, got {value}" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "gridsearch"])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_malformed_jobs_variable_is_a_usage_error(
+    synth_dir, command, value, capsys, monkeypatch
+):
+    """Without ``--jobs``, a set ``$COLOR_DECODE_JOBS`` that is not an
+    integer of at least 1 used to mean one job silently; it is refused
+    before anything is read or decoded."""
+    monkeypatch.setenv(cli.JOBS_ENV, value)
+    monkeypatch.setattr(cli, "read_manifest", lambda *a: pytest.fail("read"))
+    argv = [command, str(synth_dir / "manifest.jsonl"),
+            "--lexicon", str(synth_dir / "general.txt")]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: ${cli.JOBS_ENV}:") and value in err
+
+
+@pytest.mark.parametrize(
+    "command, env, flags, jobs",
+    [
+        ("eval", None, [], 1),
+        ("eval", "", [], 1),
+        ("eval", "2", [], 2),
+        ("eval", "abc", ["--jobs", "3"], 3),
+        ("gridsearch", None, [], 1),
+        ("gridsearch", "", [], 1),
+        ("gridsearch", "2", [], 2),
+        ("gridsearch", "abc", ["--jobs", "3"], 3),
+    ],
+)
+def test_jobs_come_from_flag_then_variable_then_one(
+    synth_dir, command, env, flags, jobs, capsys, monkeypatch
+):
+    """``--jobs`` wins and the variable is not read; an unset or empty
+    variable means one job."""
+    if env is None:
+        monkeypatch.delenv(cli.JOBS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.JOBS_ENV, env)
+
+    class Stop(Exception):
+        pass
+
+    def record(*args, jobs, **kwargs):
+        seen.append(jobs)
+        raise Stop
+
+    seen: list[int] = []
+    monkeypatch.setattr(cli, "evaluate", record)
+    monkeypatch.setattr(cli, "run_grid_search", record)
+    argv = [command, str(synth_dir / "manifest.jsonl"),
+            "--lexicon", str(synth_dir / "general.txt"), *flags]
+    with pytest.raises(Stop):
+        cli.main(argv)
+    assert seen == [jobs]
+
+
 @pytest.mark.parametrize(
     "grid", [["--alphas", ""], ["--alphas", ","], ["--bin-counts", " , "]]
 )
@@ -465,6 +523,32 @@ def test_merge_lm_writes_colored_model(tiny_setup, capsys):
 
 def test_verify_reports_clean_run(capsys):
     rc, out, err = run_cli(["verify", "--instances", "5", "--seed", "3"], capsys)
+    assert rc == 0
+    assert err == ""
+    assert "5 instances, 0 mismatches" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, minimum",
+    [("--instances", "0", 1), ("--max-chars", "0", 1), ("--max-frames", "-1", 0)],
+)
+def test_verify_refuses_counts_it_cannot_use(flag, value, minimum, capsys):
+    """``--instances 0`` used to report a clean run of nothing, and
+    ``--max-chars 0`` or ``--max-frames -1`` to fail inside the instance
+    generator; each is a usage error before anything runs. Zero frames
+    is a problem the generator can draw, so ``--max-frames 0`` runs."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage:")
+    assert f"{flag}: must be at least {minimum}, got {value}" in err
+
+
+def test_verify_runs_zero_frame_instances(capsys):
+    argv = ["verify", "--instances", "5", "--max-frames", "0"]
+    rc, out, err = run_cli(argv, capsys)
     assert rc == 0
     assert err == ""
     assert "5 instances, 0 mismatches" in out

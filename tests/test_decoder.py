@@ -117,7 +117,16 @@ def _labels(node: Prefix) -> tuple[tuple[int, int], ...]:
     return tuple(reversed(out))
 
 
-def test_get_best_beams_orders_and_limits():
+def _in_rank_order(beams) -> list[tuple[tuple[int, int], ...]]:
+    """The labels of ``beams`` ordered by (-score, depth, label tuple),
+    the rule ``get_best_beams`` selects by, whatever order it returns."""
+    ordered = sorted(
+        beams, key=lambda b: (-b.score, len(_labels(b.prefix)), _labels(b.prefix))
+    )
+    return [_labels(b.prefix) for b in ordered]
+
+
+def test_get_best_beams_selects_and_limits():
     root = _root()
     beams = [
         Beam(_interned(root, ((0, 0),)), NEG_INF, -2.0),
@@ -125,16 +134,29 @@ def test_get_best_beams_orders_and_limits():
         Beam(_interned(root, ((1, 0),)), NEG_INF, -3.0),
     ]
     best = get_best_beams(beams, 2)
-    assert [_labels(b.prefix) for b in best] == [(), ((0, 0),)]
+    assert _in_rank_order(best) == [(), ((0, 0),)]
     assert len(get_best_beams(beams, 10)) == 3
 
-    # the best score on the deepest prefix: ranked first, ahead of every
+    # the best score on the deepest prefix: selected ahead of every
     # shallower beam, so a beam built here ranks on its real score
     deep = ((1, 0), (0, 0), (1, 0))
     beams.append(Beam(_interned(root, deep), -0.5, -0.75))
     best = get_best_beams(beams, 2)
-    assert [_labels(b.prefix) for b in best] == [deep, ()]
-    assert best[0].score == logaddexp10(-0.5, -0.75)
+    assert _in_rank_order(best) == [deep, ()]
+    assert max(b.score for b in best) == logaddexp10(-0.5, -0.75)
+
+
+def test_get_best_beams_returns_every_beam_that_fits():
+    """At most ``limit`` beams come back as they are, ties, -inf scores
+    and all."""
+    root = _root()
+    beams = [
+        Beam(_interned(root, ((1, 0), (0, 0))), -1.0, NEG_INF),
+        Beam(root, NEG_INF, NEG_INF),
+        Beam(_interned(root, ((0, 0),)), -1.0, NEG_INF),
+    ]
+    for limit in (3, 4, 64):
+        assert get_best_beams(beams, limit) == beams
 
 
 def test_get_best_beams_breaks_ties_deterministically():
@@ -144,18 +166,47 @@ def test_get_best_beams_breaks_ties_deterministically():
         Beam(_interned(root, ((0, 0), (1, 0))), -1.0, NEG_INF),
         Beam(_interned(root, ((0, 0),)), -1.0, NEG_INF),
     ]
-    best = get_best_beams(beams, 3)
-    assert [_labels(b.prefix) for b in best] == [
+    assert _in_rank_order(get_best_beams(beams, 3)) == [
         ((0, 0),),
         ((1, 0),),
         ((0, 0), (1, 0)),
     ]
+    assert _in_rank_order(get_best_beams(beams, 2)) == [((0, 0),), ((1, 0),)]
+
+
+def test_get_best_beams_keeps_ties_straddling_the_limit_by_prefix():
+    """Beams above the limit-th best score are all kept, beams below it
+    none, and the tied ones fill the remaining slots shorter prefix
+    first, then smaller labels."""
+    root = _root()
+    above = [((2, 1),), ((2, 0), (2, 0))]
+    tied = [((1, 0), (0, 0)), ((1, 0),), ((0, 1),), ((0, 0), (0, 0))]
+    below = [(), ((0, 0),)]
+    beams = (
+        [Beam(_interned(root, labels), -0.5, NEG_INF) for labels in above]
+        + [Beam(_interned(root, labels), -1.0, NEG_INF) for labels in tied]
+        + [Beam(_interned(root, labels), -2.0, NEG_INF) for labels in below]
+    )
+    for order in (beams, beams[::-1]):
+        assert _in_rank_order(get_best_beams(order, 3)) == [
+            ((2, 1),),
+            ((2, 0), (2, 0)),
+            ((0, 1),),
+        ]
+        assert _in_rank_order(get_best_beams(order, 5)) == [
+            ((2, 1),),
+            ((2, 0), (2, 0)),
+            ((0, 1),),
+            ((1, 0),),
+            ((0, 0), (0, 0)),
+        ]
 
 
 def test_get_best_beams_ranks_ties_like_materialized_prefixes():
-    """Among beams of few distinct scores, ranking equals sorting by
-    (-score, depth, label tuple): the node comparison walking up to the
-    common ancestor agrees with comparing whole spelled prefixes."""
+    """Among beams of few distinct scores, the selection equals the
+    first ``limit`` beams sorted by (-score, depth, label tuple): the
+    node comparison walking up to the common ancestor agrees with
+    comparing whole spelled prefixes."""
     rng = random.Random(1812)
     for _ in range(200):
         root = _root()
@@ -172,11 +223,8 @@ def test_get_best_beams_ranks_ties_like_materialized_prefixes():
         ]
         rng.shuffle(beams)
         limit = rng.randint(1, len(beams) + 1)
-        expected = sorted(
-            beams, key=lambda b: (-b.score, len(_labels(b.prefix)), _labels(b.prefix))
-        )[:limit]
         got = get_best_beams(beams, limit)
-        assert [_labels(b.prefix) for b in got] == [_labels(b.prefix) for b in expected]
+        assert _in_rank_order(got) == _in_rank_order(beams)[:limit]
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +501,52 @@ def test_ranked_beams_carry_current_scores(monkeypatch):
         for width in (1, 2, 3, 4):
             decode(inst.logits, DecoderConfig(inst.alphabet, inst.tries, scorer, width))
     assert checked[0] > 0
+
+
+@pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
+def test_expansion_order_changes_no_bit(monkeypatch, reorder):
+    """``decode`` relies on the set ``get_best_beams`` selects, not on
+    its order: a merge sums at most two masses with the symmetric
+    ``logaddexp10``, the cutoff is the beam-width-th best of a multiset,
+    and finishing takes a minimum. Handing the frame step the selected
+    beams reversed, or shuffled, leaves every transcript and every score
+    bit for bit as it was."""
+    shuffle = random.Random(5150).shuffle
+
+    def reordered(beams, limit):
+        best = get_best_beams(beams, limit)
+        if reorder == "reversed":
+            best.reverse()
+        else:
+            shuffle(best)
+        return best
+
+    rng = random.Random(4637)
+    problems = []
+    for i in range(250):
+        inst = random_instance(rng, max_frames=6, max_words=4)
+        scorer = ColoringScorer(
+            dataclasses.replace(
+                inst.scorer.config, unknown_subword_penalty=-2.0 if i % 2 else None
+            ),
+            inst.scorer.merged,
+            inst.scorer.num_colors,
+        )
+        tries = None if i % 5 == 4 else inst.tries
+        # more beams than six frames over three characters in two
+        # colors can spell, so the last width saturates
+        for width in (1, 2, 3, 100_000):
+            problems.append((inst.logits, DecoderConfig(inst.alphabet, tries, scorer, width)))
+
+    def outcomes():
+        return [
+            (got.words, got.score.hex())
+            for got in (decode(logits, config) for logits, config in problems)
+        ]
+
+    expected = outcomes()
+    monkeypatch.setattr(decoder_module, "get_best_beams", reordered)
+    assert outcomes() == expected
 
 
 def test_narrow_beams_merge_every_duplicate_prefix(monkeypatch):
