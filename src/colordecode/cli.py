@@ -27,14 +27,13 @@ from .corpus import (
     format_colored,
     language_models,
     read_lexicon,
-    read_logits,
     read_manifest,
     synthesize_corpus,
     write_colored_transcript,
 )
-from .decoder import decode
 from .evaluation import (
     GridSpec,
+    _decode_file,
     build_runtime,
     calibration_pairs,
     evaluate,
@@ -193,15 +192,25 @@ def _bin_table_from_args(args, models):
 
 
 def _load_models(args) -> list:
-    models = [load_arpa(path) for path in args.lm]
+    """The ``--lm`` models, once their count fits ``--fusion`` and, for
+    coloring, the ``--lexicon`` count; every model-using subcommand
+    checks here, before reading any file."""
     kind = args.fusion
-    if kind in ("linear", "loglinear", "bins", "bayes") and len(models) != 2:
+    count = len(args.lm)
+    if kind == "none" and count:
+        raise UsageError("--fusion none takes no --lm file")
+    if kind in ("linear", "loglinear", "bins", "bayes") and count != 2:
         raise UsageError(f"--fusion {kind} needs exactly two --lm files")
-    if kind in ("general", "jargon") and len(models) != 1:
+    if kind in ("general", "jargon") and count != 1:
         raise UsageError(f"--fusion {kind} needs exactly one --lm file")
-    if kind == "coloring" and not models:
-        raise UsageError("--fusion coloring needs one --lm per lexicon")
-    return models
+    if kind == "coloring":
+        if not args.lexicon:
+            raise UsageError("--fusion coloring needs --lexicon files")
+        if count != len(args.lexicon):
+            raise UsageError(
+                "--fusion coloring needs as many --lm files as --lexicon files"
+            )
+    return [load_arpa(path) for path in args.lm]
 
 
 def cmd_decode(args) -> int:
@@ -212,20 +221,12 @@ def cmd_decode(args) -> int:
 
     # no lexicon decodes unconstrained
     lexicons = [read_lexicon(p) for p in args.lexicon] or None
-    if args.fusion == "coloring":
-        if lexicons is None:
-            raise UsageError("--fusion coloring needs --lexicon files")
-        if len(models) != len(lexicons):
-            raise UsageError(
-                "--fusion coloring needs as many --lm files as --lexicon files"
-            )
     cfg = build_runtime(
         args.fusion, lexicons, models, config, template,
         args.beam_width, bin_table,
     ).decoder_config()
 
-    matrix = read_logits(args.logits)
-    transcript = decode(matrix, cfg)
+    transcript = _decode_file(args.logits, cfg)
     num_colors = cfg.alphabet.num_colors
     print(format_colored(transcript.words, num_colors))
     print(f"score {transcript.score:.9f}")

@@ -350,41 +350,40 @@ class LexiconSets:
     mutations: tuple[str, ...]
 
 
-def _random_word(rng: random.Random, min_len: int, max_len: int) -> str:
+# lexicon sizes and the general words' length range
+_NUM_GENERAL = 40
+_NUM_SHARED = 5
+_NUM_JARGON = 15
+_WORD_LENGTHS = (3, 7)
+
+
+def _random_word(rng: random.Random) -> str:
     return "".join(
-        rng.choice(LETTERS) for _ in range(rng.randint(min_len, max_len))
+        rng.choice(LETTERS) for _ in range(rng.randint(*_WORD_LENGTHS))
     )
 
 
-def generate_lexicons(
-    seed: int,
-    num_general: int = 40,
-    num_shared: int = 5,
-    num_jargon: int = 15,
-    min_len: int = 3,
-    max_len: int = 7,
-) -> LexiconSets:
-    """Build the two vocabularies.
+def generate_lexicons(seed: int) -> LexiconSets:
+    """Build the two vocabularies: 40 general words of 3-7 letters and
+    15 jargon mutations, plus 5 shared spellings.
 
-    The first ``num_shared`` general words are copied into the jargon
-    lexicon verbatim. Mutations substitute one character of a base word:
-    the shared words are mutated first (one each), further bases are
+    The first 5 general words are copied into the jargon lexicon
+    verbatim. Mutations substitute one character of a base word: the
+    shared words are mutated first (one each), further bases are
     sampled from the remaining general words. All spellings are unique
     across both lexicons.
     """
-    if num_general < 1 or num_jargon < 0 or not 0 <= num_shared <= num_general:
-        raise EmptyLexicon("lexicon sizes out of range")
     rng = random.Random(f"lexicon:{seed}")
 
     general: list[str] = []
     taken: set[str] = set()
-    while len(general) < num_general:
-        word = _random_word(rng, min_len, max_len)
+    while len(general) < _NUM_GENERAL:
+        word = _random_word(rng)
         if word not in taken:
             taken.add(word)
             general.append(word)
 
-    shared = tuple(general[:num_shared])
+    shared = tuple(general[:_NUM_SHARED])
 
     def mutate(base: str) -> str | None:
         for _ in range(50):
@@ -399,8 +398,8 @@ def generate_lexicons(
 
     mutations: list[str] = []
     bases = list(shared)
-    others = general[num_shared:]
-    while len(mutations) < num_jargon:
+    others = general[_NUM_SHARED:]
+    while len(mutations) < _NUM_JARGON:
         if bases:
             base = bases.pop(0)
         else:
@@ -433,7 +432,7 @@ _CHAIN_STRONG = 4
 _MUTATION_MASS = 0.85
 
 
-def build_language(seed: int, **lexicon_kwargs) -> SynthLanguage:
+def build_language(seed: int) -> SynthLanguage:
     """Sample the language for one seed.
 
     The chain gives every word a floor transition weight and boosts a
@@ -441,7 +440,7 @@ def build_language(seed: int, **lexicon_kwargs) -> SynthLanguage:
     never forbids a word pair. Jargon weights put most mass on the
     mutations, the rest on the shared spellings.
     """
-    lex = generate_lexicons(seed, **lexicon_kwargs)
+    lex = generate_lexicons(seed)
     rng = random.Random(f"chain:{seed}")
 
     weights = [rng.random() + 0.2 for _ in lex.general]

@@ -45,10 +45,11 @@ column with no blank-ending mass adds nothing and is passed over. The
 children skipped were below the cutoff, so transcripts and scores are
 bit-identical to scoring every extension.
 
-A beam pairs a node with two acoustic masses in log10, the probability
+A beam is a node holding two acoustic masses in log10, the probability
 of all frame paths ending in blank (``p_blank``) and in the prefix's
-last character (``p_nonblank``). A beam's score is its acoustic mass
-times its text score, computed once, when its masses are final.
+last character (``p_nonblank``), and its score, acoustic mass times
+text score, set once the masses are final. A frame sums the next masses
+apart, as it still reads the current ones.
 
 Each frame expands the set of the ``beam_width`` best beams, selected,
 not sorted: the cutoff step leaves more candidates than fit only when
@@ -98,7 +99,6 @@ __all__ = [
     "LogitsMatrix",
     "ColoredTranscript",
     "Prefix",
-    "Beam",
     "DecoderConfig",
     "DecodeStats",
     "get_best_beams",
@@ -231,7 +231,8 @@ class Prefix:
     label, and the text metadata that this prefix determines.
 
     The root has no parent and no label. ``children`` maps a label to a
-    weak reference to the child node with it, if one was made.
+    weak reference to the child node with it, if one was made. A beam
+    also holds the masses and figures that ``set_masses`` sets.
     """
 
     __slots__ = (
@@ -244,6 +245,10 @@ class Prefix:
         "word_state",
         "scorer_state",
         "children",
+        "p_blank",
+        "p_nonblank",
+        "total",
+        "score",
         "__weakref__",
     )
 
@@ -282,21 +287,14 @@ class Prefix:
             b = b.parent
         return (a.col, a.color) < (b.col, b.color)
 
-
-class Beam:
-    """A prefix node, the acoustic masses of the paths ending in it, and
-    the figures it is ranked by, set once here: ``total`` is
-    ``logaddexp10(p_blank, p_nonblank)`` and ``score`` adds the node's
-    text score. ``decode`` builds a beam only once its masses are final."""
-
-    __slots__ = ("prefix", "p_blank", "p_nonblank", "total", "score")
-
-    def __init__(self, prefix: Prefix, p_blank: float, p_nonblank: float):
-        self.prefix = prefix
+    def set_masses(self, p_blank: float, p_nonblank: float) -> None:
+        """Make this node a beam with these final masses: ``total`` is
+        ``logaddexp10(p_blank, p_nonblank)`` and ``score`` adds the
+        node's text score."""
         self.p_blank = p_blank
         self.p_nonblank = p_nonblank
         self.total = total = logaddexp10(p_blank, p_nonblank)
-        self.score = total + prefix.p_text
+        self.score = total + self.p_text
 
 
 @dataclass(frozen=True)
@@ -343,7 +341,7 @@ class DecodeStats:
     spawned: list[int] = field(default_factory=list)
 
 
-def get_best_beams(beams: Sequence[Beam], limit: int) -> list[Beam]:
+def get_best_beams(beams: Sequence[Prefix], limit: int) -> list[Prefix]:
     """The ``limit`` best beams by their stored score, in no promised
     order. Among beams tied at the ``limit``-th best score, shorter and
     then lexicographically smaller prefixes are kept, so the selected
@@ -354,7 +352,7 @@ def get_best_beams(beams: Sequence[Beam], limit: int) -> list[Beam]:
     best = [b for b in beams if b.score > cutoff]
     tied = [b for b in beams if b.score == cutoff]
     if len(best) + len(tied) > limit:
-        tied.sort(key=lambda b: (b.prefix.depth, b.prefix))
+        tied.sort(key=lambda b: (b.depth, b))
         del tied[limit - len(best):]
     return best + tied
 
@@ -452,13 +450,14 @@ def decode(
         return scored
 
     root = Prefix(None, None, None, 0.0, (), WORD_START, scorer.initial_state())
-    beams: list[Beam] = [Beam(root, 0.0, NEG_INF)]
+    root.set_masses(0.0, NEG_INF)
+    beams = [root]
 
     ranked_columns = None  # per frame; made at the first wide beam
     for t, row in enumerate(logits.log10_rows()):
         best = get_best_beams(beams, beam_width)
 
-        # node -> [p_blank, p_nonblank]; each live prefix has one node
+        # node -> next [p_blank, p_nonblank]; each live prefix has one node
         next_map: dict[Prefix, list[float]] = {}
         # children with no live node, scored but not yet built:
         # (score, mass, parent, extension, label, p_text, word, scorer state)
@@ -471,16 +470,15 @@ def decode(
         bounds: list[float] | None = None
         floor = NEG_INF
 
-        for b in best:
-            node = b.prefix
+        for node in best:
             last = node.col
-            p_blank = b.p_blank
-            total = b.total
+            p_blank = node.p_blank
+            total = node.total
 
             # stay: emit blank, or repeat the last character within one
             # CTC segment
             stay_blank = total + row[blank]
-            stay_nonblank = b.p_nonblank + row[last] if node.depth else NEG_INF
+            stay_nonblank = node.p_nonblank + row[last] if node.depth else NEG_INF
             kept = next_map.get(node)
             if kept is None:
                 next_map[node] = [stay_blank, stay_nonblank]
@@ -511,11 +509,11 @@ def decode(
                     bounds = []
                     for o in best:
                         stay = o.total + row[blank]
-                        if o.prefix.depth:
-                            repeat = o.p_nonblank + row[o.prefix.col]
+                        if o.depth:
+                            repeat = o.p_nonblank + row[o.col]
                             if repeat > stay:
                                 stay = repeat
-                        bounds.append(stay + o.prefix.p_text)
+                        bounds.append(stay + o.p_text)
                     heapq.heapify(bounds)
                     if len(bounds) == beam_width:
                         floor = bounds[0]
@@ -614,8 +612,10 @@ def decode(
         if stats is not None:
             stats.expanded.append(len(best))
             stats.spawned.append(spawned)
-        # the masses are final: each beam is scored once, as it is built
-        beams = [Beam(node, p_b, p_nb) for node, (p_b, p_nb) in next_map.items()]
+        # the masses are final: each beam is scored once, as they are set
+        for node, (p_b, p_nb) in next_map.items():
+            node.set_masses(p_b, p_nb)
+        beams = list(next_map)
         if len(beams) + len(fresh) > beam_width:
             # The beam_width-th best score: a candidate strictly below it
             # can never be ranked in, and one tied with it is kept.
@@ -636,18 +636,18 @@ def decode(
             )
             node.children[label] = weakref.ref(child)
             # its total is its one mass, so it scores as it was ranked
-            beams.append(Beam(child, NEG_INF, mass))
+            child.set_masses(NEG_INF, mass)
+            beams.append(child)
 
     # (rank key, final score, words) per finished beam
     candidates: list[tuple[tuple, float, tuple[tuple[str, int], ...]]] = []
-    for b in get_best_beams(beams, beam_width):
-        node = b.prefix
+    for node in get_best_beams(beams, beam_width):
         state = node.word_state
         pending = finish_word(
             alphabet, tries, state, _pending_columns(node), allow_off
         )
         words = node.words
-        fscore = b.score
+        fscore = node.score
         if pending is not None:
             word, color = pending
             delta, _ = score_word(node.scorer_state, word, color)

@@ -404,7 +404,6 @@ def run_method_comparison(
     num_validation: int = 40,
     jargon_rate: float = 0.3,
     noise_level: float = 0.25,
-    frames_per_char: int = 1,
     grid: GridSpec | None = None,
     beam_width: int = 16,
     jobs: int = 1,
@@ -425,7 +424,7 @@ def run_method_comparison(
             num_sentences=num_validation,
             jargon_insertion_rate=jargon_rate,
             noise_level=noise_level,
-            frames_per_char=frames_per_char,
+            frames_per_char=1,
             rng_seed=language_seed + 1_000_000,
             language_seed=language_seed,
         )
@@ -433,7 +432,7 @@ def run_method_comparison(
             num_sentences=num_test,
             jargon_insertion_rate=jargon_rate,
             noise_level=noise_level,
-            frames_per_char=frames_per_char,
+            frames_per_char=1,
             rng_seed=language_seed + 2_000_000,
             language_seed=language_seed,
         )

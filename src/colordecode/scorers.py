@@ -85,8 +85,7 @@ class ScorerConfig:
     only, 1 = domain only). ``unknown_word_penalty`` holds one log10
     penalty per model/color; a shorter tuple broadcasts its last value.
     ``unknown_subword_penalty`` (log10, unscaled) prices characters that
-    leave every lexicon; None forbids them. ``color_prior`` overrides the
-    uniform prior over colors in the coloring scorer.
+    leave every lexicon; None forbids them.
     """
 
     alpha: float = 1.0
@@ -94,7 +93,6 @@ class ScorerConfig:
     unknown_word_penalty: tuple[float, ...] = (-10.0, -10.0)
     unknown_subword_penalty: float | None = None
     lam: float = 0.5
-    color_prior: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
@@ -110,11 +108,6 @@ class ScorerConfig:
         sub = self.unknown_subword_penalty
         if sub is not None and not math.isfinite(sub):
             raise ValueError("the unknown-subword penalty must be finite")
-        if self.color_prior is not None:
-            if any(p < 0.0 for p in self.color_prior):
-                raise ValueError("color prior entries must be nonnegative")
-            if abs(sum(self.color_prior) - 1.0) > 1e-12:
-                raise ValueError("color prior must sum to 1")
 
     def penalty(self, color: int) -> float:
         pens = self.unknown_word_penalty
@@ -307,8 +300,9 @@ class SingleLmScorer(Scorer):
 class ColoringScorer(Scorer):
     """Score colored words against a color-merged model.
 
-    Each word contributes alpha * (log10 prior(color) + log10 P(colored
-    word | colored history)) + beta. The history is colored too, so
+    Each word contributes alpha * (log10(1 / colors) + log10 P(colored
+    word | colored history)) + beta, the prior over colors being
+    uniform. The history is colored too, so
     cross-color n-grams only fire if the merged model has them (it does
     not, by construction: colors never mix inside one source model, so a
     color switch pays the backoff path down to unigrams).
@@ -320,14 +314,7 @@ class ColoringScorer(Scorer):
             raise ValueError("need at least one color")
         self.merged = merged
         self.num_colors = num_colors
-        prior = config.color_prior
-        if prior is None:
-            prior = tuple(1.0 / num_colors for _ in range(num_colors))
-        if len(prior) != num_colors:
-            raise ValueError("color prior length must match the color count")
-        self.log_prior = tuple(
-            math.log10(p) if p > 0.0 else NEG_INF for p in prior
-        )
+        self.log_prior = math.log10(1.0 / num_colors)
 
     def initial_state(self) -> LmState:
         return EMPTY_STATE
@@ -339,7 +326,7 @@ class ColoringScorer(Scorer):
         lp, nxt = self.merged.score_word(
             state, token, oov_log10=self.config.penalty(color)
         )
-        delta = self.config.alpha * (self.log_prior[color] + lp) + self.config.beta
+        delta = self.config.alpha * (self.log_prior + lp) + self.config.beta
         return delta, nxt
 
 

@@ -639,6 +639,52 @@ def test_coloring_fusion_requires_lexicons(tiny_setup, capsys):
     assert "--fusion coloring needs as many --lm files as --lexicon files" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "gridsearch"])
+def test_coloring_needs_one_model_per_lexicon_on_a_manifest(synth_dir, command, capsys):
+    """``eval`` and ``gridsearch`` refuse a coloring model count that
+    differs from the lexicon count as ``decode`` does, with exit 2, not
+    with the scorer's error after the lexicons are read."""
+    argv = [
+        command,
+        str(synth_dir / "manifest.jsonl"),
+        "--lexicon",
+        str(synth_dir / "general.txt"),
+        "--lexicon",
+        str(synth_dir / "jargon.txt"),
+        "--fusion",
+        "coloring",
+        "--lm",
+        str(synth_dir / "general.arpa"),
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --fusion coloring needs as many --lm files as --lexicon files\n"
+
+
+@pytest.mark.parametrize("command", ["decode", "eval", "gridsearch"])
+def test_a_model_without_fusion_is_a_usage_error(synth_dir, command, capsys):
+    """``--fusion none`` is the default, so a ``--lm`` given without a
+    fusion method used to be dropped silently."""
+    source = (
+        str(synth_dir / "logits" / "utt0000.ctcl")
+        if command == "decode"
+        else str(synth_dir / "manifest.jsonl")
+    )
+    argv = [
+        command,
+        source,
+        "--lexicon",
+        str(synth_dir / "general.txt"),
+        "--lm",
+        str(synth_dir / "general.arpa"),
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --fusion none takes no --lm file\n"
+
+
 def test_eval_requires_a_lexicon(synth_dir, capsys):
     rc, _, err = run_cli(["eval", str(synth_dir / "manifest.jsonl")], capsys)
     assert rc == 2
@@ -786,6 +832,15 @@ def test_decode_names_the_malformed_logits_file(tmp_path, capsys):
     assert rc == 1
     assert out == ""
     assert err == f"error: {bad}: row 0 sums to 14.0, expected 1\n"
+
+
+def test_decode_names_the_file_with_the_wrong_width(tmp_path, capsys):
+    bad = tmp_path / "five-columns.ctcl"
+    bad.write_bytes(BAD_LOGITS["five-columns.ctcl"])
+    rc, out, err = run_cli(["decode", str(bad)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {bad}: logits have 5 columns, alphabet needs 28\n"
 
 
 @pytest.mark.parametrize("bad_name", JSON_BAD_LOGITS)

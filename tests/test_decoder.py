@@ -9,7 +9,6 @@ import pytest
 
 import colordecode.decoder as decoder_module
 from colordecode.decoder import (
-    Beam,
     ColoredTranscript,
     DecodeStats,
     DecoderConfig,
@@ -108,6 +107,12 @@ def _interned(root: Prefix, labels) -> Prefix:
     return node
 
 
+def _beam(node: Prefix, p_blank: float, p_nonblank: float) -> Prefix:
+    """``node`` as a beam with these masses, the way ``decode`` sets them."""
+    node.set_masses(p_blank, p_nonblank)
+    return node
+
+
 def _labels(node: Prefix) -> tuple[tuple[int, int], ...]:
     """The (column, color) labels from the root down to ``node``."""
     out = []
@@ -121,17 +126,17 @@ def _in_rank_order(beams) -> list[tuple[tuple[int, int], ...]]:
     """The labels of ``beams`` ordered by (-score, depth, label tuple),
     the rule ``get_best_beams`` selects by, whatever order it returns."""
     ordered = sorted(
-        beams, key=lambda b: (-b.score, len(_labels(b.prefix)), _labels(b.prefix))
+        beams, key=lambda b: (-b.score, len(_labels(b)), _labels(b))
     )
-    return [_labels(b.prefix) for b in ordered]
+    return [_labels(b) for b in ordered]
 
 
 def test_get_best_beams_selects_and_limits():
     root = _root()
     beams = [
-        Beam(_interned(root, ((0, 0),)), NEG_INF, -2.0),
-        Beam(root, -1.0, NEG_INF),
-        Beam(_interned(root, ((1, 0),)), NEG_INF, -3.0),
+        _beam(_interned(root, ((0, 0),)), NEG_INF, -2.0),
+        _beam(root, -1.0, NEG_INF),
+        _beam(_interned(root, ((1, 0),)), NEG_INF, -3.0),
     ]
     best = get_best_beams(beams, 2)
     assert _in_rank_order(best) == [(), ((0, 0),)]
@@ -140,7 +145,7 @@ def test_get_best_beams_selects_and_limits():
     # the best score on the deepest prefix: selected ahead of every
     # shallower beam, so a beam built here ranks on its real score
     deep = ((1, 0), (0, 0), (1, 0))
-    beams.append(Beam(_interned(root, deep), -0.5, -0.75))
+    beams.append(_beam(_interned(root, deep), -0.5, -0.75))
     best = get_best_beams(beams, 2)
     assert _in_rank_order(best) == [deep, ()]
     assert max(b.score for b in best) == logaddexp10(-0.5, -0.75)
@@ -151,9 +156,9 @@ def test_get_best_beams_returns_every_beam_that_fits():
     and all."""
     root = _root()
     beams = [
-        Beam(_interned(root, ((1, 0), (0, 0))), -1.0, NEG_INF),
-        Beam(root, NEG_INF, NEG_INF),
-        Beam(_interned(root, ((0, 0),)), -1.0, NEG_INF),
+        _beam(_interned(root, ((1, 0), (0, 0))), -1.0, NEG_INF),
+        _beam(root, NEG_INF, NEG_INF),
+        _beam(_interned(root, ((0, 0),)), -1.0, NEG_INF),
     ]
     for limit in (3, 4, 64):
         assert get_best_beams(beams, limit) == beams
@@ -162,9 +167,9 @@ def test_get_best_beams_returns_every_beam_that_fits():
 def test_get_best_beams_breaks_ties_deterministically():
     root = _root()
     beams = [
-        Beam(_interned(root, ((1, 0),)), -1.0, NEG_INF),
-        Beam(_interned(root, ((0, 0), (1, 0))), -1.0, NEG_INF),
-        Beam(_interned(root, ((0, 0),)), -1.0, NEG_INF),
+        _beam(_interned(root, ((1, 0),)), -1.0, NEG_INF),
+        _beam(_interned(root, ((0, 0), (1, 0))), -1.0, NEG_INF),
+        _beam(_interned(root, ((0, 0),)), -1.0, NEG_INF),
     ]
     assert _in_rank_order(get_best_beams(beams, 3)) == [
         ((0, 0),),
@@ -183,9 +188,9 @@ def test_get_best_beams_keeps_ties_straddling_the_limit_by_prefix():
     tied = [((1, 0), (0, 0)), ((1, 0),), ((0, 1),), ((0, 0), (0, 0))]
     below = [(), ((0, 0),)]
     beams = (
-        [Beam(_interned(root, labels), -0.5, NEG_INF) for labels in above]
-        + [Beam(_interned(root, labels), -1.0, NEG_INF) for labels in tied]
-        + [Beam(_interned(root, labels), -2.0, NEG_INF) for labels in below]
+        [_beam(_interned(root, labels), -0.5, NEG_INF) for labels in above]
+        + [_beam(_interned(root, labels), -1.0, NEG_INF) for labels in tied]
+        + [_beam(_interned(root, labels), -2.0, NEG_INF) for labels in below]
     )
     for order in (beams, beams[::-1]):
         assert _in_rank_order(get_best_beams(order, 3)) == [
@@ -218,7 +223,7 @@ def test_get_best_beams_ranks_ties_like_materialized_prefixes():
             for _ in range(rng.randint(1, 25))
         }
         beams = [
-            Beam(_interned(root, labels), rng.choice([-1.0, -2.0]), NEG_INF)
+            _beam(_interned(root, labels), rng.choice([-1.0, -2.0]), NEG_INF)
             for labels in spellings
         ]
         rng.shuffle(beams)
@@ -483,7 +488,7 @@ def test_ranked_beams_carry_current_scores(monkeypatch):
         for b in beams:
             total = logaddexp10(b.p_blank, b.p_nonblank)
             assert b.total.hex() == total.hex()
-            assert b.score.hex() == (total + b.prefix.p_text).hex()
+            assert b.score.hex() == (total + b.p_text).hex()
         checked[0] += len(beams)
         return get_best_beams(beams, limit)
 
@@ -557,7 +562,7 @@ def test_narrow_beams_merge_every_duplicate_prefix(monkeypatch):
     mass."""
 
     def rank_distinct(beams, limit):
-        spelled = [_labels(b.prefix) for b in beams]
+        spelled = [_labels(b) for b in beams]
         assert len(set(spelled)) == len(spelled)
         return get_best_beams(beams, limit)
 
@@ -568,6 +573,90 @@ def test_narrow_beams_merge_every_duplicate_prefix(monkeypatch):
         for width in (1, 2, 3):
             config = DecoderConfig(inst.alphabet, inst.tries, inst.scorer, beam_width=width)
             decode(inst.logits, config)
+
+
+def _plain_prefix_search(rows, width):
+    """A textbook CTC prefix beam search over one color with no text
+    score: per frame, the candidates it ranks, {labels: (p_blank,
+    p_nonblank)}, including those of the initial frame. It keeps the
+    ``width`` best by (-score, depth, labels), and of the next frame's
+    candidates those scoring at least the ``width``-th best."""
+    beams = {(): (0.0, NEG_INF)}
+    frames = [beams]
+    for row in rows:
+        ranked = sorted(
+            beams.items(), key=lambda kv: (-logaddexp10(*kv[1]), len(kv[0]), kv[0])
+        )
+        nxt: dict[tuple, tuple[float, float]] = {}
+
+        def add(labels, p_blank, p_nonblank):
+            pb, pnb = nxt.get(labels, (NEG_INF, NEG_INF))
+            nxt[labels] = (logaddexp10(pb, p_blank), logaddexp10(pnb, p_nonblank))
+
+        for labels, (p_blank, p_nonblank) in ranked[:width]:
+            total = logaddexp10(p_blank, p_nonblank)
+            last = labels[-1][0] if labels else None
+            stay = p_nonblank + row[last] if labels else NEG_INF
+            add(labels, total + row[-1], stay)
+            for col in range(len(row) - 1):
+                mass = (p_blank if col == last else total) + row[col]
+                if mass != NEG_INF:
+                    add(labels + ((col, 0),), NEG_INF, mass)
+        if len(nxt) > width:
+            cutoff = sorted((logaddexp10(*m) for m in nxt.values()), reverse=True)[
+                width - 1
+            ]
+            nxt = {k: m for k, m in nxt.items() if logaddexp10(*m) >= cutoff}
+        beams = nxt
+        frames.append(beams)
+    return frames
+
+
+def _hexed(frames):
+    return [
+        {labels: (pb.hex(), pnb.hex()) for labels, (pb, pnb) in f.items()}
+        for f in frames
+    ]
+
+
+def test_narrow_beams_match_a_plain_prefix_search(monkeypatch):
+    """At beams 1-3 prefixes leave the beam and come back, through their
+    own stay or their parent's extension, while the node that spells
+    them lives on below a survivor. Unconstrained, with no text score
+    and tie-free rows, every frame's ranked candidates and their masses
+    equal, bit for bit, those of a plain prefix beam search keyed by
+    label tuples, which rebuilds each candidate's masses from nothing."""
+    frames = []
+
+    def rank(beams, limit):
+        frames.append({_labels(b): (b.p_blank, b.p_nonblank) for b in beams})
+        return get_best_beams(beams, limit)
+
+    monkeypatch.setattr(decoder_module, "get_best_beams", rank)
+    rng = random.Random(6007)
+    returns = 0  # candidates ranked before, but not in the previous frame
+    for i in range(1000):
+        k = rng.randint(2, 4)
+        chars = "abcd"[:k]
+        alphabet = ColoredAlphabet(tuple(chars), 1, chars[-1] if i % 2 else None)
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            row = [rng.random() + 1e-3 for _ in range(k + 1)]
+            rows.append([v / sum(row) for v in row])
+        logits = LogitsMatrix.from_linear(rows)
+        scorer = NullScorer(ScorerConfig(beta=0.0))
+        for width in (1, 2, 3):
+            frames.clear()
+            decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=width))
+            expected = _plain_prefix_search(logits.log10_rows(), width)
+            assert _hexed(frames) == _hexed(expected)
+            seen: set = set()
+            for before, after in zip(expected, expected[1:]):
+                seen.update(before)
+                returns += sum(
+                    labels in seen and labels not in before for labels in after
+                )
+    assert returns > 50
 
 
 def test_narrow_beam_never_beats_saturated_beam():
@@ -903,7 +992,7 @@ def _decode_recorded(monkeypatch, logits, config, every_extension=False):
 
     def rank(beams, limit):
         frames.append(
-            sorted((_labels(b.prefix), b.p_blank.hex(), b.p_nonblank.hex()) for b in beams)
+            sorted((_labels(b), b.p_blank.hex(), b.p_nonblank.hex()) for b in beams)
         )
         return get_best_beams(beams, limit)
 

@@ -55,8 +55,6 @@ def test_config_defaults_valid():
         {"unknown_subword_penalty": float("nan")},
         {"unknown_subword_penalty": float("inf")},
         {"unknown_subword_penalty": float("-inf")},
-        {"color_prior": (0.5, 0.4)},
-        {"color_prior": (-0.2, 1.2)},
     ],
 )
 def test_config_validation(kwargs):
@@ -291,15 +289,6 @@ def test_coloring_scorer_spec_fixture():
     scorer2 = ColoringScorer(ScorerConfig(), bigram, num_colors=2)
     _, state2 = scorer2.word_delta(scorer2.initial_state(), "fever", 1)
     assert state2.context == ("1:fever",)
-
-
-def test_coloring_scorer_custom_prior():
-    merged = NGramModel(max_order=1, entries={("1:fever",): (-2.0, None)})
-    scorer = ColoringScorer(
-        ScorerConfig(color_prior=(0.9, 0.1)), merged, num_colors=2
-    )
-    delta, _ = scorer.word_delta(scorer.initial_state(), "fever", 1)
-    assert delta == pytest.approx(math.log10(0.1) - 2.0, abs=1e-12)
 
 
 def test_coloring_scorer_rejects_out_of_range_color():
