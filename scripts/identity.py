@@ -3,9 +3,10 @@
 
 Decodes one fixed set of inputs with the ``colordecode`` package of this
 working tree and with the one under ``--base DIR``, each in its own
-interpreter, and hashes ``repr`` of every transcript, in order, into one
-SHA-256 per tree. Prints both digests and exits 1 if they differ.
-Both sides are decoded on every run; no output is stored.
+interpreter, and hashes ``repr`` of every transcript and grid search
+outcome, in order, into one SHA-256 per tree. Prints both digests and
+exits 1 if they differ. Both sides are decoded on every run; no output
+is stored.
 
 The decode set:
 
@@ -19,7 +20,11 @@ The decode set:
   penalty -3 at word bonus +0.5 (a completed word raises the score);
 - the same corpus decoded unconstrained (``tries=None``, where every
   grammar state offers all 27 characters) by the ``none`` and
-  ``general`` scorers at word bonuses 0 and +0.5, at beams 4, 16 and 64.
+  ``general`` scorers at word bonuses 0 and +0.5, at beams 4, 16 and 64;
+- the rows and the best point of a coloring ``run_grid_search`` with
+  off-lexicon spelling on (an 8-point grid at beam 16, on a corpus
+  synthesized from the same spec), at ``jobs`` 1 and 2, so the worker
+  pool is held to the serial pass bit for bit.
 
     python3 scripts/identity.py --base ../colordecode-parent
 """
@@ -30,6 +35,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent
@@ -43,6 +49,21 @@ CORPUS_CONFIGS = (
 CORPUS_BEAMS = (4, 16, 64)
 UNCONSTRAINED_KINDS = ("none", "general")
 UNCONSTRAINED_BETAS = (0.0, 0.5)
+GRID_JOBS = (1, 2)
+GRID_BEAM = 16
+
+
+def _corpus_spec():
+    from colordecode import corpus
+
+    return corpus.SynthesisSpec(
+        num_sentences=CORPUS_SENTENCES,
+        jargon_insertion_rate=0.3,
+        noise_level=0.25,
+        frames_per_char=1,
+        rng_seed=1,
+        language_seed=1,
+    )
 
 
 def _random_decodes():
@@ -63,14 +84,7 @@ def _corpus_decodes():
     from colordecode.decoder import decode
     from colordecode.lexicon import ColoredAlphabet
 
-    spec = corpus.SynthesisSpec(
-        num_sentences=CORPUS_SENTENCES,
-        jargon_insertion_rate=0.3,
-        noise_level=0.25,
-        frames_per_char=1,
-        rng_seed=1,
-        language_seed=1,
-    )
+    spec = _corpus_spec()
     lang = corpus.build_language(1)
     lexicons = [lang.lexicons.general, lang.lexicons.jargon]
     general, jargon = corpus.language_models(lang)
@@ -128,16 +142,39 @@ def _unconstrained_config(kind, models, config, template, width):
         return DecoderConfig(template, None, scorer, width)
 
 
+def _grid_searches():
+    """``(rows, best point)`` of one off-lexicon coloring grid search
+    per ``GRID_JOBS`` entry."""
+    from colordecode import corpus, evaluation
+
+    grid = evaluation.GridSpec(
+        alphas=(0.5, 1.0),
+        betas=(0.0, 0.5),
+        word_penalties=(-10.0,),
+        subword_penalties=(0.0, -3.0),
+    )
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        utts, lang = corpus.synthesize_corpus(_corpus_spec(), Path(tmp))
+        lexicons = [lang.lexicons.general, lang.lexicons.jargon]
+        models = list(corpus.language_models(lang))
+        for jobs in GRID_JOBS:
+            result = evaluation.run_grid_search(
+                "coloring", utts, lexicons, models, grid,
+                corpus.default_alphabet(1), beam_width=GRID_BEAM, jobs=jobs,
+            )
+            yield result.rows, result.best
+
+
 def digest() -> str:
-    """The SHA-256 over the decode set, the decode count and the path
+    """The SHA-256 over the decode set, the output count and the path
     of the package that decoded it, one line."""
     import colordecode
 
     sha = hashlib.sha256()
     count = 0
-    for source in (_random_decodes(), _corpus_decodes()):
-        for transcript in source:
-            sha.update(repr(transcript).encode())
+    for source in (_random_decodes(), _corpus_decodes(), _grid_searches()):
+        for output in source:
+            sha.update(repr(output).encode())
             sha.update(b"\n")
             count += 1
     return f"{sha.hexdigest()} {count} {Path(colordecode.__file__).parent}"
@@ -180,7 +217,7 @@ def main(argv=None) -> int:
             print(f"error: the {name} imported {package}", file=sys.stderr)
             return 2
         digests[name] = sha
-        print(f"{name:<13} {sha}  {count} decodes  {package}")
+        print(f"{name:<13} {sha}  {count} outputs  {package}")
     return 0 if len(set(digests.values())) == 1 else 1
 
 

@@ -168,7 +168,10 @@ def _alphabet_from_args(args) -> ColoredAlphabet:
         sep = " " if " " in chars else None
     elif sep == "":
         sep = None
-    return ColoredAlphabet(chars, 1, sep)
+    try:
+        return ColoredAlphabet(chars, 1, sep)
+    except ValueError as exc:
+        raise UsageError(f"--alphabet/--separator: {exc}") from None
 
 
 def _scorer_config_from_args(args) -> ScorerConfig:
@@ -320,16 +323,20 @@ def cmd_merge_lm(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthesisSpec(
-        num_sentences=args.sentences,
-        jargon_insertion_rate=args.rate,
-        noise_level=args.noise,
-        frames_per_char=args.frames_per_char,
-        rng_seed=args.seed,
-        min_words=args.min_words,
-        max_words=args.max_words,
-        language_seed=args.language_seed,
-    )
+    try:
+        spec = SynthesisSpec(
+            num_sentences=args.sentences,
+            jargon_insertion_rate=args.rate,
+            noise_level=args.noise,
+            frames_per_char=args.frames_per_char,
+            rng_seed=args.seed,
+            min_words=args.min_words,
+            max_words=args.max_words,
+            language_seed=args.language_seed,
+        )
+    except ValueError as exc:
+        # every field is a flag value, so a refused one is a usage error
+        raise UsageError(str(exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     utterances, lang = synthesize_corpus(spec, out, default_alphabet(2))
@@ -427,15 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--sentences", type=int, default=100)
+    p.add_argument("--sentences", type=_positive_int, default=100)
     p.add_argument("--rate", type=float, default=0.3,
                    help="jargon insertion rate (default 0.3)")
     p.add_argument("--noise", type=float, default=0.25)
-    p.add_argument("--frames-per-char", type=int, default=1)
+    p.add_argument("--frames-per-char", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--language-seed", type=int, default=None)
-    p.add_argument("--min-words", type=int, default=3)
-    p.add_argument("--max-words", type=int, default=7)
+    p.add_argument("--min-words", type=_positive_int, default=3)
+    p.add_argument("--max-words", type=_positive_int, default=7)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="cross-check decoder against the oracle")

@@ -18,7 +18,9 @@ whose score reaches the beam-width-th best score of the frame are
 ranked, and only those children become nodes; the rest could never be
 ranked into the next beam. Word deltas are memoized per utterance by
 (scorer state, word, color), so a word that completes the same history
-again is not rescored.
+again is not rescored. A word that left every trie, or an unconstrained
+one, is spelled only when it completes or the utterance ends; the
+spelling is then kept on its node, built from its parent's.
 
 A grammar state is wide when its extensions cover at least half of the
 alphabet's non-blank columns, as every in-word state does with
@@ -86,7 +88,6 @@ from .lexicon import (
     LexiconTrie,
     WORD_START,
     WordState,
-    _spell,
     finish_word,
     word_successors,
 )
@@ -233,6 +234,8 @@ class Prefix:
     The root has no parent and no label. ``children`` maps a label to a
     weak reference to the child node with it, if one was made. A beam
     also holds the masses and figures that ``set_masses`` sets.
+    ``spelling`` is None until ``_spelling`` first reads the pending
+    word of this in-word node.
     """
 
     __slots__ = (
@@ -245,6 +248,7 @@ class Prefix:
         "word_state",
         "scorer_state",
         "children",
+        "spelling",
         "p_blank",
         "p_nonblank",
         "total",
@@ -271,6 +275,7 @@ class Prefix:
         self.word_state = word_state
         self.scorer_state = scorer_state
         self.children: dict[tuple[int, int], weakref.ref[Prefix]] = {}
+        self.spelling: str | None = None
 
     def __lt__(self, other: "Prefix") -> bool:
         """Lexicographic order of the label sequences, a proper prefix
@@ -399,15 +404,22 @@ def _raise_floor(bounds: list[float], score: float, width: int) -> float:
     return bounds[0]
 
 
-def _pending_columns(node: Prefix) -> list[int]:
-    """Columns of the word ``node`` is spelling, read off its ancestors
-    back to the last word boundary; empty at a boundary."""
-    cols: list[int] = []
+def _spelling(node: Prefix, chars: Sequence[str]) -> str:
+    """The word ``node`` is spelling, back to the last word boundary;
+    empty at a boundary. Memoized on every in-word node it passes, each
+    from its parent's, so a later read walks only the new characters."""
+    path = []
+    spelling = ""
     while node.word_state.in_word:
-        cols.append(node.col)
+        if node.spelling is not None:
+            spelling = node.spelling
+            break
+        path.append(node)
         node = node.parent
-    cols.reverse()
-    return cols
+    for n in reversed(path):
+        spelling += chars[n.col]
+        n.spelling = spelling
+    return spelling
 
 
 def decode(
@@ -434,6 +446,7 @@ def decode(
     subword_penalty = scorer.config.unknown_subword_penalty
     allow_off = subword_penalty is not None
     blank = alphabet.blank_index
+    chars = alphabet.base_chars
 
     successors = config._successors
     beam_width = config.beam_width
@@ -560,7 +573,7 @@ def decode(
                 scorer_state = node.scorer_state
                 text = off_text if off_trie else p_text
                 if completes:
-                    word = ext.word or _spell(alphabet, _pending_columns(node))
+                    word = ext.word or node.spelling or _spelling(node, chars)
                     delta, scorer_state = score_word(scorer_state, word, ext.color)
                     text = p_text + delta
                 score = mass + text
@@ -643,9 +656,7 @@ def decode(
     candidates: list[tuple[tuple, float, tuple[tuple[str, int], ...]]] = []
     for node in get_best_beams(beams, beam_width):
         state = node.word_state
-        pending = finish_word(
-            alphabet, tries, state, _pending_columns(node), allow_off
-        )
+        pending = finish_word(tries, state, _spelling(node, chars), allow_off)
         words = node.words
         fscore = node.score
         if pending is not None:

@@ -4,19 +4,21 @@ A method is a fusion kind plus hyperparameters. ``build_runtime`` turns
 that into everything the decoder needs: the coloring method gets one
 trie per lexicon and a color-merged model, every baseline gets a single
 union lexicon and its fusion scorer over uncolored histories. Corpora
-decode utterance-by-utterance, optionally across worker processes, and
-grid search picks hyperparameters by validation WER (CER breaks ties,
-then grid order, so results are deterministic).
+decode utterance-by-utterance; an evaluation of several methods, or a
+grid search over many points, decodes every (method or point,
+utterance) pair in one stream, in process or through one pool of worker
+processes. Grid search picks hyperparameters by validation WER (CER
+breaks ties, then grid order, so results are deterministic).
 """
 
 from __future__ import annotations
 
 import random
 import tempfile
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
 
 from .corpus import (
     EmptyLexicon,
@@ -207,13 +209,39 @@ def build_runtime(
     return MethodRuntime(ab, tries, scorer, beam_width)
 
 
-# one config per worker, so its successor table lives across utterances
-_WORKER_CONFIG: DecoderConfig | None = None
+class _RunDecoder:
+    """Decodes ``(run index, logits path)`` tasks, holding the decoder
+    config of the latest run only: its successor table lives across that
+    run's utterances, and no two runs' tries and scorers are alive at
+    once."""
+
+    def __init__(self, runtimes: Sequence[MethodRuntime]):
+        self.runtimes = runtimes
+        self.run = -1
+        self.config: DecoderConfig | None = None
+
+    def __call__(self, task: tuple[int, str]) -> ColoredTranscript:
+        run, path = task
+        if run != self.run:
+            # drop the previous run's config before building the next
+            self.config = None
+            self.config = self.runtimes[run].decoder_config()
+            self.run = run
+        return _decode_file(path, self.config)
 
 
-def _init_worker(runtime: MethodRuntime) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = runtime.decoder_config()
+# one per worker process, set by the pool's initializer
+_WORKER: _RunDecoder | None = None
+
+
+def _init_worker(runtimes: Sequence[MethodRuntime]) -> None:
+    global _WORKER
+    _WORKER = _RunDecoder(runtimes)
+
+
+def _decode_task(task: tuple[int, str]) -> ColoredTranscript:
+    assert _WORKER is not None
+    return _WORKER(task)
 
 
 def _decode_file(path: str, cfg: DecoderConfig) -> ColoredTranscript:
@@ -224,31 +252,40 @@ def _decode_file(path: str, cfg: DecoderConfig) -> ColoredTranscript:
         raise ShapeMismatch(f"{path}: {exc}") from None
 
 
-def _decode_path(path: str) -> ColoredTranscript:
-    assert _WORKER_CONFIG is not None
-    return _decode_file(path, _WORKER_CONFIG)
-
-
 def decode_utterances(
     utterances: Sequence[Utterance],
-    runtime: MethodRuntime,
+    runtimes: Sequence[MethodRuntime],
     jobs: int = 1,
-) -> list[ColoredTranscript]:
-    """Decode a corpus in manifest order, fanning out over processes
-    when ``jobs`` exceeds one. The first unreadable or malformed logits
-    file aborts the run with an error naming it."""
+) -> list[list[ColoredTranscript]]:
+    """Decode a corpus once per runtime; returns one transcript list per
+    runtime, in manifest order.
+
+    Every (runtime, utterance) pair is one task, runtime by runtime and
+    in manifest order within each. With ``jobs`` above one, the tasks
+    stream through one pool of worker processes, so no runtime waits
+    for the slowest utterance of the one before it. ``runtimes`` is
+    shipped to each worker once, and a worker builds a runtime's decoder
+    config at its first task for it, keeping only the latest; a
+    sequence that builds its items when they are read (as a grid search
+    passes) keeps one runtime per process alive at a time. The first
+    unreadable or malformed logits file aborts the run with an error
+    naming it.
+    """
     paths = [str(u.logits_path) for u in utterances]
-    if jobs > 1 and len(paths) > 1:
-        workers = min(jobs, len(paths))
+    tasks = [(run, path) for run in range(len(runtimes)) for path in paths]
+    if jobs > 1 and len(tasks) > 1:
+        workers = min(jobs, len(tasks))
         chunk = max(1, len(paths) // (workers * 4))
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(runtime,),
+            initargs=(runtimes,),
         ) as pool:
-            return list(pool.map(_decode_path, paths, chunksize=chunk))
-    cfg = runtime.decoder_config()
-    return [_decode_file(p, cfg) for p in paths]
+            transcripts = list(pool.map(_decode_task, tasks, chunksize=chunk))
+    else:
+        transcripts = list(map(_RunDecoder(runtimes), tasks))
+    n = len(paths)
+    return [transcripts[run * n:(run + 1) * n] for run in range(len(runtimes))]
 
 
 def _references(
@@ -285,11 +322,12 @@ def evaluate(
     jobs: int = 1,
     configs: Sequence[dict | None] | None = None,
 ) -> EvalReport:
-    """Decode the corpus once per method and tabulate error rates."""
+    """Decode the corpus once per method, every method's decodes through
+    one ``decode_utterances`` call, and tabulate error rates."""
     refs, masks = _references(utterances)
+    runs = decode_utterances(utterances, [rt for _, rt in methods], jobs)
     results = []
-    for i, (name, runtime) in enumerate(methods):
-        transcripts = decode_utterances(utterances, runtime, jobs)
+    for i, ((name, _), transcripts) in enumerate(zip(methods, runs)):
         w, c, jw = _rates(refs, masks, transcripts)
         results.append(
             MethodResult(
@@ -314,6 +352,38 @@ class GridSearchResult:
     rows: list[tuple[GridPoint, float, float, float | None]]
 
 
+@dataclass(frozen=True)
+class _GridRuntimes(Sequence):
+    """The runtimes of a grid search's points, each built by
+    ``build_runtime`` when it is read. It pickles as the shared inputs
+    plus the points, and holds no runtime itself, so a 500-point grid
+    costs one runtime per process, not 500."""
+
+    kind: str
+    lexicons: Sequence[Sequence[str]]
+    models: Sequence[NGramModel]
+    points: Sequence[GridPoint]
+    alphabet: ColoredAlphabet
+    beam_width: int
+    # bin count -> fitted table, for the bin method
+    tables: dict[int | None, BinTable]
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, index: int) -> MethodRuntime:
+        point = self.points[index]
+        return build_runtime(
+            self.kind,
+            self.lexicons,
+            self.models,
+            point.config,
+            self.alphabet,
+            self.beam_width,
+            self.tables.get(point.num_bins),
+        )
+
+
 def run_grid_search(
     kind: str,
     utterances: Sequence[Utterance],
@@ -327,35 +397,38 @@ def run_grid_search(
 ) -> GridSearchResult:
     """Try every grid point on a validation corpus and keep the best.
 
-    Ranking is (WER, CER, enumeration order). The bin method fits one
-    table per bin count from ``calibration``. A grid with no points is
-    refused.
+    Every point's decodes go through one ``decode_utterances`` call, so
+    with ``jobs`` above one they share one worker pool; each point's
+    runtime is built where it is decoded, one at a time. Ranking is
+    (WER, CER, enumeration order). The bin method fits one table per
+    bin count from ``calibration``. A grid with no points is refused.
     """
-    # every point's config is validated, and every reference found,
-    # before the first decode
+    # every point's config is validated, every reference found, every
+    # bin table fitted and one runtime built before the first decode
     points = list(grid.points(kind))
     if not points:
         raise ValueError(f"the {kind} grid has no points")
     refs, masks = _references(utterances)
-    tables: dict[int, BinTable] = {}
+    tables: dict[int | None, BinTable] = {}
+    if kind == "bins":
+        if calibration is None:
+            raise MissingBinTable("bin grid search needs calibration pairs")
+        for point in points:
+            if point.num_bins not in tables:
+                tables[point.num_bins] = fit_bin_table(calibration, point.num_bins)
+    runtimes = _GridRuntimes(
+        kind, lexicons, models, points, alphabet, beam_width, tables
+    )
+    # point 0's runtime, built and dropped here, refuses an empty
+    # lexicon or a missing model as every point's would
+    runtimes[0]
+
     best: tuple[float, float, int] | None = None
     best_point: GridPoint | None = None
     best_jw: float | None = None
     rows: list[tuple[GridPoint, float, float, float | None]] = []
-    for index, point in enumerate(points):
-        bin_table = None
-        if kind == "bins":
-            if calibration is None:
-                raise MissingBinTable("bin grid search needs calibration pairs")
-            nb = point.num_bins
-            assert nb is not None
-            if nb not in tables:
-                tables[nb] = fit_bin_table(calibration, nb)
-            bin_table = tables[nb]
-        runtime = build_runtime(
-            kind, lexicons, models, point.config, alphabet, beam_width, bin_table
-        )
-        transcripts = decode_utterances(utterances, runtime, jobs)
+    runs = decode_utterances(utterances, runtimes, jobs)
+    for index, (point, transcripts) in enumerate(zip(points, runs)):
         w, c, jw = _rates(refs, masks, transcripts)
         rows.append((point, w, c, jw))
         key = (w, c, index)

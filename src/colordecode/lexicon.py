@@ -153,7 +153,7 @@ class WordState(NamedTuple):
     The state does not hold the spelling itself, so there are at most
     ``colors * (trie nodes + 2) + 1`` states and a decoder can build each
     one's successor list once. Whoever walks the grammar keeps the
-    columns of the pending word; a trie node's ``word`` equals the
+    characters of the pending word; a trie node's ``word`` equals the
     spelling of its path, so only a word that left every trie (or an
     unconstrained one) needs them.
     """
@@ -172,7 +172,7 @@ class Extension(NamedTuple):
     ``completes`` is True when this character (always the separator)
     ends the pending word. ``word`` is that word when the trie names it;
     it is None for a word spelled off-lexicon or unconstrained, which the
-    caller spells from its own record of the pending columns.
+    caller spells from its own record of the pending characters.
     """
 
     col: int
@@ -180,10 +180,6 @@ class Extension(NamedTuple):
     state: WordState
     completes: bool = False
     word: str | None = None
-
-
-def _spell(alphabet: ColoredAlphabet, cols: Sequence[int]) -> str:
-    return "".join(alphabet.base_chars[c] for c in cols)
 
 
 def word_successors(
@@ -262,15 +258,14 @@ def word_successors(
 
 
 def finish_word(
-    alphabet: ColoredAlphabet,
     tries: Sequence[LexiconTrie] | None,
     state: WordState,
-    spelled: Sequence[int],
+    spelled: str,
     allow_off_lexicon: bool = False,
 ) -> tuple[str, int] | None:
     """Resolve a partial word at the end of the utterance.
 
-    ``spelled`` holds the columns of the pending word. Returns (word,
+    ``spelled`` is the pending word's characters. Returns (word,
     color) when the partial spells something reportable: a word-final
     trie node, an unconstrained-mode string, or (with
     ``allow_off_lexicon``) any leftover spelling. Returns None when there
@@ -279,11 +274,11 @@ def finish_word(
     if not state.in_word:
         return None
     if tries is None:
-        return _spell(alphabet, spelled), 0
+        return spelled, 0
     color = state.color
     assert color is not None
     if state.node is not None and state.node.word is not None:
         return state.node.word, color
     if allow_off_lexicon:
-        return _spell(alphabet, spelled), color
+        return spelled, color
     return None

@@ -20,7 +20,6 @@ from .lexicon import (
     ColoredAlphabet,
     LexiconTrie,
     WORD_START,
-    _spell,
     build_trie,
     finish_word,
     word_successors,
@@ -140,7 +139,7 @@ def exhaustive_decode(
 
     def consider(chars, spelled, words, p_text, word_state, scorer_state) -> None:
         nonlocal best_key, best_words, best_score
-        pending = finish_word(alphabet, tries, word_state, spelled, allow_off)
+        pending = finish_word(tries, word_state, spelled, allow_off)
         if pending is None and word_state.in_word:
             all_scores[chars] = NEG_INF
             return
@@ -161,7 +160,7 @@ def exhaustive_decode(
             best_score = fscore
 
     def walk(chars, spelled, words, p_text, word_state, scorer_state) -> None:
-        # ``spelled``: the columns of the pending word, the tail of ``chars``
+        # ``spelled``: the pending word, spelled by the tail of ``chars``
         nonlocal visited
         visited += 1
         if visited > guard:
@@ -174,7 +173,7 @@ def exhaustive_decode(
             new_text = p_text
             new_state = scorer_state
             if ext.completes:
-                word = ext.word if ext.word is not None else _spell(alphabet, spelled)
+                word = ext.word if ext.word is not None else spelled
                 delta, new_state = scorer.word_delta(scorer_state, word, ext.color)
                 new_text += delta
                 new_words = words + ((word, ext.color),)
@@ -182,14 +181,14 @@ def exhaustive_decode(
                 new_text += subword_penalty
             walk(
                 chars + ((ext.col, ext.color),),
-                spelled + (ext.col,) if ext.state.in_word else (),
+                spelled + alphabet.base_chars[ext.col] if ext.state.in_word else "",
                 new_words,
                 new_text,
                 ext.state,
                 new_state,
             )
 
-    walk((), (), (), 0.0, WORD_START, scorer.initial_state())
+    walk((), "", (), 0.0, WORD_START, scorer.initial_state())
 
     if best_key is None:
         return OracleResult(ColoredTranscript((), NEG_INF), all_scores)

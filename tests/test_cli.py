@@ -572,6 +572,45 @@ def test_decode_requires_logits_positional():
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sentences", "0"], "--sentences: must be at least 1, got 0"),
+        (["--frames-per-char", "0"], "--frames-per-char: must be at least 1, got 0"),
+        (["--min-words", "5", "--max-words", "2"], "min_words <= max_words"),
+        (["--noise", "1.5"], "noise level must lie in [0, 1)"),
+    ],
+)
+def test_synth_refuses_values_it_cannot_use(tmp_path, flags, message, capsys):
+    """Each used to reach the library and exit 1, the data-error code."""
+    out_dir = tmp_path / "corpus"
+    try:
+        rc = cli.main(["synth", "--out", str(out_dir), *flags])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--alphabet", ""], "at least one character"),
+        (["--alphabet", "aa"], "repeated characters"),
+        (["--alphabet", "a", "--separator", "b"], "separator must be in the alphabet"),
+    ],
+)
+def test_decode_refuses_an_alphabet_it_cannot_build(tmp_path, flags, message, capsys):
+    logits = write_json_logits(tmp_path / "a.json", [[1.0, 0.0]])
+    rc, out, err = run_cli(["decode", logits, *flags], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --alphabet/--separator:") and message in err
+
+
+@pytest.mark.parametrize(
     "flag",
     [
         ["--unk-subword-penalty=nan"],
@@ -792,11 +831,8 @@ BAD_LOGITS = {
 JSON_BAD_LOGITS = sorted(name for name in BAD_LOGITS if name.endswith(".json"))
 
 
-@pytest.mark.parametrize("bad_name", sorted(BAD_LOGITS))
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_eval_names_the_malformed_logits_file(
-    synth_dir, tmp_path, capsys, jobs, bad_name
-):
+def _manifest_with_bad_logits(synth_dir, tmp_path, bad_name):
+    """A two-row manifest: a good logits file, then ``bad_name``."""
     good = shutil.copy(synth_dir / "logits" / "utt0000.ctcl", tmp_path / "good.ctcl")
     bad = tmp_path / bad_name
     bad.write_bytes(BAD_LOGITS[bad_name])
@@ -808,11 +844,47 @@ def test_eval_names_the_malformed_logits_file(
         ),
         encoding="utf-8",
     )
+    return manifest
+
+
+@pytest.mark.parametrize("bad_name", sorted(BAD_LOGITS))
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_names_the_malformed_logits_file(
+    synth_dir, tmp_path, capsys, jobs, bad_name
+):
+    manifest = _manifest_with_bad_logits(synth_dir, tmp_path, bad_name)
     argv = [
         "eval",
         str(manifest),
         "--lexicon",
         str(synth_dir / "general.txt"),
+        "--beam-width",
+        "4",
+        "--jobs",
+        jobs,
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and bad_name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_name", sorted(BAD_LOGITS))
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_gridsearch_names_the_malformed_logits_file(
+    synth_dir, tmp_path, capsys, jobs, bad_name
+):
+    """Every grid point decodes through one stream; the first bad file
+    still aborts the search and is named."""
+    manifest = _manifest_with_bad_logits(synth_dir, tmp_path, bad_name)
+    argv = [
+        "gridsearch",
+        str(manifest),
+        "--lexicon",
+        str(synth_dir / "general.txt"),
+        "--betas",
+        "0.0,0.5,1.0",
         "--beam-width",
         "4",
         "--jobs",

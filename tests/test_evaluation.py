@@ -1,4 +1,5 @@
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from colordecode.ngram_lm import NGramModel
 from colordecode.scorers import (
     ColoringScorer,
     MissingBinTable,
+    MissingModel,
     ScorerConfig,
     SingleLmScorer,
 )
@@ -195,8 +197,8 @@ def test_decode_utterances_parallel_matches_serial(small_corpus):
         default_alphabet(2),
         beam_width=8,
     )
-    serial = decode_utterances(utts, rt, jobs=1)
-    parallel = decode_utterances(utts, rt, jobs=4)
+    serial = decode_utterances(utts, [rt], jobs=1)
+    parallel = decode_utterances(utts, [rt], jobs=4)
     assert serial == parallel
 
 
@@ -221,6 +223,95 @@ def test_evaluate_builds_report(small_corpus):
     assert 0.0 <= report.results[0].wer
 
 
+def _coloring_inputs(lang):
+    from colordecode.corpus import language_models
+
+    return [lang.lexicons.general, lang.lexicons.jargon], list(language_models(lang))
+
+
+def test_decode_utterances_streams_several_runtimes(small_corpus):
+    """One call decodes every runtime, in the order given, and each
+    run's transcripts equal that runtime decoded alone."""
+    utts, lang = small_corpus
+    lexicons, models = _coloring_inputs(lang)
+    runtimes = [
+        build_runtime("coloring", lexicons, models, ScorerConfig(alpha=a),
+                      default_alphabet(2), beam_width=4)
+        for a in (0.5, 1.0, 1.5)
+    ]
+    alone = [decode_utterances(utts, [rt])[0] for rt in runtimes]
+    assert decode_utterances(utts, runtimes, jobs=1) == alone
+    assert decode_utterances(utts, runtimes, jobs=2) == alone
+    assert decode_utterances(utts, [], jobs=2) == []
+
+
+def test_offlex_coloring_grid_rows_are_identical_at_every_jobs(small_corpus):
+    utts, lang = small_corpus
+    lexicons, models = _coloring_inputs(lang)
+    grid = GridSpec(
+        alphas=(0.5, 1.0), betas=(0.0,), word_penalties=(-10.0,),
+        subword_penalties=(0.0, -3.0),
+    )
+    assert _size(grid, "coloring") == 4
+    results = [
+        run_grid_search("coloring", utts, lexicons, models, grid,
+                        default_alphabet(2), beam_width=8, jobs=jobs)
+        for jobs in (1, 2, 3)
+    ]
+    first = results[0]
+    for other in results[1:]:
+        assert repr(other.rows) == repr(first.rows)
+        assert (other.best, other.wer, other.cer, other.jargon_wer) == (
+            first.best, first.wer, first.cer, first.jargon_wer
+        )
+
+
+def test_grid_search_holds_one_point_runtime_at_a_time(small_corpus, monkeypatch):
+    """On the default 500-point coloring grid the serial path builds each
+    point's runtime where it decodes it, and frees it before the next
+    point's: no two points' scorers are ever alive at once."""
+    utts, lang = small_corpus
+    lexicons, models = _coloring_inputs(lang)
+    real_build = evaluation.build_runtime
+    scorers = []
+
+    def build(*args, **kwargs):
+        alive = [ref for ref in scorers if ref() is not None]
+        assert not alive, f"{len(alive)} runtimes alive at build {len(scorers)}"
+        runtime = real_build(*args, **kwargs)
+        scorers.append(weakref.ref(runtime.scorer))
+        return runtime
+
+    monkeypatch.setattr(evaluation, "build_runtime", build)
+    grid = GridSpec()
+    result = run_grid_search("coloring", utts[:1], lexicons, models, grid,
+                             default_alphabet(2), beam_width=2)
+    points = _size(grid, "coloring")
+    assert len(result.rows) == points == 500
+    # point 0 once more in the parent, where the refusals happen
+    assert len(scorers) == points + 1
+
+
+@pytest.mark.parametrize(
+    "lexicons, models, error",
+    [([["ab"], []], "two", EmptyLexicon), ([["ab"], ["zz"]], "one", MissingModel)],
+)
+def test_grid_search_refuses_before_any_decode(lexicons, models, error, monkeypatch):
+    monkeypatch.setattr(
+        evaluation, "decode_utterances", lambda *a, **k: pytest.fail("decoded")
+    )
+    general, jargon = _tiny_models()
+    with pytest.raises(error):
+        run_grid_search(
+            "coloring",
+            [_fake_utterance()],
+            lexicons,
+            [general, jargon] if models == "two" else [general],
+            GridSpec(alphas=(1.0,), betas=(0.0, 0.5)),
+            default_alphabet(1),
+        )
+
+
 # ---------------------------------------------------------------------------
 # Grid search selection rule
 # ---------------------------------------------------------------------------
@@ -234,10 +325,12 @@ def test_grid_search_prefers_lower_cer_on_wer_tie(monkeypatch):
     """Both grid points get WER 50; the second has smaller CER and must
     win even though it enumerates later."""
 
-    def fake_decode(utterances, runtime, jobs=1):
-        beta = runtime.scorer.config.beta
-        word = "xx" if beta == 0.0 else "cx"
-        return [ColoredTranscript((("ab", 0), (word, 0)), 0.0)]
+    def fake_decode(utterances, runtimes, jobs=1):
+        out = []
+        for runtime in runtimes:
+            word = "xx" if runtime.scorer.config.beta == 0.0 else "cx"
+            out.append([ColoredTranscript((("ab", 0), (word, 0)), 0.0)])
+        return out
 
     monkeypatch.setattr(evaluation, "decode_utterances", fake_decode)
     grid = GridSpec(alphas=(1.0,), betas=(0.0, 0.5))
@@ -256,8 +349,8 @@ def test_grid_search_prefers_lower_cer_on_wer_tie(monkeypatch):
 
 
 def test_grid_search_breaks_full_ties_by_enumeration_order(monkeypatch):
-    def fake_decode(utterances, runtime, jobs=1):
-        return [ColoredTranscript((("ab", 0), ("cd", 0)), 0.0)]
+    def fake_decode(utterances, runtimes, jobs=1):
+        return [[ColoredTranscript((("ab", 0), ("cd", 0)), 0.0)] for _ in runtimes]
 
     monkeypatch.setattr(evaluation, "decode_utterances", fake_decode)
     grid = GridSpec(alphas=(1.0,), betas=(0.0, 0.5))
@@ -274,8 +367,8 @@ def test_grid_search_breaks_full_ties_by_enumeration_order(monkeypatch):
 
 
 def test_grid_search_bins_requires_calibration(monkeypatch):
-    def fake_decode(utterances, runtime, jobs=1):
-        return [ColoredTranscript((), 0.0)]
+    def fake_decode(utterances, runtimes, jobs=1):
+        return [[ColoredTranscript((), 0.0)] for _ in runtimes]
 
     monkeypatch.setattr(evaluation, "decode_utterances", fake_decode)
     general, jargon = _tiny_models()

@@ -266,11 +266,11 @@ def test_finish_word_variants():
     tries = [build_trie(ab, 0, ["ab"]), build_trie(ab, 1, ["b"])]
     node_a = tries[0].root.children[0]
     node_ab = node_a.children[1]
-    assert finish_word(ab, tries, WordState(0, node_ab, True), (0, 1)) == ("ab", 0)
-    assert finish_word(ab, tries, WordState(0, node_a, True), (0,)) is None
-    assert finish_word(ab, tries, WordState(0, node_a, True), (0,), True) == ("a", 0)
-    assert finish_word(ab, tries, WordState(0, None, True), (1, 1), True) == ("bb", 0)
-    assert finish_word(ab, tries, WordState(1, None, False), ()) is None
-    assert finish_word(ab, None, WordState(0, None, True), (0, 1)) == ("ab", 0)
-    assert finish_word(ab, tries, WORD_START, ()) is None
+    assert finish_word(tries, WordState(0, node_ab, True), "ab") == ("ab", 0)
+    assert finish_word(tries, WordState(0, node_a, True), "a") is None
+    assert finish_word(tries, WordState(0, node_a, True), "a", True) == ("a", 0)
+    assert finish_word(tries, WordState(0, None, True), "bb", True) == ("bb", 0)
+    assert finish_word(tries, WordState(1, None, False), "") is None
+    assert finish_word(None, WordState(0, None, True), "ab") == ("ab", 0)
+    assert finish_word(tries, WORD_START, "") is None
 
