@@ -18,6 +18,10 @@ The decode set:
   penalties 0, -3 and +1 (an off-lexicon character then scores above an
   on-lexicon one), all at word bonus 0, and with spelling off and
   penalty -3 at word bonus +0.5 (a completed word raises the score);
+- the same corpus with every fifth general word left out of the general
+  lexicon (the models still know it), by every ``SCORER_KINDS`` entry at
+  beams 4, 16 and 64, with subword penalties 0 and -3: the decoder must
+  then spell and score words a model knows although no lexicon has them;
 - the same corpus decoded unconstrained (``tries=None``, where every
   grammar state offers all 27 characters) by the ``none`` and
   ``general`` scorers at word bonuses 0 and +0.5, at beams 4, 16 and 64;
@@ -47,6 +51,9 @@ CORPUS_CONFIGS = (
     (None, 0.0), (0.0, 0.0), (-3.0, 0.0), (1.0, 0.0), (None, 0.5), (-3.0, 0.5)
 )
 CORPUS_BEAMS = (4, 16, 64)
+# (subword penalty, word bonus) per config of the corpus whose general
+# lexicon lacks every fifth word
+THINNED_CONFIGS = ((0.0, 0.0), (-3.0, 0.0))
 UNCONSTRAINED_KINDS = ("none", "general")
 UNCONSTRAINED_BETAS = (0.0, 0.5)
 GRID_JOBS = (1, 2)
@@ -87,6 +94,10 @@ def _corpus_decodes():
     spec = _corpus_spec()
     lang = corpus.build_language(1)
     lexicons = [lang.lexicons.general, lang.lexicons.jargon]
+    thinned = [
+        [w for i, w in enumerate(lang.lexicons.general) if i % 5 != 4],
+        lang.lexicons.jargon,
+    ]
     general, jargon = corpus.language_models(lang)
     template = ColoredAlphabet(tuple(corpus.LETTERS + " "), 1, " ")
     sentences = corpus.sample_sentences(spec, lang)
@@ -101,20 +112,23 @@ def _corpus_decodes():
     ]
     pairs = evaluation.calibration_pairs(references, [general, jargon])
     table = scorers.fit_bin_table(pairs, 53)
-    for kind in scorers.SCORER_KINDS:
-        models = {"none": [], "general": [general], "jargon": [jargon]}.get(
-            kind, [general, jargon]
-        )
-        for penalty, beta in CORPUS_CONFIGS:
-            config = scorers.ScorerConfig(beta=beta, unknown_subword_penalty=penalty)
-            for width in CORPUS_BEAMS:
-                runtime = evaluation.build_runtime(
-                    kind, lexicons, models, config, template, width,
-                    table if kind == "bins" else None,
+    for words, configs in ((lexicons, CORPUS_CONFIGS), (thinned, THINNED_CONFIGS)):
+        for kind in scorers.SCORER_KINDS:
+            models = {"none": [], "general": [general], "jargon": [jargon]}.get(
+                kind, [general, jargon]
+            )
+            for penalty, beta in configs:
+                config = scorers.ScorerConfig(
+                    beta=beta, unknown_subword_penalty=penalty
                 )
-                cfg = runtime.decoder_config()
-                for matrix in logits:
-                    yield decode(matrix, cfg)
+                for width in CORPUS_BEAMS:
+                    runtime = evaluation.build_runtime(
+                        kind, words, models, config, template, width,
+                        table if kind == "bins" else None,
+                    )
+                    cfg = runtime.decoder_config()
+                    for matrix in logits:
+                        yield decode(matrix, cfg)
     for kind in UNCONSTRAINED_KINDS:
         models = [general] if kind == "general" else []
         for beta in UNCONSTRAINED_BETAS:

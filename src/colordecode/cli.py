@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -70,6 +71,30 @@ def _non_negative_int(raw: str) -> int:
     return _int_at_least(raw, 0)
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _weight(value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
+def _finite_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    return _finite(value)
+
+
+def _weight_float(raw: str) -> float:
+    return _weight(_finite_float(raw))
+
+
 def _jobs_from_args(args) -> int:
     """``--jobs`` when given, else ``$COLOR_DECODE_JOBS`` when set and
     non-empty, else 1."""
@@ -95,12 +120,19 @@ def _csv(raw: str, kind: type, what: str) -> list:
     return values
 
 
-def _csv_floats(raw: str) -> list[float]:
-    return _csv(raw, float, "numbers")
+def _finite_floats(raw: str) -> list[float]:
+    return [_finite(v) for v in _csv(raw, float, "numbers")]
 
 
-def _csv_ints(raw: str) -> list[int]:
-    return _csv(raw, int, "integers")
+def _weight_floats(raw: str) -> list[float]:
+    return [_weight(v) for v in _csv(raw, float, "numbers")]
+
+
+def _positive_ints(raw: str) -> list[int]:
+    values = _csv(raw, int, "integers")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {min(values)}")
+    return values
 
 
 def _add_alphabet_flags(p: argparse.ArgumentParser) -> None:
@@ -137,27 +169,28 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_hyperparameter_flags(p: argparse.ArgumentParser) -> None:
-    """One scorer setting each; gridsearch takes grids instead."""
-    p.add_argument("--alpha", type=float, default=1.0, help="LM weight")
-    p.add_argument("--beta", type=float, default=0.0, help="word bonus")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+    """One scorer setting each; gridsearch takes grids instead. A value
+    the scorer would refuse is a usage error, refused here."""
+    p.add_argument("--alpha", type=_finite_float, default=1.0, help="LM weight")
+    p.add_argument("--beta", type=_finite_float, default=0.0, help="word bonus")
+    p.add_argument("--lambda", dest="lam", type=_weight_float, default=0.5,
                    help="jargon weight for linear/loglinear fusion")
     p.add_argument(
         "--unk-word-penalty",
-        type=_csv_floats,
+        type=_finite_floats,
         default=[-10.0, -10.0],
         metavar="P[,P...]",
         help="per-model log10 penalty for unknown words (default -10,-10)",
     )
     p.add_argument(
         "--unk-subword-penalty",
-        type=float,
+        type=_finite_float,
         default=None,
         metavar="P",
         help="log10 penalty per off-lexicon character; omit to forbid "
         "off-lexicon spellings",
     )
-    p.add_argument("--bins", type=int, default=53,
+    p.add_argument("--bins", type=_positive_int, default=53,
                    help="bin count for the bins method (default 53)")
 
 
@@ -415,12 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help=f"worker processes (default ${JOBS_ENV} or 1)")
-    p.add_argument("--alphas", type=_csv_floats, default=None)
-    p.add_argument("--betas", type=_csv_floats, default=None)
-    p.add_argument("--lambdas", type=_csv_floats, default=None)
-    p.add_argument("--word-penalties", type=_csv_floats, default=None)
-    p.add_argument("--subword-penalties", type=_csv_floats, default=None)
-    p.add_argument("--bin-counts", type=_csv_ints, default=None)
+    p.add_argument("--alphas", type=_finite_floats, default=None)
+    p.add_argument("--betas", type=_finite_floats, default=None)
+    p.add_argument("--lambdas", type=_weight_floats, default=None)
+    p.add_argument("--word-penalties", type=_finite_floats, default=None)
+    p.add_argument("--subword-penalties", type=_finite_floats, default=None)
+    p.add_argument("--bin-counts", type=_positive_ints, default=None)
     p.add_argument("--all", action="store_true", help="print every grid row")
     _add_alphabet_flags(p)
     _add_model_flags(p)

@@ -13,10 +13,9 @@ no reference cycles and a branch that leaves the beam is freed as soon
 as nothing points to it.
 
 A frame scores a child that has no live node without building it: its
-score is its one acoustic mass plus its text score. Only the candidates
-whose score reaches the beam-width-th best score of the frame are
-ranked, and only those children become nodes; the rest could never be
-ranked into the next beam. Word deltas are memoized per utterance by
+score is its one acoustic mass plus its text score. Only the children
+that make the next beam become nodes; the rest could never be ranked
+into it. Word deltas are memoized per utterance by
 (scorer state, word, color), so a word that completes the same history
 again is not rescored. A word that left every trie, or an unconstrained
 one, is spelled only when it completes or the utterance ends; the
@@ -47,6 +46,15 @@ column with no blank-ending mass adds nothing and is passed over. The
 children skipped were below the cutoff, so transcripts and scores are
 bit-identical to scoring every extension.
 
+A child that completes a word off its color's trie is priced before it
+is spelled. A scorer states the delta it gives every word it does not
+know; the first decode of a config records it per color whenever every
+word the scorer knows for that color is on that color's trie (with no
+tries, whenever it knows no word), since an off-trie spelling is then
+unknown to it. Such a child scores ``mass + (p_text + delta)`` spelled
+or not, so one strictly below the floor is skipped with no spelling and
+no scorer call; any other is spelled and scored as before.
+
 A beam is a node holding two acoustic masses in log10, the probability
 of all frame paths ending in blank (``p_blank``) and in the prefix's
 last character (``p_nonblank``), and its score, acoustic mass times
@@ -54,12 +62,15 @@ text score, set once the masses are final. A frame sums the next masses
 apart, as it still reads the current ones.
 
 Each frame expands the set of the ``beam_width`` best beams, selected,
-not sorted: the cutoff step leaves more candidates than fit only when
-several tie at the cutoff, and then only the tied beams are ordered
-(shorter, then lexicographically smaller prefix first) to decide which
-of them stay. The order in which the selected beams are expanded changes
-no bit of the result. A prefix's masses for the next frame get at most
-two contributions, its own stay and its one parent's extension, and
+not sorted, at the end of the frame before: when more candidates tie at
+the cutoff than fit, only the tied ones are ordered (shorter, then
+lexicographically smaller prefix first), merged beams and unbuilt
+children alike, since two candidates of one length compare as their
+parents do and then as their labels. Only the children that make the
+next beam become nodes, and ``get_best_beams`` then receives no more
+than ``beam_width`` beams. The order in which the selected beams are
+expanded changes no bit of the result. A prefix's masses for the next
+frame get at most two contributions, its own stay and its one parent's extension, and
 ``logaddexp10`` is symmetric bit for bit. The cutoff is the
 ``beam_width``-th best of a multiset, and the floor skips only
 candidates strictly below it, however the floor rose, so the same
@@ -86,6 +97,8 @@ import numpy as np
 from .lexicon import (
     ColoredAlphabet,
     LexiconTrie,
+    TrieNode,
+    UnknownChar,
     WORD_START,
     WordState,
     finish_word,
@@ -332,6 +345,11 @@ class DecoderConfig:
     _successors: dict[WordState, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # per color, built by _unknown_deltas at the first decode: the word
+    # delta of every word that is off that color's trie, or None
+    _unknown_deltas: dict[int, float | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.beam_width < 1:
@@ -350,16 +368,12 @@ def get_best_beams(beams: Sequence[Prefix], limit: int) -> list[Prefix]:
     """The ``limit`` best beams by their stored score, in no promised
     order. Among beams tied at the ``limit``-th best score, shorter and
     then lexicographically smaller prefixes are kept, so the selected
-    set is deterministic."""
+    set is deterministic. ``decode`` selects its next beam by this rule
+    as each frame ends, and calls this once per frame and once more on
+    the last beam."""
     if len(beams) <= limit:
         return list(beams)
-    cutoff = sorted([b.score for b in beams], reverse=True)[limit - 1]
-    best = [b for b in beams if b.score > cutoff]
-    tied = [b for b in beams if b.score == cutoff]
-    if len(best) + len(tied) > limit:
-        tied.sort(key=lambda b: (b.depth, b))
-        del tied[limit - len(best):]
-    return best + tied
+    return _select(beams, [], limit)[0]
 
 
 def _successor_entry(
@@ -390,6 +404,74 @@ def _successor_entry(
         else:
             by_col[col] = (by_col[col] or ()) + (item,)
     return len(succ), direct, by_col, walk_off
+
+
+def _unknown_deltas(
+    alphabet: ColoredAlphabet,
+    tries: Sequence[LexiconTrie] | None,
+    scorer: Scorer,
+) -> dict[int, float | None]:
+    """Per color an extension can carry, the delta ``scorer`` gives
+    every word of that color spelled off its trie: the scorer's unknown
+    delta when every word it knows for the color is on one of the
+    color's tries, else None. Unconstrained (``tries`` None), every
+    spelling is off-trie, so that needs a scorer that knows no word."""
+    colors = {0} if tries is None else {trie.color for trie in tries}
+    out = {}
+    for color in colors:
+        delta = scorer.unknown_delta(color)
+        if delta is not None:
+            roots = [t.root for t in tries or () if t.color == color]
+            for word in scorer.known_words(color):
+                if not any(_on_trie(alphabet, root, word) for root in roots):
+                    delta = None
+                    break
+        out[color] = delta
+    return out
+
+
+def _on_trie(alphabet: ColoredAlphabet, root: TrieNode, word: str) -> bool:
+    """Whether ``word`` ends at a word node below ``root``."""
+    node = root
+    for char in word:
+        try:
+            node = node.children.get(alphabet.char_column(char))
+        except UnknownChar:
+            return False
+        if node is None:
+            return False
+    return node.word is not None
+
+
+def _select(
+    beams: Sequence[Prefix], fresh: Sequence[tuple], limit: int
+) -> tuple[list[Prefix], list[tuple]]:
+    """The ``limit`` best of the candidates ``beams`` (nodes) and
+    ``fresh`` (unbuilt children, score first), more than ``limit`` in
+    all: those above the ``limit``-th best score, then as many of those
+    tied with it as fit, shorter and then lexicographically smaller
+    prefixes first. Two candidates of one depth compare as their parents
+    do, then as their labels; no two candidates spell one prefix."""
+    ranked = [b.score for b in beams] + [c[0] for c in fresh]
+    ranked.sort(reverse=True)
+    cutoff = ranked[limit - 1]
+    if ranked[limit] != cutoff:
+        return (
+            [b for b in beams if b.score >= cutoff],
+            [c for c in fresh if c[0] >= cutoff],
+        )
+    tied = [
+        (b.depth, b.parent, (b.col, b.color), b) for b in beams if b.score == cutoff
+    ] + [
+        (c[2].depth + 1, c[2], c[4], c) for c in fresh if c[0] == cutoff
+    ]
+    tied.sort(key=lambda t: t[:3])
+    kept = [t[3] for t in tied[:limit - ranked.index(cutoff)]]
+    return (
+        [b for b in beams if b.score > cutoff]
+        + [k for k in kept if not isinstance(k, tuple)],
+        [c for c in fresh if c[0] > cutoff] + [k for k in kept if isinstance(k, tuple)],
+    )
 
 
 def _raise_floor(bounds: list[float], score: float, width: int) -> float:
@@ -450,6 +532,9 @@ def decode(
 
     successors = config._successors
     beam_width = config.beam_width
+    unknown = config._unknown_deltas
+    if not unknown:
+        unknown.update(_unknown_deltas(alphabet, tries, scorer))
 
     # (scorer state, word, color) -> (delta, next scorer state): within
     # one utterance a word completing the same history is scored once
@@ -573,7 +658,14 @@ def decode(
                 scorer_state = node.scorer_state
                 text = off_text if off_trie else p_text
                 if completes:
-                    word = ext.word or node.spelling or _spelling(node, chars)
+                    word = ext.word
+                    if word is None:
+                        # spelled off its color's trie: when the scorer
+                        # knows no such word, its delta is known unspelled
+                        priced = unknown.get(ext.color)
+                        if priced is not None and mass + (p_text + priced) < floor:
+                            continue
+                        word = node.spelling or _spelling(node, chars)
                     delta, scorer_state = score_word(scorer_state, word, ext.color)
                     text = p_text + delta
                 score = mass + text
@@ -630,17 +722,9 @@ def decode(
             node.set_masses(p_b, p_nb)
         beams = list(next_map)
         if len(beams) + len(fresh) > beam_width:
-            # The beam_width-th best score: a candidate strictly below it
-            # can never be ranked in, and one tied with it is kept.
-            ranked = [b.score for b in beams] + [c[0] for c in fresh]
-            ranked.sort(reverse=True)
-            cutoff = ranked[beam_width - 1]
-            beams = [b for b in beams if not b.score < cutoff]
-        else:
-            cutoff = NEG_INF
+            # the next beam, so only the children in it become nodes
+            beams, fresh = _select(beams, fresh, beam_width)
         for score, mass, node, ext, label, p_text, word, scorer_state in fresh:
-            if score < cutoff:
-                continue
             words = node.words
             if word is not None:
                 words = words + ((word, ext.color),)

@@ -12,6 +12,17 @@ the interface:
 the coloring scorer's prior, is alpha-scaled. Colors are advisory for
 scorers that ignore provenance.
 
+A scorer may also state what it gives a word it does not know:
+
+    delta = scorer.unknown_delta(color)   # None: it depends on the state
+    words = scorer.known_words(color)
+
+``word_delta`` returns exactly ``delta`` for every word of that color
+outside ``words``, in every state; both figures come from one expression,
+so they agree bit for bit. The decoder prices off-lexicon words with it
+before spelling them. The Bayes scorer's delta depends on the history
+masses in its state, so it states None.
+
 Two language models (a general one and a domain one) can be fused four
 ways here: linear interpolation, log-linear interpolation, a calibrated
 bin table, or per-history Bayesian posterior weighting. The coloring
@@ -265,6 +276,17 @@ class Scorer:
         """Return (log10 delta, next state) for one completed word."""
         raise NotImplementedError
 
+    def unknown_delta(self, color: int) -> float | None:
+        """The delta ``word_delta`` returns, in any state, for a word of
+        ``color`` that is not in ``known_words(color)``; None when no
+        single figure holds."""
+        return None
+
+    def known_words(self, color: int) -> frozenset[str]:
+        """The words of ``color`` that ``word_delta`` looks up and finds;
+        read only when ``unknown_delta(color)`` is not None."""
+        raise NotImplementedError
+
 
 class NullScorer(Scorer):
     """No language model: every word costs exactly beta."""
@@ -274,6 +296,12 @@ class NullScorer(Scorer):
 
     def word_delta(self, state, word: str, color: int):
         return self.config.beta, None
+
+    def unknown_delta(self, color: int) -> float:
+        return self.config.beta
+
+    def known_words(self, color: int) -> frozenset[str]:
+        return frozenset()
 
 
 class SingleLmScorer(Scorer):
@@ -294,7 +322,16 @@ class SingleLmScorer(Scorer):
         lp, nxt = self.model.score_word(
             state, word, oov_log10=self.config.penalty(self.model_color)
         )
-        return self.config.alpha * lp + self.config.beta, nxt
+        return self._delta(lp), nxt
+
+    def _delta(self, lp: float) -> float:
+        return self.config.alpha * lp + self.config.beta
+
+    def unknown_delta(self, color: int) -> float:
+        return self._delta(self.config.penalty(self.model_color))
+
+    def known_words(self, color: int) -> frozenset[str]:
+        return frozenset(self.model.vocabulary)
 
 
 class ColoringScorer(Scorer):
@@ -319,15 +356,34 @@ class ColoringScorer(Scorer):
     def initial_state(self) -> LmState:
         return EMPTY_STATE
 
-    def word_delta(self, state: LmState, word: str, color: int):
+    def _check_color(self, color: int) -> None:
         if not 0 <= color < self.num_colors:
             raise ValueError(f"color {color} out of range")
+
+    def word_delta(self, state: LmState, word: str, color: int):
+        self._check_color(color)
         token = color_token(word, color)
         lp, nxt = self.merged.score_word(
             state, token, oov_log10=self.config.penalty(color)
         )
-        delta = self.config.alpha * (self.log_prior + lp) + self.config.beta
-        return delta, nxt
+        return self._delta(lp), nxt
+
+    def _delta(self, lp: float) -> float:
+        return self.config.alpha * (self.log_prior + lp) + self.config.beta
+
+    def unknown_delta(self, color: int) -> float:
+        self._check_color(color)
+        return self._delta(self.config.penalty(color))
+
+    def known_words(self, color: int) -> frozenset[str]:
+        """The merged model's tokens of ``color``, renamed back."""
+        self._check_color(color)
+        tag = color_token("", color)
+        return frozenset(
+            token[len(tag):]
+            for token in self.merged.vocabulary
+            if token.startswith(tag)
+        )
 
 
 class InterpolationScorer(Scorer):
@@ -362,13 +418,23 @@ class InterpolationScorer(Scorer):
         st_g, st_j = state
         lg, ng = self.general.score_word(st_g, word, oov_log10=self.config.penalty(0))
         lj, nj = self.domain.score_word(st_j, word, oov_log10=self.config.penalty(1))
+        return self._delta(lg, lj), (ng, nj)
+
+    def _delta(self, lg: float, lj: float) -> float:
         if self.kind == "linear":
             combined = _combine_linear_log10(lg, lj, self.config.lam)
         elif self.kind == "loglinear":
             combined = _combine_loglinear_log10(lg, lj, self.config.lam)
         else:
             combined = self.bin_table.lookup(lg, lj)
-        return self.config.alpha * combined + self.config.beta, (ng, nj)
+        return self.config.alpha * combined + self.config.beta
+
+    def unknown_delta(self, color: int) -> float:
+        return self._delta(self.config.penalty(0), self.config.penalty(1))
+
+    def known_words(self, color: int) -> frozenset[str]:
+        """A word either model knows: both score every word."""
+        return frozenset(self.general.vocabulary | self.domain.vocabulary)
 
 
 class BayesScorer(Scorer):

@@ -457,7 +457,7 @@ def test_gridsearch_rejects_non_finite_penalties(
     synth_dir, fusion, grid, capsys, monkeypatch
 ):
     """A NaN grid point used to decode to garbage and rank as WER 100;
-    the grid is refused before any point is decoded."""
+    the grid is refused as it is parsed, a usage error naming the flag."""
     monkeypatch.setattr(
         evaluation, "decode_utterances", lambda *a, **k: pytest.fail("decoded")
     )
@@ -484,11 +484,13 @@ def test_gridsearch_rejects_non_finite_penalties(
         "1",
         *grid,
     ]
-    rc, out, err = run_cli(argv, capsys)
-    assert rc == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error:") and "must be finite" in err
-    assert err.count("\n") == 1
+    flag = grid[-1].split("=")[0] if len(grid) % 2 else grid[-2]
+    assert f"argument {flag}: must be finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +623,7 @@ def test_decode_refuses_an_alphabet_it_cannot_build(tmp_path, flags, message, ca
 )
 def test_decode_rejects_non_finite_penalties(tiny_setup, flag, capsys):
     """``--unk-subword-penalty nan`` used to print ``score nan`` and a
-    garbage transcript with exit 0."""
+    garbage transcript with exit 0; it is a usage error naming the flag."""
     argv = [
         "decode",
         tiny_setup["logits"],
@@ -639,10 +641,49 @@ def test_decode_rejects_non_finite_penalties(tiny_setup, flag, capsys):
         tiny_setup["jargon_lm"],
         *flag,
     ]
-    rc, out, err = run_cli(argv, capsys)
-    assert rc == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error:") and "must be finite" in err
+    assert f"argument {flag[0].split('=')[0]}: must be finite" in err
+
+
+_REFUSED_SCORER_FLAGS = [
+    ("decode", ["--alpha", "inf"], "--alpha: must be finite"),
+    ("decode", ["--beta", "nan"], "--beta: must be finite"),
+    ("eval", ["--beta", "nan"], "--beta: must be finite"),
+    ("decode", ["--lambda", "2"], "--lambda: must lie in [0, 1]"),
+    ("eval", ["--lambda=-0.5"], "--lambda: must lie in [0, 1]"),
+    ("decode", ["--unk-word-penalty", "nan"], "--unk-word-penalty: must be finite"),
+    ("decode", ["--unk-subword-penalty", "inf"],
+     "--unk-subword-penalty: must be finite"),
+    ("decode", ["--bins", "0"], "--bins: must be at least 1"),
+    ("gridsearch", ["--alphas", "1,inf"], "--alphas: must be finite"),
+    ("gridsearch", ["--betas", "nan"], "--betas: must be finite"),
+    ("gridsearch", ["--lambdas", "0.5,1.5"], "--lambdas: must lie in [0, 1]"),
+    ("gridsearch", ["--bin-counts", "53,0"], "--bin-counts: must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    _REFUSED_SCORER_FLAGS,
+    ids=[f"{c}{f[0].split('=')[0]}" for c, f, _ in _REFUSED_SCORER_FLAGS],
+)
+def test_scorer_flags_the_library_refuses_are_usage_errors(
+    tmp_path, command, flags, message, capsys
+):
+    """Each used to reach ``ScorerConfig`` or ``fit_bin_table`` and exit 1,
+    the data-error code, with a message that named no flag. Parsing
+    refuses it first, before any input is read."""
+    argv = [command, str(tmp_path / "missing"), *flags]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {message}" in err
 
 
 def test_linear_fusion_requires_two_models(tiny_setup, capsys):

@@ -23,7 +23,15 @@ from colordecode.lexicon import WORD_START, ColoredAlphabet, build_trie, word_su
 from colordecode.logmath import NEG_INF, logaddexp10, logsumexp10
 from colordecode.ngram_lm import NGramModel, merge_colored
 from colordecode.oracle import ctc_path_sum, exhaustive_decode, random_instance
-from colordecode.scorers import ColoringScorer, NullScorer, ScorerConfig, SingleLmScorer
+from colordecode.scorers import (
+    SCORER_KINDS,
+    BinTable,
+    ColoringScorer,
+    NullScorer,
+    ScorerConfig,
+    SingleLmScorer,
+    make_scorer,
+)
 from conftest import random_rows, trie_words
 
 # ---------------------------------------------------------------------------
@@ -981,13 +989,17 @@ def test_word_delta_runs_once_per_input_per_decode(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _decode_recorded(monkeypatch, logits, config, every_extension=False):
+def _decode_recorded(
+    monkeypatch, logits, config, every_extension=False, price_unknown=True
+):
     """Decode, and record the candidates ranked after every frame as
     sorted (labels, p_blank, p_nonblank) triples, masses by ``float.hex``.
     With ``every_extension`` every grammar state counts as narrow, so no
     floor is ever started and the frame step scores every extension of
     every beam; the floor must not change a single bit of what that
-    every-extension reference produces."""
+    every-extension reference produces. With ``price_unknown`` False no
+    color has an unknown-word delta, so every word that completes off
+    its trie is spelled and scored before the floor test."""
     frames = []
 
     def rank(beams, limit):
@@ -1007,6 +1019,8 @@ def _decode_recorded(monkeypatch, logits, config, every_extension=False):
         m.setattr(decoder_module, "get_best_beams", rank)
         if every_extension:
             m.setattr(decoder_module, "_successor_entry", narrow_entry)
+        if not price_unknown:
+            m.setattr(decoder_module, "_unknown_deltas", lambda *args: {})
         got = decode(logits, dataclasses.replace(config))
     return repr(got), frames
 
@@ -1114,3 +1128,180 @@ def test_ranked_columns_order_non_blank_columns_by_log10():
     logits = LogitsMatrix.from_linear([[0.1, 0.4, 0.0, 0.2, 0.3], [0.25] * 4 + [0.0]])
     assert logits.ranked_columns() == [[1, 3, 0, 2], [0, 1, 2, 3]]
     assert LogitsMatrix.from_linear([], columns=3).ranked_columns() == []
+
+
+# ---------------------------------------------------------------------------
+# off-lexicon word endings priced before they are spelled
+# ---------------------------------------------------------------------------
+
+
+def test_a_known_word_off_the_lexicon_is_scored_by_its_model():
+    """The model knows "ac" with probability 1/2, but the lexicon holds
+    only "ab". At beam 1 the separator frame's floor is the stay of "ac"
+    (blank has 0.01): above its completion priced as an unknown word
+    (-10), below it priced with the model's log10(1/2). The model knows a
+    word off the trie, so the decoder must not price the trie's
+    off-lexicon endings as unknown: it spells "ac", scores it and keeps
+    it."""
+    alphabet = ColoredAlphabet(("a", "b", "c", " "), 1, " ")
+    tries = [build_trie(alphabet, 0, ["ab"])]
+    half = math.log10(0.5)
+    model = NGramModel(max_order=1, entries={("ab",): (half, None), ("ac",): (half, None)})
+    scorer = SingleLmScorer(
+        ScorerConfig(unknown_word_penalty=(-10.0,), unknown_subword_penalty=-0.5), model
+    )
+    path = [0, 2, 3]  # a c sep
+    rows = [[0.96 if c == target else 0.01 for c in range(5)] for target in path]
+    logits = LogitsMatrix.from_linear(rows)
+
+    config = DecoderConfig(alphabet, tries, scorer, beam_width=1)
+    got = decode(logits, config)
+
+    assert got.words == (("ac", 0),)
+    expected = ctc_path_sum(logits.log10_rows(), path) + half - 0.5
+    assert got.score == pytest.approx(expected, abs=1e-12)
+
+
+def _models_with_strangers(rng, inst):
+    """One unigram model per color over the words of its trie, with a
+    word of at most three letters added half of the time, off the trie
+    more often than not: a scorer then knows words its lexicon lacks."""
+    sep = inst.alphabet.word_separator
+    letters = [c for c in inst.alphabet.base_chars if c != sep]
+    models = []
+    for trie in inst.tries:
+        words = trie_words(trie)
+        if rng.random() < 0.5:
+            words.add("".join(rng.choice(letters) for _ in range(rng.randint(1, 3))))
+        entries = {(w,): (math.log10(1 / (len(words) + 1)), None) for w in sorted(words)}
+        models.append(NGramModel(max_order=1, entries=entries))
+    return models
+
+
+def _scorer_of_kind(kind, models, config):
+    """A ``kind`` scorer over ``models``, one per color; the two-model
+    kinds take the first color's as general and the last one's as
+    domain model."""
+    if kind == "coloring":
+        return make_scorer(kind, models, config)
+    if kind == "none":
+        return make_scorer(kind, [], config)
+    general, domain = models[0], models[-1]
+    if kind in ("general", "jargon"):
+        return make_scorer(kind, [domain if kind == "jargon" else general], config)
+    table = BinTable(2, (-3.0, 0.0), (-3.0, 0.0), ((-0.5, None), (-1.0, -0.2)))
+    return make_scorer(kind, [general, domain], config, bin_table=table)
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+def test_pricing_unknown_words_first_changes_no_ranked_candidate(monkeypatch, kind):
+    """With off-lexicon spelling on, at beams 1-4, subword penalties -2,
+    0 and +1 and word bonuses 0 and 0.5, every frame ranks the same
+    candidates with the same masses, and the transcript and score are
+    the same, as when every word that completes off its trie is spelled
+    and scored before the floor test. Every fourth instance has uniform
+    frames, so candidates tie with the cutoff."""
+    rng = random.Random(sum(map(ord, kind)))
+    scored = {True: 0, False: 0}
+    priced = [True]
+
+    for i in range(60):
+        inst = random_instance(rng, max_frames=6, max_words=4)
+        config = ScorerConfig(
+            unknown_word_penalty=(-10.0, -10.0),
+            unknown_subword_penalty=(-2.0, 0.0, 1.0)[i % 3],
+            beta=0.5 if i % 2 else 0.0,
+        )
+        scorer = _scorer_of_kind(kind, _models_with_strangers(rng, inst), config)
+        word_delta = scorer.word_delta
+
+        def counting(state, word, color, word_delta=word_delta):
+            scored[priced[0]] += 1
+            return word_delta(state, word, color)
+
+        scorer.word_delta = counting
+        logits = inst.logits
+        if i % 4 == 3:
+            cols = logits.columns
+            logits = LogitsMatrix.from_linear([[1 / cols] * cols] * logits.frames, cols)
+        for width in (1, 2, 3, 4):
+            config = DecoderConfig(inst.alphabet, inst.tries, scorer, width)
+            priced[0] = True
+            with_skip = _decode_recorded(monkeypatch, logits, config)
+            priced[0] = False
+            without = _decode_recorded(monkeypatch, logits, config, price_unknown=False)
+            assert with_skip == without
+    # the skip spares scorer calls wherever it can price a word unspelled
+    assert (scored[True] < scored[False]) == (kind != "bayes")
+
+
+# ---------------------------------------------------------------------------
+# the next beam selected at the cutoff step
+# ---------------------------------------------------------------------------
+
+
+def test_ties_at_the_cutoff_build_only_the_next_beam(monkeypatch):
+    """On uniform frames many candidates tie exactly at the cutoff. A
+    frame builds at most ``beam_width`` nodes and ranks at most that
+    many, and what it ranks is what the ranking rule of
+    ``get_best_beams`` (higher score, then shorter, then smaller label
+    tuple) selects from every candidate that reaches the cutoff, all of
+    them built."""
+    built = [0]
+
+    class CountingPrefix(Prefix):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    def keep_every_tie(beams, fresh, limit):
+        cutoff = sorted([b.score for b in beams] + [c[0] for c in fresh])[-limit]
+        return (
+            [b for b in beams if b.score >= cutoff],
+            [c for c in fresh if c[0] >= cutoff],
+        )
+
+    def recorded(logits, config, all_ties):
+        frames, counts = [], []
+
+        def rank(beams, limit):
+            counts.append((built[0], len(beams)))
+            best = sorted(beams, key=lambda b: (-b.score, b.depth, _labels(b)))[:limit]
+            frames.append(sorted(_labels(b) for b in best))
+            return best
+
+        with monkeypatch.context() as m:
+            m.setattr(decoder_module, "Prefix", CountingPrefix)
+            m.setattr(decoder_module, "get_best_beams", rank)
+            if all_ties:
+                m.setattr(decoder_module, "_select", keep_every_tie)
+            built[0] = 0
+            got = decode(logits, dataclasses.replace(config))
+        return (repr(got), frames), counts
+
+    rng = random.Random(9031)
+    overflowing = 0
+    for i in range(120):
+        inst = random_instance(rng, max_frames=6, max_words=4)
+        scorer = ColoringScorer(
+            dataclasses.replace(
+                inst.scorer.config, unknown_subword_penalty=(-2.0, 0.0, None)[i % 3]
+            ),
+            inst.scorer.merged,
+            inst.scorer.num_colors,
+        )
+        tries = None if i % 5 == 4 else inst.tries
+        cols = inst.logits.columns
+        logits = LogitsMatrix.from_linear([[1 / cols] * cols] * inst.logits.frames, cols)
+        for width in (1, 2, 3, 4):
+            config = DecoderConfig(inst.alphabet, tries, scorer, width)
+            selected, counts = recorded(logits, config, all_ties=False)
+            reference, all_counts = recorded(logits, config, all_ties=True)
+            assert selected == reference
+            per_frame = [b - a for (a, _), (b, _) in zip(counts, counts[1:])]
+            assert max(per_frame, default=0) <= width
+            assert max(n for _, n in counts) <= width
+            overflowing += sum(n > width for _, n in all_counts)
+    assert overflowing > 100

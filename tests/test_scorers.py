@@ -16,6 +16,7 @@ from colordecode.scorers import (
     EmptyCalibration,
     InterpolationScorer,
     MissingBinTable,
+    SCORER_KINDS,
     MissingModel,
     NullScorer,
     ScorerConfig,
@@ -413,6 +414,50 @@ def test_make_scorer_dispatch(two_models):
     table = fit_bin_table([(0.5, 0.5, True)], 1)
     binned = make_scorer("bins", [general, domain], cfg, bin_table=table)
     assert isinstance(binned, InterpolationScorer) and binned.kind == "bins"
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+def test_unknown_delta_is_the_word_delta_of_a_word_no_model_knows(kind):
+    """A scorer's unknown delta is what ``word_delta`` gives a word none
+    of its models know, bit for bit, in the initial state and after a
+    known word, for every color; its known words are those its models
+    find. The Bayes scorer's figure depends on the state: it has none."""
+    general = NGramModel(
+        max_order=2,
+        entries={
+            ("x",): (math.log10(0.3), -0.25),
+            ("y",): (math.log10(0.7), -0.5),
+            ("x", "y"): (math.log10(0.9), None),
+        },
+    )
+    domain = NGramModel(
+        max_order=1,
+        entries={("y",): (math.log10(0.6), None), ("z",): (math.log10(0.4), None)},
+    )
+    config = ScorerConfig(
+        alpha=0.7, beta=0.3, unknown_word_penalty=(-7.3, -11.1), lam=0.35
+    )
+    table = fit_bin_table([(0.3, 0.6, True), (1e-8, 0.4, False)], 3)
+    models = {"none": [], "general": [general], "jargon": [domain]}.get(
+        kind, [general, domain]
+    )
+    scorer = make_scorer(kind, models, config, bin_table=table)
+    known = {
+        "coloring": [{"x", "y"}, {"y", "z"}],
+        "general": [{"x", "y"}] * 2,
+        "jargon": [{"y", "z"}] * 2,
+        "none": [set()] * 2,
+    }.get(kind, [{"x", "y", "z"}] * 2)
+    for color in (0, 1):
+        delta = scorer.unknown_delta(color)
+        if kind == "bayes":
+            assert delta is None
+            continue
+        assert scorer.known_words(color) == known[color]
+        start = scorer.initial_state()
+        after = scorer.word_delta(start, "y" if kind != "none" else "x", color)[1]
+        for state in (start, after):
+            assert scorer.word_delta(state, "stranger", color)[0].hex() == delta.hex()
 
 
 def test_make_scorer_validation(two_models):
