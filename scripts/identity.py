@@ -3,10 +3,10 @@
 
 Decodes one fixed set of inputs with the ``colordecode`` package of this
 working tree and with the one under ``--base DIR``, each in its own
-interpreter, and hashes ``repr`` of every transcript and grid search
-outcome, in order, into one SHA-256 per tree. Prints both digests and
-exits 1 if they differ. Both sides are decoded on every run; no output
-is stored.
+interpreter, and hashes ``repr`` of every transcript, error-rate triple
+and grid search outcome, in order, into one SHA-256 per tree. Prints
+both digests and exits 1 if they differ. Both sides are decoded on
+every run; no output is stored.
 
 The decode set:
 
@@ -25,6 +25,9 @@ The decode set:
 - the same corpus decoded unconstrained (``tries=None``, where every
   grammar state offers all 27 characters) by the ``none`` and
   ``general`` scorers at word bonuses 0 and +0.5, at beams 4, 16 and 64;
+- after each corpus config's decodes, their pooled WER, CER and jargon
+  WER against the references, by ``float.hex``, so the metrics are
+  held to the base bit for bit as well;
 - the rows and the best point of a coloring ``run_grid_search`` with
   off-lexicon spelling on (an 8-point grid at beam 16, on a corpus
   synthesized from the same spec), at ``jobs`` 1 and 2, so the worker
@@ -88,7 +91,6 @@ def _random_decodes():
 
 def _corpus_decodes():
     from colordecode import corpus, evaluation, scorers
-    from colordecode.decoder import decode
     from colordecode.lexicon import ColoredAlphabet
 
     spec = _corpus_spec()
@@ -127,16 +129,36 @@ def _corpus_decodes():
                         table if kind == "bins" else None,
                     )
                     cfg = runtime.decoder_config()
-                    for matrix in logits:
-                        yield decode(matrix, cfg)
+                    yield from _decode_set(cfg, logits, sentences)
     for kind in UNCONSTRAINED_KINDS:
         models = [general] if kind == "general" else []
         for beta in UNCONSTRAINED_BETAS:
             config = scorers.ScorerConfig(beta=beta)
             for width in CORPUS_BEAMS:
                 cfg = _unconstrained_config(kind, models, config, template, width)
-                for matrix in logits:
-                    yield decode(matrix, cfg)
+                yield from _decode_set(cfg, logits, sentences)
+
+
+def _decode_set(cfg, logits, sentences):
+    """Each transcript of ``logits`` decoded with ``cfg``, then their
+    pooled WER, CER and jargon WER against ``sentences`` by
+    ``float.hex`` (None for no masked word)."""
+    from colordecode.decoder import decode
+    from colordecode.metrics import cer, jargon_wer, wer
+
+    hyps = []
+    for matrix in logits:
+        transcript = decode(matrix, cfg)
+        hyps.append([w for w, _ in transcript.words])
+        yield transcript
+    refs = [list(words) for words, _ in sentences]
+    masks = [list(mask) for _, mask in sentences]
+    jw = jargon_wer(refs, masks, hyps)
+    yield (
+        wer(refs, hyps).hex(),
+        cer(refs, hyps).hex(),
+        None if jw is None else jw.hex(),
+    )
 
 
 def _unconstrained_config(kind, models, config, template, width):

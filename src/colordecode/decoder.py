@@ -24,11 +24,13 @@ spelling is then kept on its node, built from its parent's.
 A grammar state is wide when its extensions cover at least half of the
 alphabet's non-blank columns, as every in-word state does with
 off-lexicon spelling on; the successor table decides this once per
-state. From the frame's first wide beam on, a min-heap holds the largest
-``beam_width`` lower bounds found so far on the final scores of distinct
-candidates: each expanded beam's larger stay mass plus its text score,
-and every fresh child accepted since. Once the heap is full its least
-element, the floor, is at most the cutoff.
+state, and a node keeps its state's entry from its first expansion on,
+so a beam that stays for many frames looks it up once. From the frame's
+first wide beam on, a min-heap holds the largest ``beam_width`` lower
+bounds found so far on the final scores of distinct candidates: each
+expanded beam's larger stay mass plus its text score, and every fresh
+child accepted since. Once the heap is full its least element, the
+floor, is at most the cutoff.
 
 Every beam, narrow or wide, runs one loop over its directly scored
 extensions: a live child takes the extension's mass, a fresh child
@@ -59,7 +61,12 @@ A beam is a node holding two acoustic masses in log10, the probability
 of all frame paths ending in blank (``p_blank``) and in the prefix's
 last character (``p_nonblank``), and its score, acoustic mass times
 text score, set once the masses are final. A frame sums the next masses
-apart, as it still reads the current ones.
+in two more slots of the node (``next_b``, ``next_nb``), as it still
+reads the current ones; the node records the frame that last wrote
+them, so a frame's first write starts them and a second one adds to
+them, and the frame lists the nodes it wrote in first-touch order. When
+the frame ends each listed node takes its next masses and is scored
+once; a built child is scored by the score it was ranked by.
 
 Each frame expands the set of the ``beam_width`` best beams, selected,
 not sorted, at the end of the frame before: when more candidates tie at
@@ -68,9 +75,10 @@ lexicographically smaller prefix first), merged beams and unbuilt
 children alike, since two candidates of one length compare as their
 parents do and then as their labels. Only the children that make the
 next beam become nodes, and ``get_best_beams`` then receives no more
-than ``beam_width`` beams. The order in which the selected beams are
-expanded changes no bit of the result. A prefix's masses for the next
-frame get at most two contributions, its own stay and its one parent's extension, and
+than ``beam_width`` beams. The selected beams are expanded best first,
+so that a wide beam starts the floor high, but the order changes no bit
+of the result. A prefix's masses for the next frame get at most two
+contributions, its own stay and its one parent's extension, and
 ``logaddexp10`` is symmetric bit for bit. The cutoff is the
 ``beam_width``-th best of a multiset, and the floor skips only
 candidates strictly below it, however the floor rose, so the same
@@ -90,6 +98,8 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass, field
+from math import log1p
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -120,6 +130,8 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-6
+# the key ``decode`` expands a frame's beams by, best first
+_EXPANSION_KEY = attrgetter("score")
 
 
 class ShapeMismatch(ValueError):
@@ -246,9 +258,12 @@ class Prefix:
 
     The root has no parent and no label. ``children`` maps a label to a
     weak reference to the child node with it, if one was made. A beam
-    also holds the masses and figures that ``set_masses`` sets.
-    ``spelling`` is None until ``_spelling`` first reads the pending
-    word of this in-word node.
+    also holds the masses and figures that ``set_masses`` sets, and
+    ``decode`` sums its masses for the next frame in ``next_b`` and
+    ``next_nb``, written last in frame ``frame`` (-1 before any).
+    ``entry`` is the successor table entry of the word state, None
+    until the node is first expanded. ``spelling`` is None until
+    ``_spelling`` first reads the pending word of this in-word node.
     """
 
     __slots__ = (
@@ -266,6 +281,10 @@ class Prefix:
         "p_nonblank",
         "total",
         "score",
+        "next_b",
+        "next_nb",
+        "frame",
+        "entry",
         "__weakref__",
     )
 
@@ -289,6 +308,8 @@ class Prefix:
         self.scorer_state = scorer_state
         self.children: dict[tuple[int, int], weakref.ref[Prefix]] = {}
         self.spelling: str | None = None
+        self.frame = -1
+        self.entry: tuple | None = None
 
     def __lt__(self, other: "Prefix") -> bool:
         """Lexicographic order of the label sequences, a proper prefix
@@ -308,7 +329,8 @@ class Prefix:
     def set_masses(self, p_blank: float, p_nonblank: float) -> None:
         """Make this node a beam with these final masses: ``total`` is
         ``logaddexp10(p_blank, p_nonblank)`` and ``score`` adds the
-        node's text score."""
+        node's text score. ``decode`` sets the root so, and every other
+        beam to the same figures inline."""
         self.p_blank = p_blank
         self.p_nonblank = p_nonblank
         self.total = total = logaddexp10(p_blank, p_nonblank)
@@ -460,18 +482,22 @@ def _select(
             [b for b in beams if b.score >= cutoff],
             [c for c in fresh if c[0] >= cutoff],
         )
+    above = [b for b in beams if b.score > cutoff]
+    above_fresh = [c for c in fresh if c[0] > cutoff]
+    # (depth, parent, label) is unique per candidate, so the tuples sort
+    # by it alone
     tied = [
-        (b.depth, b.parent, (b.col, b.color), b) for b in beams if b.score == cutoff
+        (b.depth, b.parent, (b.col, b.color), False, b)
+        for b in beams if b.score == cutoff
     ] + [
-        (c[2].depth + 1, c[2], c[4], c) for c in fresh if c[0] == cutoff
+        (c[2].depth + 1, c[2], c[4], True, c) for c in fresh if c[0] == cutoff
     ]
-    tied.sort(key=lambda t: t[:3])
-    kept = [t[3] for t in tied[:limit - ranked.index(cutoff)]]
-    return (
-        [b for b in beams if b.score > cutoff]
-        + [k for k in kept if not isinstance(k, tuple)],
-        [c for c in fresh if c[0] > cutoff] + [k for k in kept if isinstance(k, tuple)],
-    )
+    tied.sort()
+    for _depth, _parent, _label, is_fresh, candidate in tied[
+        :limit - len(above) - len(above_fresh)
+    ]:
+        (above_fresh if is_fresh else above).append(candidate)
+    return above, above_fresh
 
 
 def _raise_floor(bounds: list[float], score: float, width: int) -> float:
@@ -554,9 +580,12 @@ def decode(
     ranked_columns = None  # per frame; made at the first wide beam
     for t, row in enumerate(logits.log10_rows()):
         best = get_best_beams(beams, beam_width)
+        # the best beam first, so that a wide one starts the floor high
+        best.sort(key=_EXPANSION_KEY, reverse=True)
 
-        # node -> next [p_blank, p_nonblank]; each live prefix has one node
-        next_map: dict[Prefix, list[float]] = {}
+        # the nodes whose next masses this frame wrote, in first-touch
+        # order; each live prefix has one node
+        touched: list[Prefix] = []
         # children with no live node, scored but not yet built:
         # (score, mass, parent, extension, label, p_text, word, scorer state)
         fresh: list[tuple] = []
@@ -577,20 +606,25 @@ def decode(
             # CTC segment
             stay_blank = total + row[blank]
             stay_nonblank = node.p_nonblank + row[last] if node.depth else NEG_INF
-            kept = next_map.get(node)
-            if kept is None:
-                next_map[node] = [stay_blank, stay_nonblank]
+            if node.frame != t:
+                node.frame = t
+                node.next_b = stay_blank
+                node.next_nb = stay_nonblank
+                touched.append(node)
             else:
-                kept[0] = logaddexp10(kept[0], stay_blank)
-                kept[1] = logaddexp10(kept[1], stay_nonblank)
+                node.next_b = logaddexp10(node.next_b, stay_blank)
+                node.next_nb = logaddexp10(node.next_nb, stay_nonblank)
 
             children = node.children
-            state = node.word_state
-            entry = successors.get(state)
+            entry = node.entry
             if entry is None:
-                entry = successors[state] = _successor_entry(
-                    alphabet, tries, state, allow_off
-                )
+                state = node.word_state
+                entry = successors.get(state)
+                if entry is None:
+                    entry = successors[state] = _successor_entry(
+                        alphabet, tries, state, allow_off
+                    )
+                node.entry = entry
             count, succ, by_col, walk_off = entry
             spawned += count
             p_text = node.p_text
@@ -625,11 +659,13 @@ def decode(
                     mass = (p_blank if col == last else total) + row[col]
                     if mass == NEG_INF:
                         continue
-                    kept = next_map.get(child)
-                    if kept is None:
-                        next_map[child] = [NEG_INF, mass]
+                    if child.frame != t:
+                        child.frame = t
+                        child.next_b = NEG_INF
+                        child.next_nb = mass
+                        touched.append(child)
                     else:
-                        kept[1] = logaddexp10(kept[1], mass)
+                        child.next_nb = logaddexp10(child.next_nb, mass)
 
             # A wide state scores its completing children (a word delta
             # may be positive) and on-trie ones beside off-trie ones here.
@@ -644,11 +680,13 @@ def decode(
                     child = None if ref is None else ref()
                     if child is not None:
                         if by_col is None:
-                            kept = next_map.get(child)
-                            if kept is None:
-                                next_map[child] = [NEG_INF, mass]
+                            if child.frame != t:
+                                child.frame = t
+                                child.next_b = NEG_INF
+                                child.next_nb = mass
+                                touched.append(child)
                             else:
-                                kept[1] = logaddexp10(kept[1], mass)
+                                child.next_nb = logaddexp10(child.next_nb, mass)
                         continue
                 # No live node: its parent is expanded once per frame and
                 # a state's labels are distinct, so this is the child's
@@ -717,10 +755,22 @@ def decode(
         if stats is not None:
             stats.expanded.append(len(best))
             stats.spawned.append(spawned)
-        # the masses are final: each beam is scored once, as they are set
-        for node, (p_b, p_nb) in next_map.items():
-            node.set_masses(p_b, p_nb)
-        beams = list(next_map)
+        # the masses are final: each beam is scored once, as they are
+        # set, with ``logaddexp10`` written out
+        for node in touched:
+            a = node.p_blank = node.next_b
+            b = node.p_nonblank = node.next_nb
+            if a == NEG_INF:
+                total = b
+            elif b == NEG_INF:
+                total = a
+            elif a < b:
+                total = b + log1p(10.0 ** (a - b)) / LN10
+            else:
+                total = a + log1p(10.0 ** (b - a)) / LN10
+            node.total = total
+            node.score = total + node.p_text
+        beams = touched
         if len(beams) + len(fresh) > beam_width:
             # the next beam, so only the children in it become nodes
             beams, fresh = _select(beams, fresh, beam_width)
@@ -732,8 +782,11 @@ def decode(
                 node, ext.col, ext.color, p_text, words, ext.state, scorer_state
             )
             node.children[label] = weakref.ref(child)
-            # its total is its one mass, so it scores as it was ranked
-            child.set_masses(NEG_INF, mass)
+            # its total is its one mass, and its score the mass plus its
+            # text score that it was ranked by
+            child.p_blank = NEG_INF
+            child.p_nonblank = child.total = mass
+            child.score = score
             beams.append(child)
 
     # (rank key, final score, words) per finished beam

@@ -291,7 +291,10 @@ def decode_utterances(
 def _references(
     utterances: Sequence[Utterance],
 ) -> tuple[list[list[str]], list[list[bool]]]:
-    """Reference words and jargon masks, checked before any decode."""
+    """Reference words and jargon masks, checked before any decode; an
+    empty corpus is refused."""
+    if not utterances:
+        raise ValueError("the manifest has no utterances")
     refs = []
     masks = []
     for utt in utterances:
@@ -323,7 +326,8 @@ def evaluate(
     configs: Sequence[dict | None] | None = None,
 ) -> EvalReport:
     """Decode the corpus once per method, every method's decodes through
-    one ``decode_utterances`` call, and tabulate error rates."""
+    one ``decode_utterances`` call, and tabulate error rates. A corpus
+    with no utterances is refused."""
     refs, masks = _references(utterances)
     runs = decode_utterances(utterances, [rt for _, rt in methods], jobs)
     results = []
@@ -401,7 +405,8 @@ def run_grid_search(
     with ``jobs`` above one they share one worker pool; each point's
     runtime is built where it is decoded, one at a time. Ranking is
     (WER, CER, enumeration order). The bin method fits one table per
-    bin count from ``calibration``. A grid with no points is refused.
+    bin count from ``calibration``. A grid with no points, or a corpus
+    with no utterances, is refused.
     """
     # every point's config is validated, every reference found, every
     # bin table fitted and one runtime built before the first decode

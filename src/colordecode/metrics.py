@@ -23,24 +23,47 @@ class LengthMismatch(ValueError):
 
 
 def edit_distance(ref: Sequence, hyp: Sequence) -> int:
-    """Levenshtein distance with unit costs."""
+    """Levenshtein distance with unit costs; elements must be hashable.
+
+    Myers' bit-vector recurrence in Hyyrö's form: one column of the
+    dynamic program per element of ``hyp``, as bit vectors over ``ref``
+    held in Python ints (any length), so a column costs a few integer
+    operations instead of ``len(ref)`` steps.
+    """
     if ref == hyp:
         return 0
     if not ref:
         return len(hyp)
     if not hyp:
         return len(ref)
-    prev = list(range(len(hyp) + 1))
-    for i, r in enumerate(ref, start=1):
-        cur = [i] + [0] * len(hyp)
-        for j, h in enumerate(hyp, start=1):
-            cur[j] = min(
-                prev[j - 1] + (r != h),
-                prev[j] + 1,
-                cur[j - 1] + 1,
-            )
-        prev = cur
-    return prev[-1]
+    # per element of ref, the bits of the positions holding it
+    peq: dict = {}
+    bit = 1
+    for r in ref:
+        peq[r] = peq.get(r, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    high = bit >> 1
+    # vertical deltas +1 (pv) and -1 (mv) of the current column
+    pv = full
+    mv = 0
+    dist = len(ref)
+    for h in hyp:
+        eq = peq.get(h, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            dist += 1
+        elif mh & high:
+            dist -= 1
+        # the first row grows by one per column
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
 
 
 def align(ref: Sequence, hyp: Sequence) -> list[tuple[int | None, int | None]]:

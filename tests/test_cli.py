@@ -765,6 +765,33 @@ def test_a_model_without_fusion_is_a_usage_error(synth_dir, command, capsys):
     assert err == "error: --fusion none takes no --lm file\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "gridsearch"])
+def test_an_empty_manifest_is_a_data_error(synth_dir, tmp_path, command, capsys):
+    """A manifest with no utterances used to print WER 0.00 for 0
+    utterances, or ``searched 500 configurations`` and a "best" point;
+    it has no error rate, so both subcommands exit 1 and print nothing."""
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text("\n", encoding="utf-8")
+    argv = [
+        command,
+        str(manifest),
+        "--lexicon",
+        str(synth_dir / "general.txt"),
+        "--lexicon",
+        str(synth_dir / "jargon.txt"),
+        "--fusion",
+        "coloring",
+        "--lm",
+        str(synth_dir / "general.arpa"),
+        "--lm",
+        str(synth_dir / "jargon.arpa"),
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: the manifest has no utterances\n"
+
+
 def test_eval_requires_a_lexicon(synth_dir, capsys):
     rc, _, err = run_cli(["eval", str(synth_dir / "manifest.jsonl")], capsys)
     assert rc == 2

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import colordecode.decoder as decoder_module
+from colordecode import corpus
 from colordecode.decoder import (
     ColoredTranscript,
     DecodeStats,
@@ -19,6 +20,7 @@ from colordecode.decoder import (
     decode,
     get_best_beams,
 )
+from colordecode.evaluation import build_runtime
 from colordecode.lexicon import WORD_START, ColoredAlphabet, build_trie, word_successors
 from colordecode.logmath import NEG_INF, logaddexp10, logsumexp10
 from colordecode.ngram_lm import NGramModel, merge_colored
@@ -519,20 +521,13 @@ def test_ranked_beams_carry_current_scores(monkeypatch):
 @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
 def test_expansion_order_changes_no_bit(monkeypatch, reorder):
     """``decode`` relies on the set ``get_best_beams`` selects, not on
-    its order: a merge sums at most two masses with the symmetric
-    ``logaddexp10``, the cutoff is the beam-width-th best of a multiset,
-    and finishing takes a minimum. Handing the frame step the selected
-    beams reversed, or shuffled, leaves every transcript and every score
-    bit for bit as it was."""
-    shuffle = random.Random(5150).shuffle
-
-    def reordered(beams, limit):
-        best = get_best_beams(beams, limit)
-        if reorder == "reversed":
-            best.reverse()
-        else:
-            shuffle(best)
-        return best
+    the order it expands it in (best first): a merge sums at most two
+    masses with the symmetric ``logaddexp10``, the cutoff is the
+    beam-width-th best of a multiset, and finishing takes a minimum.
+    Expanding the selected beams worst first, or shuffled, leaves every
+    transcript and every score bit for bit as it was."""
+    draw = random.Random(5150).random
+    reordered = (lambda b: -b.score) if reorder == "reversed" else (lambda b: draw())
 
     rng = random.Random(4637)
     problems = []
@@ -558,7 +553,7 @@ def test_expansion_order_changes_no_bit(monkeypatch, reorder):
         ]
 
     expected = outcomes()
-    monkeypatch.setattr(decoder_module, "get_best_beams", reordered)
+    monkeypatch.setattr(decoder_module, "_EXPANSION_KEY", reordered)
     assert outcomes() == expected
 
 
@@ -990,16 +985,24 @@ def test_word_delta_runs_once_per_input_per_decode(monkeypatch):
 
 
 def _decode_recorded(
-    monkeypatch, logits, config, every_extension=False, price_unknown=True
+    monkeypatch,
+    logits,
+    config,
+    every_extension=False,
+    price_unknown=True,
+    expansion_key=None,
 ):
-    """Decode, and record the candidates ranked after every frame as
-    sorted (labels, p_blank, p_nonblank) triples, masses by ``float.hex``.
+    """Decode, and return the transcript's words and score by
+    ``float.hex`` with the candidates ranked after every frame as sorted
+    (labels, p_blank, p_nonblank) triples, masses by ``float.hex``.
     With ``every_extension`` every grammar state counts as narrow, so no
     floor is ever started and the frame step scores every extension of
     every beam; the floor must not change a single bit of what that
     every-extension reference produces. With ``price_unknown`` False no
     color has an unknown-word delta, so every word that completes off
-    its trie is spelled and scored before the floor test."""
+    its trie is spelled and scored before the floor test. An
+    ``expansion_key`` replaces the score as the key a frame's beams are
+    expanded by, highest first."""
     frames = []
 
     def rank(beams, limit):
@@ -1021,8 +1024,10 @@ def _decode_recorded(
             m.setattr(decoder_module, "_successor_entry", narrow_entry)
         if not price_unknown:
             m.setattr(decoder_module, "_unknown_deltas", lambda *args: {})
+        if expansion_key is not None:
+            m.setattr(decoder_module, "_EXPANSION_KEY", expansion_key)
         got = decode(logits, dataclasses.replace(config))
-    return repr(got), frames
+    return (got.words, got.score.hex()), frames
 
 
 def _assert_floor_is_exact(monkeypatch, logits, config):
@@ -1305,3 +1310,114 @@ def test_ties_at_the_cutoff_build_only_the_next_beam(monkeypatch):
             assert max(n for _, n in counts) <= width
             overflowing += sum(n > width for _, n in all_counts)
     assert overflowing > 100
+
+
+# ---------------------------------------------------------------------------
+# expansion order and the next masses kept on the node
+# ---------------------------------------------------------------------------
+
+
+def test_worst_first_expansion_ranks_the_same_candidates(monkeypatch):
+    """Expanding each frame's beams worst first instead of best first
+    moves the floor and the order in which a node's next masses are
+    written, and nothing else: random instances (wide and narrow states,
+    uniform frames with ties at the cutoff) and synthetic corpus
+    utterances with and without off-lexicon spelling rank the same
+    candidates with the same masses every frame, and end in the same
+    transcript and score, by ``float.hex``. Best first raises the floor
+    less often."""
+    raises = {"best first": 0, "worst first": 0}
+    order = ["best first"]
+    raise_floor = decoder_module._raise_floor
+
+    def counting(bounds, score, width):
+        raises[order[0]] += 1
+        return raise_floor(bounds, score, width)
+
+    monkeypatch.setattr(decoder_module, "_raise_floor", counting)
+
+    def assert_same(logits, config):
+        order[0] = "best first"
+        best_first = _decode_recorded(monkeypatch, logits, config)
+        order[0] = "worst first"
+        worst_first = _decode_recorded(
+            monkeypatch, logits, config, expansion_key=lambda b: -b.score
+        )
+        assert worst_first == best_first
+
+    rng = random.Random(8081)
+    for i in range(120):
+        inst = random_instance(rng, max_frames=6, max_words=4)
+        scorer = ColoringScorer(
+            dataclasses.replace(
+                inst.scorer.config, unknown_subword_penalty=(-2.0, 0.0, None)[i % 3]
+            ),
+            inst.scorer.merged,
+            inst.scorer.num_colors,
+        )
+        tries = None if i % 5 == 4 else inst.tries
+        logits = inst.logits
+        if i % 4 == 3:
+            cols = logits.columns
+            logits = LogitsMatrix.from_linear([[1 / cols] * cols] * logits.frames, cols)
+        for width in (1, 2, 3, 4):
+            assert_same(logits, DecoderConfig(inst.alphabet, tries, scorer, width))
+
+    lang = corpus.build_language(1)
+    spec = corpus.SynthesisSpec(
+        num_sentences=6, jargon_insertion_rate=0.3, noise_level=0.25,
+        frames_per_char=1, rng_seed=11, language_seed=1,
+    )
+    template = corpus.default_alphabet(1)
+    models = list(corpus.language_models(lang))
+    lexicons = [lang.lexicons.general, lang.lexicons.jargon]
+    for penalty in (None, -3.0):
+        runtime = build_runtime(
+            "coloring", lexicons, models,
+            ScorerConfig(unknown_subword_penalty=penalty), template, 16,
+        )
+        for words, _mask in corpus.sample_sentences(spec, lang):
+            logits = corpus.synthesize_logits(" ".join(words), template, 0.25, 1)
+            assert_same(logits, runtime.decoder_config())
+    assert 0 < raises["best first"] < raises["worst first"]
+
+
+def _two_frame_rows(second):
+    """Frame 1 favors "a"; frame 2 is ``second``; frame 3 favors "b", so
+    "ab" takes both its own stay and the extension of "a"."""
+    return [[0.7, 0.1, 0.2], second, [0.2, 0.5, 0.3]]
+
+
+@pytest.mark.parametrize(
+    "second, parent_first",
+    [([0.5, 0.4, 0.1], True), ([0.15, 0.75, 0.1], False)],
+    ids=["extension-before-stay", "extension-after-stay"],
+)
+def test_a_node_sums_its_stay_and_its_parents_extension(
+    monkeypatch, second, parent_first
+):
+    """Over "a" and "b" at beam 2, after frame 2 the beam holds "a" and
+    "ab". Expanded best first, "ab" gets the extension of "a" before its
+    own stay when "a" scores higher, and after it when "ab" does. Either
+    way every frame's ranked candidates carry, bit for bit, the masses
+    of a plain prefix beam search."""
+    frames = []
+
+    def rank(beams, limit):
+        frames.append({_labels(b): (b.p_blank, b.p_nonblank) for b in beams})
+        return get_best_beams(beams, limit)
+
+    monkeypatch.setattr(decoder_module, "get_best_beams", rank)
+    alphabet = ColoredAlphabet(("a", "b"), 1, None)
+    logits = LogitsMatrix.from_linear(_two_frame_rows(second))
+    scorer = NullScorer(ScorerConfig(beta=0.0))
+    decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=2))
+
+    a, ab = ((0, 0),), ((0, 0), (1, 0))
+    assert set(frames[2]) == {a, ab}
+    score = {labels: logaddexp10(*masses) for labels, masses in frames[2].items()}
+    assert (score[a] > score[ab]) == parent_first
+    # "ab" stays on its non-blank mass and takes the extension of "a"
+    assert NEG_INF not in (frames[2][ab][1], score[a])
+    assert ab in frames[3]
+    assert _hexed(frames) == _hexed(_plain_prefix_search(logits.log10_rows(), 2))

@@ -420,6 +420,28 @@ def test_missing_reference_fails_before_any_decode(monkeypatch):
         )
 
 
+def test_an_empty_corpus_is_refused_before_any_runtime_is_built(monkeypatch):
+    """A manifest with no utterances has no error rate: evaluating it
+    or searching a grid on it fails, naming the empty manifest, before
+    any runtime is built or any decode runs."""
+    monkeypatch.setattr(
+        evaluation, "decode_utterances", lambda *a, **k: pytest.fail("decoded")
+    )
+    runtime = build_runtime(
+        "none", [["ab", "cd"]], [], ScorerConfig(), default_alphabet(1)
+    )
+    monkeypatch.setattr(
+        evaluation, "build_runtime", lambda *a, **k: pytest.fail("built")
+    )
+    with pytest.raises(ValueError, match="manifest has no utterances"):
+        evaluate("unit", [], [("none", runtime)])
+    with pytest.raises(ValueError, match="manifest has no utterances"):
+        run_grid_search(
+            "none", [], [["ab", "cd"]], [], GridSpec(betas=(0.0,)),
+            default_alphabet(1),
+        )
+
+
 # ---------------------------------------------------------------------------
 # Calibration pairs
 # ---------------------------------------------------------------------------

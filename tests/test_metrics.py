@@ -58,6 +58,53 @@ def test_edit_distance_matches_brute_force(a, b):
     assert edit_distance(a, b) == brute_force_distance(a, b)
 
 
+def plain_dp_distance(a, b):
+    """The textbook O(n·m) table, one row at a time."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, y in enumerate(b, start=1):
+            cur[j] = min(prev[j - 1] + (x != y), prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return prev[-1]
+
+
+def test_edit_distance_matches_a_plain_dp_beyond_one_machine_word():
+    """Strings and word lists up to 150 elements, so the bit vectors
+    over ``ref`` run past 64 bits, over small alphabets where long
+    matches and many ties occur; both argument orders."""
+    rng = random.Random(2718)
+    words = ["the", "a", "cat", "sat", "mat", "on", "catt"]
+    long_pairs = 0
+    for i in range(600):
+        n, m = rng.randint(0, 150), rng.randint(0, 150)
+        if i % 2:
+            a = [rng.choice(words) for _ in range(n)]
+            b = [rng.choice(words) for _ in range(m)]
+        else:
+            alphabet = "abc "[: rng.randint(1, 4)]
+            a = "".join(rng.choice(alphabet) for _ in range(n))
+            b = "".join(rng.choice(alphabet) for _ in range(m))
+        if i % 3 == 0 and a:
+            # a near copy: a few edits of a
+            b = list(a)
+            for _ in range(rng.randint(1, 4)):
+                b.insert(rng.randint(0, len(b)), b[rng.randrange(len(b))])
+                del b[rng.randrange(len(b))]
+            b = "".join(b) if isinstance(a, str) else b
+        want = plain_dp_distance(a, b)
+        assert edit_distance(a, b) == want
+        assert edit_distance(b, a) == want
+        long_pairs += min(len(a), len(b)) > 64
+    assert long_pairs > 100
+
+
+def test_edit_distance_of_word_lists_counts_whole_words():
+    assert edit_distance(["colored", "words"], ["colored", "word"]) == 1
+    assert edit_distance(["a", "b"] * 40, ["b", "a"] * 40) == 2
+    assert edit_distance(["x"] * 70, ["x"] * 69 + ["y"]) == 1
+
+
 @given(
     st.text(alphabet="abc", max_size=6),
     st.text(alphabet="abc", max_size=6),
