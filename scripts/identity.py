@@ -31,7 +31,11 @@ The decode set:
 - the rows and the best point of a coloring ``run_grid_search`` with
   off-lexicon spelling on (an 8-point grid at beam 16, on a corpus
   synthesized from the same spec), at ``jobs`` 1 and 2, so the worker
-  pool is held to the serial pass bit for bit.
+  pool is held to the serial pass bit for bit;
+- the rows and the best point of a ``bins`` ``run_grid_search`` over
+  bin counts 53 and 100 (an 8-point grid at beam 16, on the same
+  corpus, calibrated on it), at ``jobs`` 1 and 2: its points share one
+  grammar with off-lexicon spelling off, and their tables differ.
 
     python3 scripts/identity.py --base ../colordecode-parent
 """
@@ -61,6 +65,7 @@ UNCONSTRAINED_KINDS = ("none", "general")
 UNCONSTRAINED_BETAS = (0.0, 0.5)
 GRID_JOBS = (1, 2)
 GRID_BEAM = 16
+GRID_BIN_COUNTS = (53, 100)
 
 
 def _corpus_spec():
@@ -180,7 +185,7 @@ def _unconstrained_config(kind, models, config, template, width):
 
 def _grid_searches():
     """``(rows, best point)`` of one off-lexicon coloring grid search
-    per ``GRID_JOBS`` entry."""
+    and one ``bins`` grid search per ``GRID_JOBS`` entry."""
     from colordecode import corpus, evaluation
 
     grid = evaluation.GridSpec(
@@ -188,17 +193,21 @@ def _grid_searches():
         betas=(0.0, 0.5),
         word_penalties=(-10.0,),
         subword_penalties=(0.0, -3.0),
+        bin_counts=GRID_BIN_COUNTS,
     )
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         utts, lang = corpus.synthesize_corpus(_corpus_spec(), Path(tmp))
         lexicons = [lang.lexicons.general, lang.lexicons.jargon]
         models = list(corpus.language_models(lang))
-        for jobs in GRID_JOBS:
-            result = evaluation.run_grid_search(
-                "coloring", utts, lexicons, models, grid,
-                corpus.default_alphabet(1), beam_width=GRID_BEAM, jobs=jobs,
-            )
-            yield result.rows, result.best
+        calibration = evaluation.calibration_pairs(utts, models)
+        for kind in ("coloring", "bins"):
+            for jobs in GRID_JOBS:
+                result = evaluation.run_grid_search(
+                    kind, utts, lexicons, models, grid,
+                    corpus.default_alphabet(1), beam_width=GRID_BEAM, jobs=jobs,
+                    calibration=calibration if kind == "bins" else None,
+                )
+                yield result.rows, result.best
 
 
 def digest() -> str:

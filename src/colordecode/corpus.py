@@ -112,6 +112,8 @@ def read_manifest(path) -> list[Utterance]:
     base = path.parent
     utterances: list[Utterance] = []
     seen: set[str] = set()
+    # a row's directory part -> its resolved path, so each is resolved once
+    dirs: dict[str, Path] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -155,11 +157,26 @@ def read_manifest(path) -> list[Utterance]:
                         line_no,
                     )
                 mask = tuple(raw_mask)
-            logits_path = (base / logits).resolve()
+            logits_path = _resolve(base, logits, dirs)
             if not logits_path.exists():
                 raise MissingLogitsFile(str(logits_path))
             utterances.append(Utterance(utt_id, logits_path, reference, mask))
     return utterances
+
+
+def _resolve(base: Path, logits: str, dirs: dict[str, Path]) -> Path:
+    """``(base / logits).resolve()``, resolving each distinct directory
+    part of ``logits`` once through ``dirs``. Joining a resolved
+    directory and a last component that is no symlink, ``.`` or ``..``
+    leaves nothing to resolve; any other path is resolved in full."""
+    head, name = os.path.split(logits)
+    if name in ("", ".", ".."):
+        return (base / logits).resolve()
+    resolved = dirs.get(head)
+    if resolved is None:
+        resolved = dirs[head] = (base / head).resolve()
+    joined = resolved / name
+    return (base / logits).resolve() if joined.is_symlink() else joined
 
 
 def write_manifest(utterances: Sequence[Utterance], path) -> None:

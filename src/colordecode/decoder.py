@@ -21,6 +21,13 @@ again is not rescored. A word that left every trie, or an unconstrained
 one, is spelled only when it completes or the utterance ends; the
 spelling is then kept on its node, built from its parent's.
 
+The successor table belongs to the grammar, not to the scorer: an entry
+is a pure function of the alphabet, the tries, the grammar state and
+whether off-lexicon spelling is on. A config fills it on first use and
+shares it with every utterance it decodes, and ``DecoderConfig.with_scorer``
+hands it on to a config for another scorer over the same grammar, as a
+grid search does from point to point.
+
 A grammar state is wide when its extensions cover at least half of the
 alphabet's non-blank columns, as every in-word state does with
 off-lexicon spelling on; the successor table decides this once per
@@ -348,7 +355,9 @@ class DecoderConfig:
 
     The config also holds the successor list of every grammar state its
     decodes have reached, built on first use and shared by every
-    utterance it decodes.
+    utterance it decodes. That table belongs to the grammar (the
+    alphabet, the tries and the off-lexicon setting), not to the scorer:
+    ``with_scorer`` shares it with a config for another scorer.
     """
 
     alphabet: ColoredAlphabet
@@ -376,6 +385,19 @@ class DecoderConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError("beam width must be at least 1")
+
+    def with_scorer(self, scorer: Scorer, beam_width: int) -> "DecoderConfig":
+        """A config for ``scorer`` at ``beam_width`` over this config's
+        alphabet and tries. It shares this config's successor table when
+        both scorers agree on off-lexicon spelling, as every point of one
+        grid kind does, and starts a fresh one when they do not. The
+        unknown-word deltas belong to the scorer and start empty."""
+        config = DecoderConfig(self.alphabet, self.tries, scorer, beam_width)
+        if (scorer.config.unknown_subword_penalty is None) == (
+            self.scorer.config.unknown_subword_penalty is None
+        ):
+            object.__setattr__(config, "_successors", self._successors)
+        return config
 
 
 @dataclass

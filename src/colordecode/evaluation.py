@@ -36,6 +36,7 @@ from .ngram_lm import EMPTY_STATE, NGramModel
 from .scorers import (
     BinTable,
     MissingBinTable,
+    NullScorer,
     Scorer,
     ScorerConfig,
     fit_bin_table,
@@ -186,34 +187,57 @@ def build_runtime(
     unconstrained (no tries), which coloring cannot. ``alphabet`` is a
     template; its color count is replaced by what the method needs.
     """
+    ab, tries = _build_grammar(kind, lexicons, alphabet)
+    scorer = _build_scorer(kind, models, config, ab, bin_table)
+    return MethodRuntime(ab, tries, scorer, beam_width)
+
+
+def _build_grammar(
+    kind: str,
+    lexicons: Sequence[Sequence[str]] | None,
+    alphabet: ColoredAlphabet,
+) -> tuple[ColoredAlphabet, list[LexiconTrie] | None]:
+    """The alphabet and tries of ``build_runtime``: the half of a
+    runtime that no hyperparameter changes."""
     if lexicons is not None and (not lexicons or any(not lex for lex in lexicons)):
         raise EmptyLexicon("every lexicon needs at least one word")
 
     if kind == "coloring":
         if lexicons is None:
             raise ValueError("coloring needs one lexicon per color")
-        num_colors = len(lexicons)
         ab = ColoredAlphabet(
-            alphabet.base_chars, num_colors, alphabet.word_separator
+            alphabet.base_chars, len(lexicons), alphabet.word_separator
         )
-        tries = [build_trie(ab, c, lex) for c, lex in enumerate(lexicons)]
-        scorer = make_scorer(kind, models, config, num_colors=num_colors)
-        return MethodRuntime(ab, tries, scorer, beam_width)
+        return ab, [build_trie(ab, c, lex) for c, lex in enumerate(lexicons)]
 
     ab = ColoredAlphabet(alphabet.base_chars, 1, alphabet.word_separator)
-    tries = None
-    if lexicons is not None:
-        union = tuple(dict.fromkeys(w for lex in lexicons for w in lex))
-        tries = [build_trie(ab, 0, union)]
-    scorer = make_scorer(kind, models, config, bin_table=bin_table)
-    return MethodRuntime(ab, tries, scorer, beam_width)
+    if lexicons is None:
+        return ab, None
+    union = tuple(dict.fromkeys(w for lex in lexicons for w in lex))
+    return ab, [build_trie(ab, 0, union)]
+
+
+def _build_scorer(
+    kind: str,
+    models: Sequence[NGramModel],
+    config: ScorerConfig,
+    alphabet: ColoredAlphabet,
+    bin_table: BinTable | None,
+) -> Scorer:
+    """The scorer of ``build_runtime`` over the grammar's ``alphabet``:
+    coloring scores one color per lexicon."""
+    if kind == "coloring":
+        return make_scorer(kind, models, config, num_colors=alphabet.num_colors)
+    return make_scorer(kind, models, config, bin_table=bin_table)
 
 
 class _RunDecoder:
     """Decodes ``(run index, logits path)`` tasks, holding the decoder
     config of the latest run only: its successor table lives across that
-    run's utterances, and no two runs' tries and scorers are alive at
-    once."""
+    run's utterances, and no two runs' scorers are alive at once. A run
+    over the same alphabet and tries as the run before (by identity, as
+    every point of a grid search has) takes that run's successor table
+    through ``DecoderConfig.with_scorer``."""
 
     def __init__(self, runtimes: Sequence[MethodRuntime]):
         self.runtimes = runtimes
@@ -223,9 +247,22 @@ class _RunDecoder:
     def __call__(self, task: tuple[int, str]) -> ColoredTranscript:
         run, path = task
         if run != self.run:
-            # drop the previous run's config before building the next
-            self.config = None
-            self.config = self.runtimes[run].decoder_config()
+            previous, self.config = self.config, None
+            if previous is not None:
+                # its grammar, held under a scorer with the same settings
+                # and no model while the next run's scorer is built
+                previous = previous.with_scorer(
+                    NullScorer(previous.scorer.config), previous.beam_width
+                )
+            runtime = self.runtimes[run]
+            if (
+                previous is not None
+                and runtime.alphabet is previous.alphabet
+                and runtime.tries is previous.tries
+            ):
+                self.config = previous.with_scorer(runtime.scorer, runtime.beam_width)
+            else:
+                self.config = runtime.decoder_config()
             self.run = run
         return _decode_file(path, self.config)
 
@@ -267,7 +304,9 @@ def decode_utterances(
     shipped to each worker once, and a worker builds a runtime's decoder
     config at its first task for it, keeping only the latest; a
     sequence that builds its items when they are read (as a grid search
-    passes) keeps one runtime per process alive at a time. The first
+    passes) keeps one scorer per process alive at a time. Consecutive
+    runtimes over the same alphabet and tries share one successor
+    table. The first
     unreadable or malformed logits file aborts the run with an error
     naming it.
     """
@@ -358,16 +397,17 @@ class GridSearchResult:
 
 @dataclass(frozen=True)
 class _GridRuntimes(Sequence):
-    """The runtimes of a grid search's points, each built by
-    ``build_runtime`` when it is read. It pickles as the shared inputs
-    plus the points, and holds no runtime itself, so a 500-point grid
-    costs one runtime per process, not 500."""
+    """The runtimes of a grid search's points over one grammar: the
+    alphabet and tries, built once, and each point's scorer, built when
+    the point is read. It pickles as the grammar, the models and the
+    points, and holds no scorer itself, so a 500-point grid costs one
+    scorer per process, not 500."""
 
     kind: str
-    lexicons: Sequence[Sequence[str]]
+    alphabet: ColoredAlphabet
+    tries: list[LexiconTrie] | None
     models: Sequence[NGramModel]
     points: Sequence[GridPoint]
-    alphabet: ColoredAlphabet
     beam_width: int
     # bin count -> fitted table, for the bin method
     tables: dict[int | None, BinTable]
@@ -377,15 +417,14 @@ class _GridRuntimes(Sequence):
 
     def __getitem__(self, index: int) -> MethodRuntime:
         point = self.points[index]
-        return build_runtime(
+        scorer = _build_scorer(
             self.kind,
-            self.lexicons,
             self.models,
             point.config,
             self.alphabet,
-            self.beam_width,
             self.tables.get(point.num_bins),
         )
+        return MethodRuntime(self.alphabet, self.tries, scorer, self.beam_width)
 
 
 def run_grid_search(
@@ -402,14 +441,17 @@ def run_grid_search(
     """Try every grid point on a validation corpus and keep the best.
 
     Every point's decodes go through one ``decode_utterances`` call, so
-    with ``jobs`` above one they share one worker pool; each point's
-    runtime is built where it is decoded, one at a time. Ranking is
+    with ``jobs`` above one they share one worker pool. The points share
+    one alphabet and one set of tries, built here once, and each
+    process hands its successor table from point to point; each point's
+    scorer is built where it is decoded, one at a time. Ranking is
     (WER, CER, enumeration order). The bin method fits one table per
     bin count from ``calibration``. A grid with no points, or a corpus
     with no utterances, is refused.
     """
     # every point's config is validated, every reference found, every
-    # bin table fitted and one runtime built before the first decode
+    # bin table fitted, the tries built and one scorer built before the
+    # first decode
     points = list(grid.points(kind))
     if not points:
         raise ValueError(f"the {kind} grid has no points")
@@ -421,11 +463,10 @@ def run_grid_search(
         for point in points:
             if point.num_bins not in tables:
                 tables[point.num_bins] = fit_bin_table(calibration, point.num_bins)
-    runtimes = _GridRuntimes(
-        kind, lexicons, models, points, alphabet, beam_width, tables
-    )
-    # point 0's runtime, built and dropped here, refuses an empty
-    # lexicon or a missing model as every point's would
+    ab, tries = _build_grammar(kind, lexicons, alphabet)
+    runtimes = _GridRuntimes(kind, ab, tries, models, points, beam_width, tables)
+    # point 0's scorer, built and dropped here, refuses a missing model
+    # as every point's would
     runtimes[0]
 
     best: tuple[float, float, int] | None = None

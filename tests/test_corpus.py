@@ -183,6 +183,58 @@ def test_manifest_checks_logits_exist(tmp_path):
         read_manifest(manifest)
 
 
+def test_manifest_paths_resolve_as_path_resolve(tmp_path):
+    """Each row's logits path is exactly ``(manifest dir / logits)
+    .resolve()``: through a symlinked directory (the manifest's own and
+    a row's), to a symlinked file and over ``..``, also after a symlink;
+    a missing file is named by that same path."""
+    real = tmp_path / "real"
+    (real / "sub").mkdir(parents=True)
+    _write_logits_file(real, "a.ctcl")
+    _write_logits_file(real / "sub", "b.ctcl")
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "linked").symlink_to(real, target_is_directory=True)
+    (data / "alias.ctcl").symlink_to(real / "sub" / "b.ctcl")
+    _write_logits_file(data, "c.ctcl")
+    (tmp_path / "datalink").symlink_to(data, target_is_directory=True)
+    rows = [
+        "c.ctcl",
+        "./c.ctcl",
+        "linked/a.ctcl",
+        "linked/sub/b.ctcl",
+        "alias.ctcl",
+        "../real/a.ctcl",
+        "linked/sub/../a.ctcl",
+        "linked/sub/..",
+        "linked/sub/",
+        str(real / "sub" / "b.ctcl"),
+    ]
+    manifest = data / "m.jsonl"
+
+    def write(rows):
+        manifest.write_text(
+            "".join(json.dumps({"id": f"u{i}", "logits": r}) + "\n"
+                    for i, r in enumerate(rows))
+        )
+
+    write(rows)
+    for base in (data, tmp_path / "datalink"):
+        read = read_manifest(base / "m.jsonl")
+        expected = [(base / r).resolve() for r in rows]
+        assert [str(u.logits_path) for u in read] == [str(p) for p in expected]
+    # the symlinked file and the ".." after a symlink resolve to targets
+    assert read[4].logits_path == real / "sub" / "b.ctcl"
+    assert read[6].logits_path == real / "a.ctcl"
+
+    for missing in ("gone.ctcl", "linked/gone.ctcl", "linked/sub/../gone.ctcl",
+                    "gone/x.ctcl", "/colordecode-gone.ctcl"):
+        write([missing])
+        with pytest.raises(MissingLogitsFile) as exc:
+            read_manifest(tmp_path / "datalink" / "m.jsonl")
+        assert str(exc.value) == str((tmp_path / "datalink" / missing).resolve())
+
+
 # ---------------------------------------------------------------------------
 # Lexicon files and markup
 # ---------------------------------------------------------------------------

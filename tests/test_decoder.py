@@ -830,6 +830,45 @@ def test_successor_table_is_built_once_per_config(monkeypatch):
     assert len(calls) == len(set(calls)) <= bound
 
 
+def test_a_config_for_another_scorer_shares_the_table_only_when_spelling_agrees(
+    monkeypatch,
+):
+    """``with_scorer`` keeps the successor table for a scorer that spells
+    off the lexicon as the first one does, so no state's successor list
+    is built twice; for one that does not, the table starts fresh and
+    the states met before are built again. Either way the transcript is
+    the one a fresh config decodes."""
+    calls = []
+
+    def counting(alphabet, tries, state, allow_off_lexicon=False):
+        calls.append((state, allow_off_lexicon))
+        return word_successors(alphabet, tries, state, allow_off_lexicon)
+
+    monkeypatch.setattr(decoder_module, "word_successors", counting)
+    config = _offlex_coloring_config(subword_penalty=-2.0)
+    logits = LogitsMatrix.from_linear(random_rows(random.Random(9), 20, 5))
+    decode(logits, config)
+    built = len(calls)
+    assert built
+
+    for penalty, reused in ((0.0, True), (None, False)):
+        fresh = _offlex_coloring_config(subword_penalty=penalty, beam_width=8)
+        derived = config.with_scorer(fresh.scorer, 8)
+        assert (derived.alphabet, derived.tries) == (config.alphabet, config.tries)
+        assert derived.scorer is fresh.scorer and derived.beam_width == 8
+        assert (derived._successors is config._successors) == reused
+        assert not derived._unknown_deltas
+        before = len(calls)
+        transcript = decode(logits, derived)
+        again = {s for s, _ in calls[before:]} & {s for s, _ in calls[:before]}
+        assert bool(again) != reused
+        assert all(allow == (penalty is not None) for _, allow in calls[before:])
+        monkeypatch.setattr(decoder_module, "word_successors", word_successors)
+        assert transcript == decode(logits, fresh)
+        monkeypatch.setattr(decoder_module, "word_successors", counting)
+    assert len(calls) > built
+
+
 def test_off_lexicon_words_match_oracle():
     """With off-lexicon spelling on in every instance, a saturating
     beam finds the oracle's transcript and score: words that leave their

@@ -4,15 +4,17 @@ from pathlib import Path
 
 import pytest
 
+import colordecode.decoder as decoder_module
 import colordecode.evaluation as evaluation
 from colordecode.corpus import (
     EmptyLexicon,
     SynthesisSpec,
     Utterance,
     default_alphabet,
+    read_logits,
     synthesize_corpus,
 )
-from colordecode.decoder import ColoredTranscript
+from colordecode.decoder import ColoredTranscript, decode
 from colordecode.evaluation import (
     COMPARISON_GRID,
     GridSpec,
@@ -22,6 +24,8 @@ from colordecode.evaluation import (
     evaluate,
     run_grid_search,
 )
+from colordecode.lexicon import word_successors
+from colordecode.metrics import cer, jargon_wer, wer
 from colordecode.ngram_lm import NGramModel
 from colordecode.scorers import (
     ColoringScorer,
@@ -29,6 +33,7 @@ from colordecode.scorers import (
     MissingModel,
     ScorerConfig,
     SingleLmScorer,
+    fit_bin_table,
 )
 from conftest import trie_words
 
@@ -268,21 +273,30 @@ def test_offlex_coloring_grid_rows_are_identical_at_every_jobs(small_corpus):
 
 def test_grid_search_holds_one_point_runtime_at_a_time(small_corpus, monkeypatch):
     """On the default 500-point coloring grid the serial path builds each
-    point's runtime where it decodes it, and frees it before the next
-    point's: no two points' scorers are ever alive at once."""
+    point's scorer where it decodes it, and frees it before the next
+    point's: no two points' scorers are ever alive at once. Every point
+    decodes over one set of tries, built once."""
     utts, lang = small_corpus
     lexicons, models = _coloring_inputs(lang)
-    real_build = evaluation.build_runtime
+    real_build = evaluation._build_scorer
+    real_decode = evaluation.decode
     scorers = []
+    tries = []
 
     def build(*args, **kwargs):
         alive = [ref for ref in scorers if ref() is not None]
-        assert not alive, f"{len(alive)} runtimes alive at build {len(scorers)}"
-        runtime = real_build(*args, **kwargs)
-        scorers.append(weakref.ref(runtime.scorer))
-        return runtime
+        assert not alive, f"{len(alive)} scorers alive at build {len(scorers)}"
+        scorer = real_build(*args, **kwargs)
+        scorers.append(weakref.ref(scorer))
+        return scorer
 
-    monkeypatch.setattr(evaluation, "build_runtime", build)
+    def decode(logits, config):
+        if not tries or config.tries is not tries[-1]:
+            tries.append(config.tries)
+        return real_decode(logits, config)
+
+    monkeypatch.setattr(evaluation, "_build_scorer", build)
+    monkeypatch.setattr(evaluation, "decode", decode)
     grid = GridSpec()
     result = run_grid_search("coloring", utts[:1], lexicons, models, grid,
                              default_alphabet(2), beam_width=2)
@@ -290,6 +304,96 @@ def test_grid_search_holds_one_point_runtime_at_a_time(small_corpus, monkeypatch
     assert len(result.rows) == points == 500
     # point 0 once more in the parent, where the refusals happen
     assert len(scorers) == points + 1
+    assert len(tries) == 1 and len(tries[0]) == 2
+
+
+def _offlex_grid(alphas=(0.5, 1.0)) -> GridSpec:
+    return GridSpec(
+        alphas=alphas, betas=(0.0,), word_penalties=(-10.0,),
+        subword_penalties=(0.0, -3.0),
+    )
+
+
+def test_grid_points_build_each_successor_list_once(small_corpus, monkeypatch):
+    """The points of a coloring grid with off-lexicon spelling share one
+    successor table: a search builds each grammar state's successor list
+    once, as many as one point decoded alone builds."""
+    utts, lang = small_corpus
+    lexicons, models = _coloring_inputs(lang)
+    calls = []
+
+    def counting(alphabet, tries, state, allow_off_lexicon=False):
+        calls.append(state)
+        return word_successors(alphabet, tries, state, allow_off_lexicon)
+
+    monkeypatch.setattr(decoder_module, "word_successors", counting)
+    grid = _offlex_grid()
+    assert _size(grid, "coloring") == 4
+    run_grid_search("coloring", utts, lexicons, models, grid,
+                    default_alphabet(2), beam_width=8)
+    searched = list(calls)
+    assert len(searched) == len(set(searched))
+
+    alone = []
+    for point in grid.points("coloring"):
+        calls.clear()
+        runtime = build_runtime("coloring", lexicons, models, point.config,
+                                default_alphabet(2), 8)
+        decode_utterances(utts, [runtime])
+        alone.append(len(calls))
+    assert len(searched) == max(alone)
+
+
+def _hex_rows(rows):
+    return [
+        (point, w.hex(), c.hex(), None if jw is None else jw.hex())
+        for point, w, c, jw in rows
+    ]
+
+
+@pytest.mark.parametrize("kind", ["coloring", "bins"])
+def test_grid_rows_equal_fresh_per_point_decodes(small_corpus, kind, monkeypatch):
+    """A search builds its tries once, and sharing them changes no bit:
+    every grid row, by ``float.hex``, equals that point's runtime built
+    afresh and decoded alone, for off-lexicon coloring and for two bin
+    counts, whose points differ in their tables and spell nothing off
+    the lexicon."""
+    utts, lang = small_corpus
+    lexicons, models = _coloring_inputs(lang)
+    built = []
+    real_build_trie = evaluation.build_trie
+
+    def build_trie(*args):
+        built.append(args[1])
+        return real_build_trie(*args)
+
+    monkeypatch.setattr(evaluation, "build_trie", build_trie)
+    calibration = None
+    grid = _offlex_grid()
+    if kind == "bins":
+        calibration = calibration_pairs(utts, models, seed=3)
+        grid = GridSpec(alphas=(0.5, 1.0), betas=(0.0,), word_penalties=(-10.0,),
+                        bin_counts=(4, 9))
+    result = run_grid_search(kind, utts, lexicons, models, grid,
+                             default_alphabet(2), beam_width=8,
+                             calibration=calibration)
+    assert built == ([0, 1] if kind == "coloring" else [0])
+    monkeypatch.undo()
+    refs = [list(u.reference) for u in utts]
+    masks = [list(u.jargon_mask) for u in utts]
+    fresh = []
+    for point in grid.points(kind):
+        table = None if calibration is None else fit_bin_table(calibration, point.num_bins)
+        runtime = build_runtime(kind, lexicons, models, point.config,
+                                default_alphabet(2), 8, table)
+        hyps = [
+            [w for w, _ in decode(read_logits(u.logits_path), runtime.decoder_config()).words]
+            for u in utts
+        ]
+        fresh.append((point, wer(refs, hyps), cer(refs, hyps),
+                      jargon_wer(refs, masks, hyps)))
+    assert len(fresh) == 4
+    assert _hex_rows(result.rows) == _hex_rows(fresh)
 
 
 @pytest.mark.parametrize(
@@ -430,9 +534,8 @@ def test_an_empty_corpus_is_refused_before_any_runtime_is_built(monkeypatch):
     runtime = build_runtime(
         "none", [["ab", "cd"]], [], ScorerConfig(), default_alphabet(1)
     )
-    monkeypatch.setattr(
-        evaluation, "build_runtime", lambda *a, **k: pytest.fail("built")
-    )
+    for name in ("build_runtime", "_build_grammar", "_build_scorer"):
+        monkeypatch.setattr(evaluation, name, lambda *a, **k: pytest.fail("built"))
     with pytest.raises(ValueError, match="manifest has no utterances"):
         evaluate("unit", [], [("none", runtime)])
     with pytest.raises(ValueError, match="manifest has no utterances"):
