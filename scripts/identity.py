@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Byte-identity check of the decoder against another checkout.
+"""Byte-identity check of the decoder and model loading against another
+checkout.
 
 Decodes one fixed set of inputs with the ``colordecode`` package of this
 working tree and with the one under ``--base DIR``, each in its own
@@ -35,7 +36,15 @@ The decode set:
 - the rows and the best point of a ``bins`` ``run_grid_search`` over
   bin counts 53 and 100 (an 8-point grid at beam 16, on the same
   corpus, calibrated on it), at ``jobs`` 1 and 2: its points share one
-  grammar with off-lexicon spelling off, and their tables differ.
+  grammar with off-lexicon spelling off, and their tables differ;
+- ``parse_arpa`` of the synthetic models of language seed 1 and of a
+  seeded random 3-gram model over 200 words, and three
+  ``merge_colored`` merges of them, one of which collides (the
+  message): entries in order, floats by ``float.hex``;
+- the message and line of ``parse_arpa``'s error, if any, over 400
+  edits of the random model's text, each replacing or dropping one
+  line (a bad or NaN or infinite float, a wrong field count, a stray
+  header, a duplicate line, a renamed token).
 
     python3 scripts/identity.py --base ../colordecode-parent
 """
@@ -66,6 +75,9 @@ UNCONSTRAINED_BETAS = (0.0, 0.5)
 GRID_JOBS = (1, 2)
 GRID_BEAM = 16
 GRID_BIN_COUNTS = (53, 100)
+RANDOM_MODEL_SEED = 16
+RANDOM_MODEL_WORDS = 200
+BAD_ARPA_TEXTS = 400
 
 
 def _corpus_spec():
@@ -210,6 +222,97 @@ def _grid_searches():
                 yield result.rows, result.best
 
 
+def _random_trigram_text() -> str:
+    """ARPA text of a seeded random 3-gram model over 200 words."""
+    from colordecode import ngram_lm
+
+    rng = random.Random(RANDOM_MODEL_SEED)
+    words = [f"w{i}" for i in range(RANDOM_MODEL_WORDS)]
+    entries = {(w,): (rng.uniform(-5.0, -0.1), rng.uniform(-1.0, 0.0)) for w in words}
+    entries[("w0",)] = (float("-inf"), 0.0)
+    bigrams = []
+    for _ in range(RANDOM_MODEL_WORDS * 10):
+        key = (rng.choice(words), rng.choice(words))
+        if key not in entries:
+            entries[key] = (rng.uniform(-5.0, -0.1), rng.uniform(-1.0, 0.0))
+            bigrams.append(key)
+    for _ in range(RANDOM_MODEL_WORDS * 20):
+        entries[rng.choice(bigrams) + (rng.choice(words),)] = (
+            rng.uniform(-5.0, -0.1), None
+        )
+    return ngram_lm.serialize_arpa(ngram_lm.NGramModel(3, entries))
+
+
+def _entries(model):
+    """A model's order and its entries in order, floats by ``float.hex``."""
+    return model.max_order, [
+        (key, logprob.hex(), None if backoff is None else backoff.hex())
+        for key, (logprob, backoff) in model.entries.items()
+    ]
+
+
+# per bad ARPA text, one line of the random model's text is replaced
+# by one of these (``{}`` stands for the line's tokens), by the line
+# before it, or by itself with its first token renamed, or is dropped
+BAD_ENTRY_LINES = (
+    "nope\t{}", "nan\t{}", "inf\t{}", "0.5\t{}", "-0.5\t{}\tinf",
+    "-0.5\t{}\t-inf", "-0.5\t{}\tnan", "-0.5\t{}\tx", "-0.5",
+    "-0.5\t{}\t-0.1\t-0.1", "\\end\\", "\\9-grams:", "\\2-grams:",
+    "ngram 1=3", "junk",
+)
+
+
+def _bad_arpa_texts(text: str):
+    rng = random.Random(RANDOM_MODEL_SEED)
+    lines = text.splitlines()
+    for _ in range(BAD_ARPA_TEXTS):
+        at = rng.randrange(1, len(lines))
+        bad = list(lines)
+        choice = rng.randrange(len(BAD_ENTRY_LINES) + 3)
+        if choice < len(BAD_ENTRY_LINES):
+            tokens = " ".join(lines[at].split("\t")[1:2])
+            bad[at] = BAD_ENTRY_LINES[choice].replace("{}", tokens)
+        elif choice == len(BAD_ENTRY_LINES):
+            bad[at] = lines[at - 1]
+        elif choice == len(BAD_ENTRY_LINES) + 1:
+            bad[at] = lines[at].replace("\tw", "\tzz", 1)
+        else:
+            del bad[at]
+        yield "\n".join(bad)
+
+
+def _model_outputs():
+    """``parse_arpa`` of the synthetic models of language seed 1 and of
+    a seeded random 3-gram model, ``merge_colored`` merges of them (one
+    colliding), and the message and line of the error, if any, over
+    each of ``BAD_ARPA_TEXTS`` edits of the random model's text."""
+    from colordecode import corpus, ngram_lm
+
+    lang = corpus.build_language(1)
+    texts = [ngram_lm.serialize_arpa(m) for m in corpus.language_models(lang)]
+    texts.append(_random_trigram_text())
+    models = [ngram_lm.parse_arpa(text) for text in texts]
+    for model in models:
+        yield _entries(model)
+    tail = list(models[2].entries)[-50:]
+    late = ngram_lm.NGramModel(3, {key: models[2].entries[key] for key in tail})
+    for pairs in (
+        list(zip(models[:2], (0, 1))),
+        list(zip(models, (0, 1, 2))),
+        list(zip(models, (1, 0, 1))) + [(late, 1)],
+    ):
+        try:
+            yield _entries(ngram_lm.merge_colored(pairs))
+        except ngram_lm.DuplicateColoredToken as exc:
+            yield str(exc)
+    for bad in _bad_arpa_texts(texts[-1]):
+        try:
+            ngram_lm.parse_arpa(bad)
+            yield None
+        except ngram_lm.MalformedArpa as exc:
+            yield str(exc), exc.line
+
+
 def digest() -> str:
     """The SHA-256 over the decode set, the output count and the path
     of the package that decoded it, one line."""
@@ -217,7 +320,10 @@ def digest() -> str:
 
     sha = hashlib.sha256()
     count = 0
-    for source in (_random_decodes(), _corpus_decodes(), _grid_searches()):
+    sources = (
+        _random_decodes(), _corpus_decodes(), _grid_searches(), _model_outputs()
+    )
+    for source in sources:
         for output in source:
             sha.update(repr(output).encode())
             sha.update(b"\n")

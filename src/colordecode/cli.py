@@ -16,6 +16,7 @@ failed verification), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -40,7 +41,7 @@ from .evaluation import (
     evaluate,
     run_grid_search,
 )
-from .lexicon import ColoredAlphabet, UnknownChar
+from .lexicon import ColoredAlphabet, InvalidWordChar, UnknownChar, build_trie
 from .ngram_lm import load_arpa, merge_colored, save_arpa
 from .oracle import InstanceTooLarge, run_verification
 from .scorers import SCORER_KINDS, ScorerConfig, fit_bin_table
@@ -249,6 +250,23 @@ def _load_models(args) -> list:
     return [load_arpa(path) for path in args.lm]
 
 
+@contextlib.contextmanager
+def _naming_lexicon_file(paths, lexicons, template: ColoredAlphabet):
+    """Name the file of a lexicon word the alphabet refuses. Runtimes
+    build their tries from every lexicon at once, so on a refusal each
+    file's words are tried alone, in order, and the first file refused
+    is named with its word."""
+    try:
+        yield
+    except InvalidWordChar:
+        for path, words in zip(paths, lexicons):
+            try:
+                build_trie(template, 0, words)
+            except InvalidWordChar as exc:
+                raise InvalidWordChar(f"{path}: {exc}") from None
+        raise
+
+
 def cmd_decode(args) -> int:
     template = _alphabet_from_args(args)
     models = _load_models(args)
@@ -257,10 +275,11 @@ def cmd_decode(args) -> int:
 
     # no lexicon decodes unconstrained
     lexicons = [read_lexicon(p) for p in args.lexicon] or None
-    cfg = build_runtime(
-        args.fusion, lexicons, models, config, template,
-        args.beam_width, bin_table,
-    ).decoder_config()
+    with _naming_lexicon_file(args.lexicon, lexicons or (), template):
+        cfg = build_runtime(
+            args.fusion, lexicons, models, config, template,
+            args.beam_width, bin_table,
+        ).decoder_config()
 
     transcript = _decode_file(args.logits, cfg)
     num_colors = cfg.alphabet.num_colors
@@ -280,10 +299,11 @@ def cmd_eval(args) -> int:
     if not args.lexicon:
         raise UsageError("eval needs at least one --lexicon file")
     lexicons = [read_lexicon(p) for p in args.lexicon]
-    runtime = build_runtime(
-        args.fusion, lexicons, models, config, template,
-        args.beam_width, bin_table,
-    )
+    with _naming_lexicon_file(args.lexicon, lexicons, template):
+        runtime = build_runtime(
+            args.fusion, lexicons, models, config, template,
+            args.beam_width, bin_table,
+        )
     utterances = read_manifest(args.manifest)
     report = evaluate(
         args.manifest, utterances, [(args.fusion, runtime)], jobs=jobs
@@ -323,17 +343,18 @@ def cmd_gridsearch(args) -> int:
             read_manifest(source), models, seed=args.calibration_seed
         )
 
-    result = run_grid_search(
-        args.fusion,
-        utterances,
-        lexicons,
-        models,
-        grid,
-        template,
-        beam_width=args.beam_width,
-        jobs=jobs,
-        calibration=calibration,
-    )
+    with _naming_lexicon_file(args.lexicon, lexicons, template):
+        result = run_grid_search(
+            args.fusion,
+            utterances,
+            lexicons,
+            models,
+            grid,
+            template,
+            beam_width=args.beam_width,
+            jobs=jobs,
+            calibration=calibration,
+        )
     print(f"method {args.fusion}: searched {len(result.rows)} configurations")
     print(f"best {result.best.describe(args.fusion)}")
     jw = f"{result.jargon_wer:.2f}" if result.jargon_wer is not None else "n/a"

@@ -85,7 +85,7 @@ class EmptyLexicon(ValueError):
 
 
 class IoFailure(ValueError):
-    """A logits file exists but cannot be parsed."""
+    """A logits or lexicon file exists but cannot be parsed."""
 
 
 @dataclass
@@ -251,15 +251,23 @@ def write_logits(matrix: LogitsMatrix, path) -> None:
 
 
 def read_lexicon(path) -> tuple[str, ...]:
-    """One word per line, lowercased; blank lines and # comments skipped."""
+    """One word per line, lowercased; blank lines and # comments skipped.
+    A file that is not UTF-8 text, or holds no word, raises an error
+    naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path}: not UTF-8 text: {exc}") from None
     words: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            word = raw.strip().lower()
-            if word and not word.startswith("#"):
-                words.append(word)
+    for raw in text.split("\n"):
+        word = raw.strip().lower()
+        if word and not word.startswith("#"):
+            words.append(word)
     if not words:
-        raise EmptyLexicon(str(path))
+        raise EmptyLexicon(
+            f"{path}: no words (every line is blank or a # comment)"
+        )
     return tuple(dict.fromkeys(words))
 
 

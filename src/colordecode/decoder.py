@@ -504,16 +504,24 @@ def _select(
             [b for b in beams if b.score >= cutoff],
             [c for c in fresh if c[0] >= cutoff],
         )
-    above = [b for b in beams if b.score > cutoff]
-    above_fresh = [c for c in fresh if c[0] > cutoff]
-    # (depth, parent, label) is unique per candidate, so the tuples sort
-    # by it alone
-    tied = [
-        (b.depth, b.parent, (b.col, b.color), False, b)
-        for b in beams if b.score == cutoff
-    ] + [
-        (c[2].depth + 1, c[2], c[4], True, c) for c in fresh if c[0] == cutoff
-    ]
+    # one pass over each list splits it into above and tied; (depth,
+    # parent, label) is unique per candidate, so the tied tuples sort by
+    # it alone
+    above = []
+    tied = []
+    for b in beams:
+        score = b.score
+        if score > cutoff:
+            above.append(b)
+        elif score == cutoff:
+            tied.append((b.depth, b.parent, (b.col, b.color), False, b))
+    above_fresh = []
+    for c in fresh:
+        score = c[0]
+        if score > cutoff:
+            above_fresh.append(c)
+        elif score == cutoff:
+            tied.append((c[2].depth + 1, c[2], c[4], True, c))
     tied.sort()
     for _depth, _parent, _label, is_fresh, candidate in tied[
         :limit - len(above) - len(above_fresh)

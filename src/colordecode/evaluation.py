@@ -35,6 +35,7 @@ from .metrics import EvalReport, MethodResult, cer, jargon_wer, wer
 from .ngram_lm import EMPTY_STATE, NGramModel
 from .scorers import (
     BinTable,
+    ColoringScorer,
     MissingBinTable,
     NullScorer,
     Scorer,
@@ -223,9 +224,13 @@ def _build_scorer(
     config: ScorerConfig,
     alphabet: ColoredAlphabet,
     bin_table: BinTable | None,
+    merged: NGramModel | None = None,
 ) -> Scorer:
     """The scorer of ``build_runtime`` over the grammar's ``alphabet``:
-    coloring scores one color per lexicon."""
+    coloring scores one color per lexicon, against ``merged`` when the
+    colored merge of ``models`` is already made."""
+    if merged is not None:
+        return ColoringScorer(config, merged, alphabet.num_colors)
     if kind == "coloring":
         return make_scorer(kind, models, config, num_colors=alphabet.num_colors)
     return make_scorer(kind, models, config, bin_table=bin_table)
@@ -399,9 +404,10 @@ class GridSearchResult:
 class _GridRuntimes(Sequence):
     """The runtimes of a grid search's points over one grammar: the
     alphabet and tries, built once, and each point's scorer, built when
-    the point is read. It pickles as the grammar, the models and the
-    points, and holds no scorer itself, so a 500-point grid costs one
-    scorer per process, not 500."""
+    the point is read. Coloring points share one colored merge of the
+    models, made once. It pickles as the grammar, the models, the merge
+    and the points, and holds no scorer itself, so a 500-point grid
+    costs one scorer per process, not 500."""
 
     kind: str
     alphabet: ColoredAlphabet
@@ -411,6 +417,8 @@ class _GridRuntimes(Sequence):
     beam_width: int
     # bin count -> fitted table, for the bin method
     tables: dict[int | None, BinTable]
+    # the colored merge of ``models``, for the coloring method
+    merged: NGramModel | None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -423,6 +431,7 @@ class _GridRuntimes(Sequence):
             point.config,
             self.alphabet,
             self.tables.get(point.num_bins),
+            self.merged,
         )
         return MethodRuntime(self.alphabet, self.tries, scorer, self.beam_width)
 
@@ -443,11 +452,12 @@ def run_grid_search(
     Every point's decodes go through one ``decode_utterances`` call, so
     with ``jobs`` above one they share one worker pool. The points share
     one alphabet and one set of tries, built here once, and each
-    process hands its successor table from point to point; each point's
-    scorer is built where it is decoded, one at a time. Ranking is
-    (WER, CER, enumeration order). The bin method fits one table per
-    bin count from ``calibration``. A grid with no points, or a corpus
-    with no utterances, is refused.
+    process hands its successor table from point to point; coloring
+    points also share one colored merge of ``models``, made here once.
+    Each point's scorer is built where it is decoded, one at a time.
+    Ranking is (WER, CER, enumeration order). The bin method fits one
+    table per bin count from ``calibration``. A grid with no points, or
+    a corpus with no utterances, is refused.
     """
     # every point's config is validated, every reference found, every
     # bin table fitted, the tries built and one scorer built before the
@@ -464,10 +474,17 @@ def run_grid_search(
             if point.num_bins not in tables:
                 tables[point.num_bins] = fit_bin_table(calibration, point.num_bins)
     ab, tries = _build_grammar(kind, lexicons, alphabet)
-    runtimes = _GridRuntimes(kind, ab, tries, models, points, beam_width, tables)
     # point 0's scorer, built and dropped here, refuses a missing model
-    # as every point's would
-    runtimes[0]
+    # or a colliding colored n-gram as every point's would; the coloring
+    # points then share its merged model
+    first = _build_scorer(
+        kind, models, points[0].config, ab, tables.get(points[0].num_bins)
+    )
+    merged = first.merged if isinstance(first, ColoringScorer) else None
+    del first
+    runtimes = _GridRuntimes(
+        kind, ab, tries, models, points, beam_width, tables, merged
+    )
 
     best: tuple[float, float, int] | None = None
     best_point: GridPoint | None = None

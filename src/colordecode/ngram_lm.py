@@ -11,12 +11,20 @@ identifying the source model, and the renamed entry sets are unioned. A
 merged model can then score colored histories directly, keeping each
 source model's statistics intact because the renamed vocabularies never
 overlap across colors.
+
+Parsing and merging run once per model at start-up; both are linear
+in the entry count, with little work per entry: ``parse_arpa`` splits
+each entry line once and checks it as it reads it, and proves the
+model prefix-closed by looking up each entry's immediate prefix only;
+``merge_colored`` renames each distinct token of a model once and
+hashes each colored entry once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -136,12 +144,23 @@ class NGramModel:
             context = context[1:]
 
 
-def _check_prefixes(model: NGramModel) -> None:
+_INF = float("inf")
+_NEG_INF = -_INF
+
+
+def _check_prefixes(entries: dict[tuple[str, ...], object]) -> None:
     # Every proper prefix of an entry must itself be an entry, otherwise
-    # the backoff walk would silently skip a level.
-    for key in model.entries:
+    # the backoff walk would silently skip a level. When every entry's
+    # immediate prefix is an entry, by induction so is every shorter
+    # one; only a failure walks all prefixes, to name the first gap.
+    for key in entries:
+        if len(key) > 1 and key[:-1] not in entries:
+            break
+    else:
+        return
+    for key in entries:
         for cut in range(1, len(key)):
-            if key[:cut] not in model.entries:
+            if key[:cut] not in entries:
                 raise MalformedArpa(
                     f"{len(key)}-gram {' '.join(key)!r} lacks prefix entry "
                     f"{' '.join(key[:cut])!r}"
@@ -154,10 +173,10 @@ def parse_arpa(text: str) -> NGramModel:
     Enforces: a ``\\data\\`` header with contiguous orders 1..N, section
     counts matching the header, one entry per line shaped as
     ``logprob tok1..tokN [backoff]``, finite or -inf log probabilities
-    (never positive, never NaN), no backoff on the highest order, no
-    duplicate entries, a closing ``\\end\\``, and prefix-closedness of the
-    final entry set. Violations raise MalformedArpa with a 1-based line
-    number where one applies.
+    (never positive, never NaN), finite backoff weights, no backoff on
+    the highest order, no duplicate entries, a closing ``\\end\\``, and
+    prefix-closedness of the final entry set. Violations raise
+    MalformedArpa with a 1-based line number where one applies.
     """
     lines = text.splitlines()
     counts: dict[int, int] = {}
@@ -198,15 +217,6 @@ def parse_arpa(text: str) -> NGramModel:
         if order not in counts:
             raise MalformedArpa(f"non-contiguous orders: missing ngram {order}= line")
 
-    def parse_float(tok: str, what: str, line_no: int) -> float:
-        try:
-            val = float(tok)
-        except ValueError:
-            raise MalformedArpa(f"bad {what} {tok!r}", line_no) from None
-        if val != val:
-            raise MalformedArpa(f"{what} is NaN", line_no)
-        return val
-
     seen_sections: set[int] = set()
     section_re = re.compile(r"^\\(\d+)-grams:$")
     while True:
@@ -227,45 +237,59 @@ def parse_arpa(text: str) -> NGramModel:
         seen_sections.add(order)
         i += 1
 
+        plain = order + 1  # fields of an entry without a backoff weight
+        backoff_allowed = order != max_order
+        # entries held before this section; a section's count of new keys
+        # falls behind its line count exactly at a duplicate
+        before = len(entries)
         section_count = 0
-        while i < n_lines:
-            raw = lines[i]
-            stripped = raw.strip()
-            if not stripped:
-                i += 1
+        for i in range(i, n_lines):
+            fields = lines[i].split()
+            if not fields:
                 continue
-            if stripped.startswith("\\"):
+            if fields[0][0] == "\\":
                 break
-            fields = stripped.split()
-            if len(fields) == order + 1:
-                has_backoff = False
-            elif len(fields) == order + 2:
-                has_backoff = True
-            else:
+            n_fields = len(fields)
+            if n_fields != plain and n_fields != plain + 1:
                 raise MalformedArpa(
-                    f"expected {order + 1} or {order + 2} fields, got {len(fields)}",
+                    f"expected {plain} or {plain + 1} fields, got {n_fields}",
                     i + 1,
                 )
-            logprob = parse_float(fields[0], "log probability", i + 1)
-            if logprob > 0.0:
+            try:
+                logprob = float(fields[0])
+            except ValueError:
+                raise MalformedArpa(
+                    f"bad log probability {fields[0]!r}", i + 1
+                ) from None
+            if not logprob <= 0.0:
+                if logprob != logprob:
+                    raise MalformedArpa("log probability is NaN", i + 1)
                 raise MalformedArpa(f"positive log probability {logprob!r}", i + 1)
-            if logprob == float("inf"):
-                raise MalformedArpa("infinite log probability", i + 1)
-            key = tuple(fields[1:order + 1])
-            backoff: float | None = None
-            if has_backoff:
-                if order == max_order:
+            if n_fields == plain:
+                key = tuple(fields[1:])
+                backoff = None
+            else:
+                if not backoff_allowed:
                     raise MalformedArpa(
                         "backoff weight on highest-order entry", i + 1
                     )
-                backoff = parse_float(fields[order + 1], "backoff weight", i + 1)
-                if backoff in (float("inf"), float("-inf")):
+                key = tuple(fields[1:plain])
+                try:
+                    backoff = float(fields[plain])
+                except ValueError:
+                    raise MalformedArpa(
+                        f"bad backoff weight {fields[plain]!r}", i + 1
+                    ) from None
+                if not _NEG_INF < backoff < _INF:
+                    if backoff != backoff:
+                        raise MalformedArpa("backoff weight is NaN", i + 1)
                     raise MalformedArpa("infinite backoff weight", i + 1)
-            if key in entries:
-                raise MalformedArpa(f"duplicate entry {' '.join(key)!r}", i + 1)
             entries[key] = (logprob, backoff)
             section_count += 1
-            i += 1
+            if len(entries) - before != section_count:
+                raise MalformedArpa(f"duplicate entry {' '.join(key)!r}", i + 1)
+        else:
+            i = n_lines
 
         if section_count != counts[order]:
             raise MalformedArpa(
@@ -277,9 +301,8 @@ def parse_arpa(text: str) -> NGramModel:
         if counts[order] > 0 and order not in seen_sections:
             raise MalformedArpa(f"missing \\{order}-grams: section")
 
-    model = NGramModel(max_order=max_order, entries=entries)
-    _check_prefixes(model)
-    return model
+    _check_prefixes(entries)
+    return NGramModel(max_order=max_order, entries=entries)
 
 
 def serialize_arpa(model: NGramModel) -> str:
@@ -311,8 +334,19 @@ def serialize_arpa(model: NGramModel) -> str:
 
 
 def load_arpa(path) -> NGramModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_arpa(fh.read())
+    """Read and parse an ARPA file. Text that is not UTF-8 or not valid
+    ARPA raises MalformedArpa naming ``path`` (and keeping ``line``)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedArpa(f"{path}: not UTF-8 text: {exc}") from None
+    try:
+        return parse_arpa(text)
+    except MalformedArpa as exc:
+        named = MalformedArpa(f"{path}: {exc}")
+        named.line = exc.line
+        raise named from None
 
 
 def save_arpa(model: NGramModel, path) -> None:
@@ -330,15 +364,36 @@ def merge_colored(models: Iterable[tuple[NGramModel, int]]) -> NGramModel:
     """
     merged: dict[tuple[str, ...], tuple[float, float | None]] = {}
     max_order = 0
+    done: list[tuple[NGramModel, int]] = []
     for model, color in models:
+        done.append((model, color))
         max_order = max(max_order, model.max_order)
-        for key, value in model.entries.items():
-            colored_key = tuple(color_token(tok, color) for tok in key)
-            if colored_key in merged:
-                raise DuplicateColoredToken(
-                    f"colored n-gram {' '.join(colored_key)!r} appears twice"
-                )
-            merged[colored_key] = value
+        entries = model.entries
+        # each distinct token renamed once; renaming within one color is
+        # one-to-one, so only another model's entries can collide
+        rename = {
+            tok: color_token(tok, color) for tok in set(chain.from_iterable(entries))
+        }
+        size = len(merged) + len(entries)
+        # tuple(map(rename.__getitem__, key)) for every key, looped in C
+        colored = map(tuple, map(map, repeat(rename.__getitem__), entries))
+        merged.update(zip(colored, entries.values()))
+        if len(merged) != size:
+            _raise_first_collision(done)
     if max_order == 0:
         raise ValueError("merge_colored needs at least one model")
     return NGramModel(max_order=max_order, entries=merged)
+
+
+def _raise_first_collision(models: list[tuple[NGramModel, int]]) -> None:
+    """Replay a merge of ``models`` entry by entry and raise at the first
+    colored n-gram met twice."""
+    seen: set[tuple[str, ...]] = set()
+    for model, color in models:
+        for key in model.entries:
+            colored_key = tuple(color_token(tok, color) for tok in key)
+            if colored_key in seen:
+                raise DuplicateColoredToken(
+                    f"colored n-gram {' '.join(colored_key)!r} appears twice"
+                )
+            seen.add(colored_key)

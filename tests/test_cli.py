@@ -873,6 +873,64 @@ def test_lexicon_outside_alphabet_fails_cleanly(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+# (file kind, malformation) -> (file contents, None for a directory;
+# the fault stderr names)
+BAD_INPUT_FILES = {
+    ("arpa", "non-utf8"): (
+        b"\\data\\\nngram 1=1\n\\1-grams:\n-0.3 \xd0a\n", "not UTF-8 text"
+    ),
+    ("arpa", "empty"): (b"", "expected \\data\\ header"),
+    ("arpa", "bad line"): (
+        b"\\data\\\nngram 1=1\n\\1-grams:\nnope aa\n\\end\\\n",
+        "line 4: bad log probability 'nope'",
+    ),
+    ("arpa", "directory"): (None, "Is a directory"),
+    ("lexicon", "non-utf8"): (b"aa\n\xd0b\n", "not UTF-8 text"),
+    ("lexicon", "empty"): (b"# no words\n\n", "no words"),
+    ("lexicon", "bad line"): (
+        b"aa\nzz\n", "word 'zz' contains 'z' outside the alphabet"
+    ),
+    ("lexicon", "directory"): (None, "Is a directory"),
+}
+
+
+def _bad_input_argv(command, kind, bad, setup):
+    if command == "merge-lm":
+        return ["merge-lm", "--lm", setup["general_lm"], "--lm", bad,
+                "--out", str(setup["dir"] / "merged.arpa")]
+    lms = [setup["general_lm"], setup["jargon_lm"]]
+    lexicons = [setup["general"], setup["jargon"]]
+    (lms if kind == "arpa" else lexicons)[1] = bad
+    return ["decode", setup["logits"], "--alphabet", "ab ", "--fusion", "coloring",
+            "--lm", lms[0], "--lm", lms[1],
+            "--lexicon", lexicons[0], "--lexicon", lexicons[1]]
+
+
+@pytest.mark.parametrize(
+    "command, kind, malformation",
+    [("decode", kind, malformation) for kind, malformation in BAD_INPUT_FILES]
+    + [("merge-lm", "arpa", malformation) for kind, malformation in BAD_INPUT_FILES
+       if kind == "arpa"],
+)
+def test_bad_model_and_lexicon_files_are_named(
+    tiny_setup, command, kind, malformation, capsys
+):
+    contents, fault = BAD_INPUT_FILES[kind, malformation]
+    bad = tiny_setup["dir"] / f"bad-{kind}"
+    if contents is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(contents)
+    rc, out, err = run_cli(_bad_input_argv(command, kind, str(bad), tiny_setup), capsys)
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert any(
+        line.startswith("error: ") and str(bad) in line and fault in line
+        for line in err.splitlines()
+    ), err
+
+
 def ctcl_bytes(natural_log_rows) -> bytes:
     rows = np.asarray(natural_log_rows, dtype="<f8")
     header = f"{rows.shape[0]} {rows.shape[1]}\n".encode("ascii")

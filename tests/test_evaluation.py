@@ -6,6 +6,7 @@ import pytest
 
 import colordecode.decoder as decoder_module
 import colordecode.evaluation as evaluation
+import colordecode.scorers as scorers_module
 from colordecode.corpus import (
     EmptyLexicon,
     SynthesisSpec,
@@ -305,6 +306,25 @@ def test_grid_search_holds_one_point_runtime_at_a_time(small_corpus, monkeypatch
     # point 0 once more in the parent, where the refusals happen
     assert len(scorers) == points + 1
     assert len(tries) == 1 and len(tries[0]) == 2
+
+
+def test_coloring_grid_search_merges_the_models_once(small_corpus, monkeypatch):
+    """Every point of a coloring grid scores against one colored merge
+    of the models, made once per search."""
+    utts, lang = small_corpus
+    lexicons, models = _coloring_inputs(lang)
+    real_merge = scorers_module.merge_colored
+    merges = []
+
+    def merge(pairs):
+        merges.append(1)
+        return real_merge(pairs)
+
+    monkeypatch.setattr(scorers_module, "merge_colored", merge)
+    result = run_grid_search("coloring", utts[:2], lexicons, models,
+                             _offlex_grid(), default_alphabet(2), beam_width=4)
+    assert len(result.rows) == 4
+    assert len(merges) == 1
 
 
 def _offlex_grid(alphas=(0.5, 1.0)) -> GridSpec:

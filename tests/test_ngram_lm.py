@@ -198,37 +198,105 @@ def test_parse_ignores_blank_lines_and_whitespace():
     assert model.entries[("a", "b")] == (-0.2, None)
 
 
+BIGRAM_HEAD = "\\data\\\nngram 1=1\nngram 2=1\n\\1-grams:\n"
+# malformed ARPA text -> the line and the message of its error
+MALFORMED_ARPA = {
+    "ngram 1=1\n\\1-grams:\n-0.5 a\n\\end\\\n": (1, "line 1: expected \\data\\ header"),
+    "": (None, "expected \\data\\ header"),
+    "\\data\\\nngram 1=bogus\n\\1-grams:\n-0.5 a\n\\end\\\n": (
+        None, "no ngram count lines after \\data\\"
+    ),
+    "\\data\\\nngram 1=1\nngram 1=2\n": (3, "line 3: repeated count for order 1"),
+    "\\data\\\nngram 2=1\n\\2-grams:\n-0.5 a b\n\\end\\\n": (
+        None, "non-contiguous orders: missing ngram 1= line"
+    ),
+    "\\data\\\nngram 1=2\n\\1-grams:\n-0.5 a\n\\end\\\n": (
+        None, "\\1-grams: section has 1 entries, header declared 2"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\nnope a\n\\end\\\n": (
+        4, "line 4: bad log probability 'nope'"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\n0.5 a\n\\end\\\n": (
+        4, "line 4: positive log probability 0.5"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\nnan a\n\\end\\\n": (
+        4, "line 4: log probability is NaN"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\ninf a\n\\end\\\n": (
+        4, "line 4: positive log probability inf"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a\n-0.4 a\n\\end\\\n": (
+        5, "line 5: duplicate entry 'a'"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\n-0.5\n\\end\\\n": (
+        4, "line 4: expected 2 or 3 fields, got 1"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a\nfoo\n\\end\\\n": (
+        5, "line 5: expected 2 or 3 fields, got 1"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a\n": (None, "missing \\end\\"),
+    "\\data\\\nngram 1=1\n\\2-grams:\n": (3, "line 3: section for undeclared order 2"),
+    "\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a\n\\1-grams:\n": (
+        5, "line 5: duplicate \\1-grams: section"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a\n\\3-grams:\n": (
+        5, "line 5: section for undeclared order 3"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a\nend\n": (
+        5, "line 5: expected 2 or 3 fields, got 1"
+    ),
+    "\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a\n\\end\\ x\n": (
+        5, "line 5: unexpected content '\\\\end\\\\ x'"
+    ),
+    BIGRAM_HEAD + "-0.5 a\n\\end\\\n": (None, "missing \\2-grams: section"),
+    BIGRAM_HEAD + "-0.5 a\n\\2-grams:\n-0.5 a b -0.1\n\\end\\\n": (
+        7, "line 7: backoff weight on highest-order entry"
+    ),
+    BIGRAM_HEAD + "-0.5 a inf\n\\2-grams:\n-0.5 a a\n\\end\\\n": (
+        5, "line 5: infinite backoff weight"
+    ),
+    BIGRAM_HEAD + "-0.5 a -inf\n\\2-grams:\n-0.5 a a\n\\end\\\n": (
+        5, "line 5: infinite backoff weight"
+    ),
+    BIGRAM_HEAD + "-0.5 a nan\n\\2-grams:\n-0.5 a a\n\\end\\\n": (
+        5, "line 5: backoff weight is NaN"
+    ),
+    BIGRAM_HEAD + "-0.5 a x1\n\\2-grams:\n-0.5 a a\n\\end\\\n": (
+        5, "line 5: bad backoff weight 'x1'"
+    ),
+    (
+        "\\data\\\nngram 1=1\nngram 2=2\n\\1-grams:\n-0.5 a -0.1\n"
+        "\\2-grams:\n-0.5 a a\n-0.4 a a\n\\end\\\n"
+    ): (8, "line 8: duplicate entry 'a a'"),
+    (
+        "\\data\\\nngram 1=1\nngram 3=1\n\\1-grams:\n-0.5 a\n"
+        "\\3-grams:\n-0.5 a a a\n\\end\\\n"
+    ): (None, "non-contiguous orders: missing ngram 2= line"),
+    BIGRAM_HEAD + "-0.5 a\n\\2-grams:\n-0.2 b a\n\\end\\\n": (
+        None, "2-gram 'b a' lacks prefix entry 'b'"
+    ),
+    # both prefixes missing: the shortest is named
+    (
+        "\\data\\\nngram 1=1\nngram 2=1\nngram 3=1\n\\1-grams:\n-0.5 a -0.1\n"
+        "\\2-grams:\n-0.5 a a -0.1\n\\3-grams:\n-0.5 b c a\n\\end\\\n"
+    ): (None, "3-gram 'b c a' lacks prefix entry 'b'"),
+    # the 3-gram's immediate prefix is present but its unigram prefix
+    # is not; the 3-gram comes first, so it is the one named
+    (
+        "\\data\\\nngram 1=1\nngram 2=1\nngram 3=1\n\\1-grams:\n-0.5 b -0.1\n"
+        "\\3-grams:\n-0.5 a b b\n\\2-grams:\n-0.5 a b -0.1\n\\end\\\n"
+    ): (None, "3-gram 'a b b' lacks prefix entry 'a'"),
+}
+
+
 @pytest.mark.parametrize(
-    "text, line",
-    [
-        ("ngram 1=1\n\\1-grams:\n-0.5 a\n\\end\\\n", 1),  # missing \data\
-        ("\\data\\\nngram 1=bogus\n\\1-grams:\n-0.5 a\n\\end\\\n", None),
-        ("\\data\\\nngram 2=1\n\\2-grams:\n-0.5 a b\n\\end\\\n", None),
-        ("\\data\\\nngram 1=2\n\\1-grams:\n-0.5 a\n\\end\\\n", None),  # count
-        ("\\data\\\nngram 1=1\n\\1-grams:\nnope a\n\\end\\\n", 4),
-        ("\\data\\\nngram 1=1\n\\1-grams:\n0.5 a\n\\end\\\n", 4),  # positive
-        ("\\data\\\nngram 1=1\n\\1-grams:\nnan a\n\\end\\\n", 4),
-        ("\\data\\\nngram 1=1\n\\1-grams:\ninf a\n\\end\\\n", 4),
-        ("\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a\n-0.4 a\n\\end\\\n", 5),
-        ("\\data\\\nngram 1=1\n\\1-grams:\n-0.5\n\\end\\\n", 4),  # no token
-        ("\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a\n", None),  # missing end
-        (
-            "\\data\\\nngram 1=1\nngram 2=1\n\\1-grams:\n-0.5 a\n"
-            "\\2-grams:\n-0.5 a b -0.1\n\\end\\\n",
-            7,
-        ),  # backoff on highest order
-        (
-            "\\data\\\nngram 1=1\nngram 3=1\n\\1-grams:\n-0.5 a\n"
-            "\\3-grams:\n-0.5 a a a\n\\end\\\n",
-            None,
-        ),  # non-contiguous orders
-    ],
+    "text, line", [(text, line) for text, (line, _) in MALFORMED_ARPA.items()]
 )
 def test_parse_rejects_malformed(text, line):
     with pytest.raises(MalformedArpa) as exc:
         parse_arpa(text)
-    if line is not None:
-        assert exc.value.line == line
+    assert exc.value.line == line
+    assert str(exc.value) == MALFORMED_ARPA[text][1]
 
 
 def test_parse_rejects_bigram_without_unigram_prefix():
@@ -293,6 +361,51 @@ def test_merge_colored_duplicate_rejected():
     b = NGramModel(max_order=1, entries={("w",): (-2.0, None)})
     with pytest.raises(DuplicateColoredToken):
         merge_colored([(a, 1), (b, 1)])
+
+
+def _merge_per_token(models):
+    """Reference merge: every token renamed where it occurs, every
+    colored key looked up before it is added. Returns the entries and
+    the first colored n-gram met twice (None if there is none)."""
+    merged = {}
+    for model, color in models:
+        for key, value in model.entries.items():
+            colored = tuple(color_token(tok, color) for tok in key)
+            if colored in merged:
+                return merged, " ".join(colored)
+            merged[colored] = value
+    return merged, None
+
+
+def test_merge_colored_matches_per_token_reference():
+    """On random models, some not prefix-closed and some sharing a
+    color, the merge holds the reference's entries in the reference's
+    order, or names the same first collision."""
+    rng = random.Random(11)
+    tokens = ["a", "b", "c", "1:a", "a:1", ""]
+    collisions = 0
+    for _ in range(300):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            order = rng.randint(1, 3)
+            entries = {}
+            for _ in range(rng.randint(1, 12)):
+                key = tuple(rng.choice(tokens) for _ in range(rng.randint(1, order)))
+                entries[key] = (rng.uniform(-3.0, 0.0), rng.choice([None, -0.5]))
+            pairs.append((NGramModel(max_order=order, entries=entries), rng.randint(0, 2)))
+        expected, collision = _merge_per_token(pairs)
+        if collision is not None:
+            collisions += 1
+            with pytest.raises(DuplicateColoredToken) as exc:
+                merge_colored(iter(pairs))
+            assert str(exc.value) == f"colored n-gram {collision!r} appears twice"
+            continue
+        merged = merge_colored(iter(pairs))
+        assert merged.max_order == max(m.max_order for m, _ in pairs)
+        assert list(merged.entries.items()) == list(expected.items())
+        for key, value in merged.entries.items():
+            assert value is expected[key]
+    assert 0 < collisions < 300
 
 
 def test_merge_preserves_source_scores_spot_check(bigram_fixture_model):
