@@ -37,6 +37,11 @@ The decode set:
   bin counts 53 and 100 (an 8-point grid at beam 16, on the same
   corpus, calibrated on it), at ``jobs`` 1 and 2: its points share one
   grammar with off-lexicon spelling off, and their tables differ;
+- the test report and every grid search of ``run_method_comparison``
+  over every ``SCORER_KINDS`` entry (language seed 1, 12 validation
+  and 24 test sentences, beam 8), at ``jobs`` 1 and 2, so the pool that
+  ``evaluate`` shares among methods is held to the serial pass bit for
+  bit;
 - ``parse_arpa`` of the synthetic models of language seed 1 and of a
   seeded random 3-gram model over 200 words, and three
   ``merge_colored`` merges of them, one of which collides (the
@@ -222,6 +227,21 @@ def _grid_searches():
                 yield result.rows, result.best
 
 
+def _method_comparisons():
+    """The test report and the grid searches of one
+    ``run_method_comparison`` over every scorer kind per ``GRID_JOBS``
+    entry."""
+    from colordecode import evaluation, scorers
+
+    for jobs in GRID_JOBS:
+        report, searches = evaluation.run_method_comparison(
+            1, kinds=scorers.SCORER_KINDS, num_test=24, num_validation=12,
+            beam_width=8, jobs=jobs,
+        )
+        yield report
+        yield searches
+
+
 def _random_trigram_text() -> str:
     """ARPA text of a seeded random 3-gram model over 200 words."""
     from colordecode import ngram_lm
@@ -321,7 +341,11 @@ def digest() -> str:
     sha = hashlib.sha256()
     count = 0
     sources = (
-        _random_decodes(), _corpus_decodes(), _grid_searches(), _model_outputs()
+        _random_decodes(),
+        _corpus_decodes(),
+        _grid_searches(),
+        _method_comparisons(),
+        _model_outputs(),
     )
     for source in sources:
         for output in source:

@@ -300,14 +300,12 @@ def cmd_eval(args) -> int:
         raise UsageError("eval needs at least one --lexicon file")
     lexicons = [read_lexicon(p) for p in args.lexicon]
     with _naming_lexicon_file(args.lexicon, lexicons, template):
-        runtime = build_runtime(
+        cfg = build_runtime(
             args.fusion, lexicons, models, config, template,
             args.beam_width, bin_table,
-        )
+        ).decoder_config()
     utterances = read_manifest(args.manifest)
-    report = evaluate(
-        args.manifest, utterances, [(args.fusion, runtime)], jobs=jobs
-    )
+    report = evaluate(args.manifest, utterances, [(args.fusion, cfg)], jobs=jobs)
     sys.stdout.write(report.as_json() if args.json else report.as_text())
     return 0
 
@@ -519,6 +517,16 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, UnknownChar, OSError, InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # only the decoding subcommands grow with their beam
+        if not hasattr(args, "beam_width"):
+            raise
+        print(
+            f"error: out of memory at beam width {args.beam_width}; "
+            "a narrower --beam-width needs less",
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -107,60 +107,63 @@ def _parse_reference(value, line: int) -> tuple[str, ...]:
 
 
 def read_manifest(path) -> list[Utterance]:
-    """Load a JSONL manifest; paths resolve relative to the manifest file."""
+    """Load a JSONL manifest; paths resolve relative to the manifest file.
+    A file that is not UTF-8 text raises an error naming it."""
     path = Path(path)
     base = path.parent
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path}: not UTF-8 text: {exc}") from None
     utterances: list[Utterance] = []
     seen: set[str] = set()
     # a row's directory part -> its resolved path, so each is resolved once
     dirs: dict[str, Path] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedManifest(f"invalid JSON: {exc.msg}", line_no) from None
-            if not isinstance(row, dict):
-                raise MalformedManifest("each line must be a JSON object", line_no)
-            utt_id = row.get("id")
-            if not isinstance(utt_id, str) or not utt_id:
-                raise MalformedManifest("missing or empty id", line_no)
-            if utt_id in seen:
-                raise MalformedManifest(f"duplicate id {utt_id!r}", line_no)
-            seen.add(utt_id)
-            logits = row.get("logits")
-            if not isinstance(logits, str) or not logits:
-                raise MalformedManifest("missing logits path", line_no)
-            reference = None
-            if row.get("reference") is not None:
-                reference = _parse_reference(row["reference"], line_no)
-            mask = None
-            if row.get("jargon_mask") is not None:
-                raw_mask = row["jargon_mask"]
-                if reference is None:
-                    raise MalformedManifest(
-                        "jargon_mask requires a reference", line_no
-                    )
-                if not isinstance(raw_mask, list) or not all(
-                    isinstance(b, bool) for b in raw_mask
-                ):
-                    raise MalformedManifest(
-                        "jargon_mask must be a list of booleans", line_no
-                    )
-                if len(raw_mask) != len(reference):
-                    raise MalformedManifest(
-                        f"jargon_mask length {len(raw_mask)} does not match "
-                        f"{len(reference)} reference words",
-                        line_no,
-                    )
-                mask = tuple(raw_mask)
-            logits_path = _resolve(base, logits, dirs)
-            if not logits_path.exists():
-                raise MissingLogitsFile(str(logits_path))
-            utterances.append(Utterance(utt_id, logits_path, reference, mask))
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            row = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise MalformedManifest(f"invalid JSON: {exc.msg}", line_no) from None
+        if not isinstance(row, dict):
+            raise MalformedManifest("each line must be a JSON object", line_no)
+        utt_id = row.get("id")
+        if not isinstance(utt_id, str) or not utt_id:
+            raise MalformedManifest("missing or empty id", line_no)
+        if utt_id in seen:
+            raise MalformedManifest(f"duplicate id {utt_id!r}", line_no)
+        seen.add(utt_id)
+        logits = row.get("logits")
+        if not isinstance(logits, str) or not logits:
+            raise MalformedManifest("missing logits path", line_no)
+        reference = None
+        if row.get("reference") is not None:
+            reference = _parse_reference(row["reference"], line_no)
+        mask = None
+        if row.get("jargon_mask") is not None:
+            raw_mask = row["jargon_mask"]
+            if reference is None:
+                raise MalformedManifest("jargon_mask requires a reference", line_no)
+            if not isinstance(raw_mask, list) or not all(
+                isinstance(b, bool) for b in raw_mask
+            ):
+                raise MalformedManifest(
+                    "jargon_mask must be a list of booleans", line_no
+                )
+            if len(raw_mask) != len(reference):
+                raise MalformedManifest(
+                    f"jargon_mask length {len(raw_mask)} does not match "
+                    f"{len(reference)} reference words",
+                    line_no,
+                )
+            mask = tuple(raw_mask)
+        logits_path = _resolve(base, logits, dirs)
+        if not logits_path.exists():
+            raise MissingLogitsFile(str(logits_path))
+        utterances.append(Utterance(utt_id, logits_path, reference, mask))
     return utterances
 
 

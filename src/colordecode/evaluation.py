@@ -3,12 +3,14 @@
 A method is a fusion kind plus hyperparameters. ``build_runtime`` turns
 that into everything the decoder needs: the coloring method gets one
 trie per lexicon and a color-merged model, every baseline gets a single
-union lexicon and its fusion scorer over uncolored histories. Corpora
-decode utterance-by-utterance; an evaluation of several methods, or a
-grid search over many points, decodes every (method or point,
-utterance) pair in one stream, in process or through one pool of worker
-processes. Grid search picks hyperparameters by validation WER (CER
-breaks ties, then grid order, so results are deterministic).
+union lexicon and its fusion scorer over uncolored histories. Below
+``build_runtime`` a method is its ``DecoderConfig``. Corpora decode
+utterance-by-utterance; an evaluation of several methods, or a grid
+search over many points, decodes every (config, utterance) pair in one
+stream, in process or through one pool of worker processes. A grid
+search builds every point's config before the first decode, all over
+one grammar. It picks hyperparameters by validation WER (CER breaks
+ties, then grid order, so results are deterministic).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .scorers import (
     BinTable,
     ColoringScorer,
     MissingBinTable,
-    NullScorer,
     Scorer,
     ScorerConfig,
     fit_bin_table,
@@ -154,7 +155,8 @@ class GridSpec:
 
 @dataclass
 class MethodRuntime:
-    """Prebuilt decoding setup for one method; safe to ship to workers."""
+    """Prebuilt decoding setup for one method, as ``build_runtime``
+    returns it; ``decoder_config`` is what the decoder takes."""
 
     alphabet: ColoredAlphabet
     tries: list[LexiconTrie] | None
@@ -236,54 +238,19 @@ def _build_scorer(
     return make_scorer(kind, models, config, bin_table=bin_table)
 
 
-class _RunDecoder:
-    """Decodes ``(run index, logits path)`` tasks, holding the decoder
-    config of the latest run only: its successor table lives across that
-    run's utterances, and no two runs' scorers are alive at once. A run
-    over the same alphabet and tries as the run before (by identity, as
-    every point of a grid search has) takes that run's successor table
-    through ``DecoderConfig.with_scorer``."""
-
-    def __init__(self, runtimes: Sequence[MethodRuntime]):
-        self.runtimes = runtimes
-        self.run = -1
-        self.config: DecoderConfig | None = None
-
-    def __call__(self, task: tuple[int, str]) -> ColoredTranscript:
-        run, path = task
-        if run != self.run:
-            previous, self.config = self.config, None
-            if previous is not None:
-                # its grammar, held under a scorer with the same settings
-                # and no model while the next run's scorer is built
-                previous = previous.with_scorer(
-                    NullScorer(previous.scorer.config), previous.beam_width
-                )
-            runtime = self.runtimes[run]
-            if (
-                previous is not None
-                and runtime.alphabet is previous.alphabet
-                and runtime.tries is previous.tries
-            ):
-                self.config = previous.with_scorer(runtime.scorer, runtime.beam_width)
-            else:
-                self.config = runtime.decoder_config()
-            self.run = run
-        return _decode_file(path, self.config)
+# the decoder configs of the running ``decode_utterances`` call, set in
+# each worker process by the pool's initializer
+_CONFIGS: Sequence[DecoderConfig] = ()
 
 
-# one per worker process, set by the pool's initializer
-_WORKER: _RunDecoder | None = None
-
-
-def _init_worker(runtimes: Sequence[MethodRuntime]) -> None:
-    global _WORKER
-    _WORKER = _RunDecoder(runtimes)
+def _init_worker(configs: Sequence[DecoderConfig]) -> None:
+    global _CONFIGS
+    _CONFIGS = configs
 
 
 def _decode_task(task: tuple[int, str]) -> ColoredTranscript:
-    assert _WORKER is not None
-    return _WORKER(task)
+    run, path = task
+    return _decode_file(path, _CONFIGS[run])
 
 
 def _decode_file(path: str, cfg: DecoderConfig) -> ColoredTranscript:
@@ -296,40 +263,36 @@ def _decode_file(path: str, cfg: DecoderConfig) -> ColoredTranscript:
 
 def decode_utterances(
     utterances: Sequence[Utterance],
-    runtimes: Sequence[MethodRuntime],
+    configs: Sequence[DecoderConfig],
     jobs: int = 1,
 ) -> list[list[ColoredTranscript]]:
-    """Decode a corpus once per runtime; returns one transcript list per
-    runtime, in manifest order.
+    """Decode a corpus once per decoder config; returns one transcript
+    list per config, in manifest order.
 
-    Every (runtime, utterance) pair is one task, runtime by runtime and
-    in manifest order within each. With ``jobs`` above one, the tasks
-    stream through one pool of worker processes, so no runtime waits
-    for the slowest utterance of the one before it. ``runtimes`` is
-    shipped to each worker once, and a worker builds a runtime's decoder
-    config at its first task for it, keeping only the latest; a
-    sequence that builds its items when they are read (as a grid search
-    passes) keeps one scorer per process alive at a time. Consecutive
-    runtimes over the same alphabet and tries share one successor
-    table. The first
-    unreadable or malformed logits file aborts the run with an error
-    naming it.
+    Every (config, utterance) pair is one task, config by config and in
+    manifest order within each. With ``jobs`` above one, the tasks
+    stream through one pool of worker processes, so no config waits
+    for the slowest utterance of the one before it. ``configs`` is
+    shipped to each worker once, as one object, so configs that share a
+    successor table or tries (as a grid search's do) still share them
+    there. The first unreadable or malformed logits file aborts the run
+    with an error naming it.
     """
     paths = [str(u.logits_path) for u in utterances]
-    tasks = [(run, path) for run in range(len(runtimes)) for path in paths]
+    tasks = [(run, path) for run in range(len(configs)) for path in paths]
     if jobs > 1 and len(tasks) > 1:
         workers = min(jobs, len(tasks))
         chunk = max(1, len(paths) // (workers * 4))
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(runtimes,),
+            initargs=(configs,),
         ) as pool:
             transcripts = list(pool.map(_decode_task, tasks, chunksize=chunk))
     else:
-        transcripts = list(map(_RunDecoder(runtimes), tasks))
+        transcripts = [_decode_file(path, configs[run]) for run, path in tasks]
     n = len(paths)
-    return [transcripts[run * n:(run + 1) * n] for run in range(len(runtimes))]
+    return [transcripts[run * n:(run + 1) * n] for run in range(len(configs))]
 
 
 def _references(
@@ -365,15 +328,15 @@ def _rates(
 def evaluate(
     corpus_name: str,
     utterances: Sequence[Utterance],
-    methods: Sequence[tuple[str, MethodRuntime]],
+    methods: Sequence[tuple[str, DecoderConfig]],
     jobs: int = 1,
     configs: Sequence[dict | None] | None = None,
 ) -> EvalReport:
-    """Decode the corpus once per method, every method's decodes through
-    one ``decode_utterances`` call, and tabulate error rates. A corpus
-    with no utterances is refused."""
+    """Decode the corpus once per ``(name, decoder config)`` method,
+    every method's decodes through one ``decode_utterances`` call, and
+    tabulate error rates. A corpus with no utterances is refused."""
     refs, masks = _references(utterances)
-    runs = decode_utterances(utterances, [rt for _, rt in methods], jobs)
+    runs = decode_utterances(utterances, [cfg for _, cfg in methods], jobs)
     results = []
     for i, ((name, _), transcripts) in enumerate(zip(methods, runs)):
         w, c, jw = _rates(refs, masks, transcripts)
@@ -400,42 +363,6 @@ class GridSearchResult:
     rows: list[tuple[GridPoint, float, float, float | None]]
 
 
-@dataclass(frozen=True)
-class _GridRuntimes(Sequence):
-    """The runtimes of a grid search's points over one grammar: the
-    alphabet and tries, built once, and each point's scorer, built when
-    the point is read. Coloring points share one colored merge of the
-    models, made once. It pickles as the grammar, the models, the merge
-    and the points, and holds no scorer itself, so a 500-point grid
-    costs one scorer per process, not 500."""
-
-    kind: str
-    alphabet: ColoredAlphabet
-    tries: list[LexiconTrie] | None
-    models: Sequence[NGramModel]
-    points: Sequence[GridPoint]
-    beam_width: int
-    # bin count -> fitted table, for the bin method
-    tables: dict[int | None, BinTable]
-    # the colored merge of ``models``, for the coloring method
-    merged: NGramModel | None
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, index: int) -> MethodRuntime:
-        point = self.points[index]
-        scorer = _build_scorer(
-            self.kind,
-            self.models,
-            point.config,
-            self.alphabet,
-            self.tables.get(point.num_bins),
-            self.merged,
-        )
-        return MethodRuntime(self.alphabet, self.tries, scorer, self.beam_width)
-
-
 def run_grid_search(
     kind: str,
     utterances: Sequence[Utterance],
@@ -449,19 +376,19 @@ def run_grid_search(
 ) -> GridSearchResult:
     """Try every grid point on a validation corpus and keep the best.
 
-    Every point's decodes go through one ``decode_utterances`` call, so
-    with ``jobs`` above one they share one worker pool. The points share
-    one alphabet and one set of tries, built here once, and each
-    process hands its successor table from point to point; coloring
-    points also share one colored merge of ``models``, made here once.
-    Each point's scorer is built where it is decoded, one at a time.
-    Ranking is (WER, CER, enumeration order). The bin method fits one
-    table per bin count from ``calibration``. A grid with no points, or
-    a corpus with no utterances, is refused.
+    Every point's decoder config is built here before the first decode,
+    and every point's decodes go through one ``decode_utterances`` call,
+    so with ``jobs`` above one they share one worker pool. The configs
+    share one alphabet, one set of tries and one successor table;
+    coloring points also share one colored merge of ``models``, and bin
+    points one fitted table per bin count. A point costs only its
+    scorer and its config. Ranking is (WER, CER, enumeration order).
+    The bin method fits one table per bin count from ``calibration``. A
+    grid with no points, or a corpus with no utterances, is refused.
     """
     # every point's config is validated, every reference found, every
-    # bin table fitted, the tries built and one scorer built before the
-    # first decode
+    # bin table fitted, the tries built and every scorer built before
+    # the first decode
     points = list(grid.points(kind))
     if not points:
         raise ValueError(f"the {kind} grid has no points")
@@ -474,23 +401,29 @@ def run_grid_search(
             if point.num_bins not in tables:
                 tables[point.num_bins] = fit_bin_table(calibration, point.num_bins)
     ab, tries = _build_grammar(kind, lexicons, alphabet)
-    # point 0's scorer, built and dropped here, refuses a missing model
-    # or a colliding colored n-gram as every point's would; the coloring
+    # point 0's scorer, built first, refuses a missing model or a
+    # colliding colored n-gram as every point's would; the coloring
     # points then share its merged model
     first = _build_scorer(
         kind, models, points[0].config, ab, tables.get(points[0].num_bins)
     )
     merged = first.merged if isinstance(first, ColoringScorer) else None
-    del first
-    runtimes = _GridRuntimes(
-        kind, ab, tries, models, points, beam_width, tables, merged
-    )
+    base = DecoderConfig(ab, tries, first, beam_width)
+    configs = [base] + [
+        base.with_scorer(
+            _build_scorer(
+                kind, models, point.config, ab, tables.get(point.num_bins), merged
+            ),
+            beam_width,
+        )
+        for point in points[1:]
+    ]
 
     best: tuple[float, float, int] | None = None
     best_point: GridPoint | None = None
     best_jw: float | None = None
     rows: list[tuple[GridPoint, float, float, float | None]] = []
-    runs = decode_utterances(utterances, runtimes, jobs)
+    runs = decode_utterances(utterances, configs, jobs)
     for index, (point, transcripts) in enumerate(zip(points, runs)):
         w, c, jw = _rates(refs, masks, transcripts)
         rows.append((point, w, c, jw))
@@ -599,7 +532,7 @@ def _compare(
     alphabet = default_alphabet(2)
 
     searches: dict[str, GridSearchResult] = {}
-    methods: list[tuple[str, MethodRuntime]] = []
+    methods: list[tuple[str, DecoderConfig]] = []
     configs: list[dict | None] = []
     for kind in kinds:
         models = _method_models(kind, general, jargon)
@@ -633,7 +566,7 @@ def _compare(
                     alphabet,
                     beam_width,
                     bin_table,
-                ),
+                ).decoder_config(),
             )
         )
         configs.append(search.best.describe(kind))

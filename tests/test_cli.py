@@ -1023,6 +1023,80 @@ def test_gridsearch_names_the_malformed_logits_file(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, bad_role",
+    [
+        ("eval", "manifest"),
+        ("gridsearch", "manifest"),
+        ("decode", "calibration"),
+        ("eval", "calibration"),
+        ("gridsearch", "calibration"),
+    ],
+)
+def test_a_manifest_that_is_not_utf8_is_named(
+    synth_dir, tmp_path, command, bad_role, capsys
+):
+    """A manifest, or a ``--calibration-manifest``, holding a byte that
+    is not UTF-8 exits 1 with an error naming the file."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"id": "u0", "logits": "x.ctcl", "reference": "\xd0b"}\n')
+    good = str(synth_dir / "manifest.jsonl")
+    if command == "decode":
+        first = str(synth_dir / "logits" / "utt0000.ctcl")
+    else:
+        first = str(bad) if bad_role == "manifest" else good
+    argv = [
+        command,
+        first,
+        "--lexicon",
+        str(synth_dir / "general.txt"),
+        "--lexicon",
+        str(synth_dir / "jargon.txt"),
+        "--fusion",
+        "bins",
+        "--lm",
+        str(synth_dir / "general.arpa"),
+        "--lm",
+        str(synth_dir / "jargon.arpa"),
+        "--calibration-manifest",
+        str(bad) if bad_role == "calibration" else good,
+        "--beam-width",
+        "4",
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {bad}: not UTF-8 text: "), err
+
+
+@pytest.mark.parametrize("command", ["decode", "eval", "gridsearch"])
+def test_running_out_of_memory_names_the_beam_width(
+    synth_dir, command, monkeypatch, capsys
+):
+    """A decode that raises ``MemoryError`` exits 1 with a message that
+    names the beam width. The decoder is made to raise; no test
+    exhausts memory."""
+
+    def out_of_memory(logits, config):
+        raise MemoryError
+
+    monkeypatch.setattr(evaluation, "decode", out_of_memory)
+    if command == "decode":
+        argv = ["decode", str(synth_dir / "logits" / "utt0000.ctcl")]
+    else:
+        argv = [command, str(synth_dir / "manifest.jsonl"), "--jobs", "1"]
+    if command == "gridsearch":
+        argv += ["--betas", "0.0"]
+    argv += ["--lexicon", str(synth_dir / "general.txt"), "--beam-width", "8"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "error: out of memory at beam width 8; a narrower --beam-width needs less\n"
+    )
+
+
 def test_decode_names_the_malformed_logits_file(tmp_path, capsys):
     bad = tmp_path / "rows-sum-14.ctcl"
     bad.write_bytes(BAD_LOGITS["rows-sum-14.ctcl"])

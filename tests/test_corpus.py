@@ -176,6 +176,29 @@ def test_manifest_duplicate_ids(tmp_path):
     assert exc.value.line == 2
 
 
+def test_manifest_line_numbers_count_newlines_only(tmp_path):
+    """Rows are split on newlines alone, a CRLF counting as one: a
+    U+2028 inside a row starts no line, so a bad row's number is the
+    one an editor shows."""
+    lp = _write_logits_file(tmp_path)
+    manifest = tmp_path / "m.jsonl"
+    row = json.dumps(
+        {"id": "u", "logits": lp.name, "reference": "a\u2028b"}, ensure_ascii=False
+    )
+    manifest.write_bytes((row + "\r\n\r\n{bad json\r\n").encode("utf-8"))
+    with pytest.raises(MalformedManifest) as exc:
+        read_manifest(manifest)
+    assert exc.value.line == 3
+
+
+def test_manifest_that_is_not_utf8_is_named(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_bytes(b'{"id": "u", "logits": "u.ctcl", "reference": "\xd0b"}\n')
+    with pytest.raises(IoFailure, match="not UTF-8 text") as exc:
+        read_manifest(manifest)
+    assert str(exc.value).startswith(f"{manifest}: ")
+
+
 def test_manifest_checks_logits_exist(tmp_path):
     manifest = tmp_path / "m.jsonl"
     manifest.write_text(json.dumps({"id": "u", "logits": "gone.ctcl"}) + "\n")

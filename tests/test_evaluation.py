@@ -1,5 +1,5 @@
 import math
-import weakref
+import pickle
 from pathlib import Path
 
 import pytest
@@ -195,16 +195,16 @@ def test_decode_utterances_parallel_matches_serial(small_corpus):
     from colordecode.corpus import language_models
 
     general, jargon = language_models(lang)
-    rt = build_runtime(
+    cfg = build_runtime(
         "coloring",
         [lang.lexicons.general, lang.lexicons.jargon],
         [general, jargon],
         ScorerConfig(),
         default_alphabet(2),
         beam_width=8,
-    )
-    serial = decode_utterances(utts, [rt], jobs=1)
-    parallel = decode_utterances(utts, [rt], jobs=4)
+    ).decoder_config()
+    serial = decode_utterances(utts, [cfg], jobs=1)
+    parallel = decode_utterances(utts, [cfg], jobs=4)
     assert serial == parallel
 
 
@@ -213,15 +213,15 @@ def test_evaluate_builds_report(small_corpus):
     from colordecode.corpus import language_models
 
     general, jargon = language_models(lang)
-    rt = build_runtime(
+    cfg = build_runtime(
         "coloring",
         [lang.lexicons.general, lang.lexicons.jargon],
         [general, jargon],
         ScorerConfig(),
         default_alphabet(2),
         beam_width=8,
-    )
-    report = evaluate("unit", utts, [("coloring", rt)], configs=[{"alpha": 1.0}])
+    ).decoder_config()
+    report = evaluate("unit", utts, [("coloring", cfg)], configs=[{"alpha": 1.0}])
     assert report.corpus == "unit"
     assert report.results[0].method == "coloring"
     assert report.results[0].utterances == len(utts)
@@ -236,18 +236,21 @@ def _coloring_inputs(lang):
 
 
 def test_decode_utterances_streams_several_runtimes(small_corpus):
-    """One call decodes every runtime, in the order given, and each
-    run's transcripts equal that runtime decoded alone."""
+    """One call decodes every method's decoder config, in the order
+    given, and each run's transcripts equal that config decoded alone."""
     utts, lang = small_corpus
     lexicons, models = _coloring_inputs(lang)
-    runtimes = [
-        build_runtime("coloring", lexicons, models, ScorerConfig(alpha=a),
-                      default_alphabet(2), beam_width=4)
-        for a in (0.5, 1.0, 1.5)
-    ]
-    alone = [decode_utterances(utts, [rt])[0] for rt in runtimes]
-    assert decode_utterances(utts, runtimes, jobs=1) == alone
-    assert decode_utterances(utts, runtimes, jobs=2) == alone
+
+    def configs():
+        return [
+            build_runtime("coloring", lexicons, models, ScorerConfig(alpha=a),
+                          default_alphabet(2), beam_width=4).decoder_config()
+            for a in (0.5, 1.0, 1.5)
+        ]
+
+    alone = [decode_utterances(utts, [cfg])[0] for cfg in configs()]
+    assert decode_utterances(utts, configs(), jobs=1) == alone
+    assert decode_utterances(utts, configs(), jobs=2) == alone
     assert decode_utterances(utts, [], jobs=2) == []
 
 
@@ -272,24 +275,23 @@ def test_offlex_coloring_grid_rows_are_identical_at_every_jobs(small_corpus):
         )
 
 
-def test_grid_search_holds_one_point_runtime_at_a_time(small_corpus, monkeypatch):
-    """On the default 500-point coloring grid the serial path builds each
-    point's scorer where it decodes it, and frees it before the next
-    point's: no two points' scorers are ever alive at once. Every point
+def test_grid_search_builds_every_point_before_the_first_decode(
+    small_corpus, monkeypatch
+):
+    """On the default 500-point coloring grid each point's scorer is
+    built once, and all of them before the first decode; every point
     decodes over one set of tries, built once."""
     utts, lang = small_corpus
     lexicons, models = _coloring_inputs(lang)
     real_build = evaluation._build_scorer
     real_decode = evaluation.decode
-    scorers = []
+    built = []
     tries = []
 
     def build(*args, **kwargs):
-        alive = [ref for ref in scorers if ref() is not None]
-        assert not alive, f"{len(alive)} scorers alive at build {len(scorers)}"
-        scorer = real_build(*args, **kwargs)
-        scorers.append(weakref.ref(scorer))
-        return scorer
+        assert not tries, f"scorer {len(built)} built after a decode"
+        built.append(1)
+        return real_build(*args, **kwargs)
 
     def decode(logits, config):
         if not tries or config.tries is not tries[-1]:
@@ -303,9 +305,75 @@ def test_grid_search_holds_one_point_runtime_at_a_time(small_corpus, monkeypatch
                              default_alphabet(2), beam_width=2)
     points = _size(grid, "coloring")
     assert len(result.rows) == points == 500
-    # point 0 once more in the parent, where the refusals happen
-    assert len(scorers) == points + 1
+    assert len(built) == points
     assert len(tries) == 1 and len(tries[0]) == 2
+
+
+def _grid_configs(monkeypatch, kind, utts, lexicons, models, grid, calibration=None):
+    """The decoder configs ``run_grid_search`` passes to
+    ``decode_utterances``, captured without decoding."""
+    captured = []
+
+    def fake_decode(utterances, configs, jobs=1):
+        captured.extend(configs)
+        return [[ColoredTranscript((), 0.0)] * len(utterances) for _ in configs]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "decode_utterances", fake_decode)
+        run_grid_search(kind, utts, lexicons, models, grid, default_alphabet(2),
+                        beam_width=4, calibration=calibration)
+    return captured
+
+
+def test_grid_point_scorers_share_the_merge_and_the_bin_tables(
+    small_corpus, monkeypatch
+):
+    """Every coloring point's scorer references one colored merge, and
+    every bin point's scorer its bin count's one fitted table; all the
+    points' configs share one alphabet, one set of tries and one
+    successor table."""
+    utts, lang = small_corpus
+    lexicons, models = _coloring_inputs(lang)
+    coloring = _grid_configs(monkeypatch, "coloring", utts, lexicons, models,
+                             _offlex_grid())
+    assert len(coloring) == 4
+    assert len({id(cfg.scorer.merged) for cfg in coloring}) == 1
+    assert len({id(cfg.scorer) for cfg in coloring}) == 4
+
+    grid = GridSpec(alphas=(0.5, 1.0), betas=(0.0,), word_penalties=(-10.0,),
+                    bin_counts=(4, 9))
+    calibration = calibration_pairs(utts, models, seed=3)
+    bins = _grid_configs(monkeypatch, "bins", utts, lexicons, models, grid,
+                         calibration)
+    tables = {}
+    for point, cfg in zip(grid.points("bins"), bins, strict=True):
+        table = tables.setdefault(point.num_bins, cfg.scorer.bin_table)
+        assert cfg.scorer.bin_table is table
+    assert sorted(tables) == [4, 9] and tables[4] is not tables[9]
+    assert tables[4].num_bins == 4 and tables[9].num_bins == 9
+
+    for configs in (coloring, bins):
+        for field in ("alphabet", "tries", "_successors"):
+            assert len({id(getattr(cfg, field)) for cfg in configs}) == 1, field
+
+
+def test_grid_configs_keep_their_sharing_through_pickle(small_corpus, monkeypatch):
+    """A worker started by spawn gets the configs pickled as one list:
+    the copies still share one successor table, one set of tries and
+    one colored merge, and decode as the originals do."""
+    utts, lang = small_corpus
+    lexicons, models = _coloring_inputs(lang)
+    configs = _grid_configs(monkeypatch, "coloring", utts, lexicons, models,
+                            _offlex_grid())
+    copies = pickle.loads(pickle.dumps(configs))
+    for field in ("_successors", "tries", "alphabet"):
+        assert len({id(getattr(cfg, field)) for cfg in copies}) == 1, field
+    assert len({id(cfg.scorer.merged) for cfg in copies}) == 1
+    assert copies[0].tries is not configs[0].tries
+    matrix = read_logits(utts[0].logits_path)
+    assert [decode(matrix, cfg) for cfg in copies] == [
+        decode(matrix, cfg) for cfg in configs
+    ]
 
 
 def test_coloring_grid_search_merges_the_models_once(small_corpus, monkeypatch):
@@ -357,9 +425,9 @@ def test_grid_points_build_each_successor_list_once(small_corpus, monkeypatch):
     alone = []
     for point in grid.points("coloring"):
         calls.clear()
-        runtime = build_runtime("coloring", lexicons, models, point.config,
-                                default_alphabet(2), 8)
-        decode_utterances(utts, [runtime])
+        cfg = build_runtime("coloring", lexicons, models, point.config,
+                            default_alphabet(2), 8).decoder_config()
+        decode_utterances(utts, [cfg])
         alone.append(len(calls))
     assert len(searched) == max(alone)
 
@@ -449,10 +517,10 @@ def test_grid_search_prefers_lower_cer_on_wer_tie(monkeypatch):
     """Both grid points get WER 50; the second has smaller CER and must
     win even though it enumerates later."""
 
-    def fake_decode(utterances, runtimes, jobs=1):
+    def fake_decode(utterances, configs, jobs=1):
         out = []
-        for runtime in runtimes:
-            word = "xx" if runtime.scorer.config.beta == 0.0 else "cx"
+        for cfg in configs:
+            word = "xx" if cfg.scorer.config.beta == 0.0 else "cx"
             out.append([ColoredTranscript((("ab", 0), (word, 0)), 0.0)])
         return out
 
@@ -473,8 +541,8 @@ def test_grid_search_prefers_lower_cer_on_wer_tie(monkeypatch):
 
 
 def test_grid_search_breaks_full_ties_by_enumeration_order(monkeypatch):
-    def fake_decode(utterances, runtimes, jobs=1):
-        return [[ColoredTranscript((("ab", 0), ("cd", 0)), 0.0)] for _ in runtimes]
+    def fake_decode(utterances, configs, jobs=1):
+        return [[ColoredTranscript((("ab", 0), ("cd", 0)), 0.0)] for _ in configs]
 
     monkeypatch.setattr(evaluation, "decode_utterances", fake_decode)
     grid = GridSpec(alphas=(1.0,), betas=(0.0, 0.5))
@@ -491,8 +559,8 @@ def test_grid_search_breaks_full_ties_by_enumeration_order(monkeypatch):
 
 
 def test_grid_search_bins_requires_calibration(monkeypatch):
-    def fake_decode(utterances, runtimes, jobs=1):
-        return [[ColoredTranscript((), 0.0)] for _ in runtimes]
+    def fake_decode(utterances, configs, jobs=1):
+        return [[ColoredTranscript((), 0.0)] for _ in configs]
 
     monkeypatch.setattr(evaluation, "decode_utterances", fake_decode)
     general, jargon = _tiny_models()
@@ -533,11 +601,11 @@ def test_missing_reference_fails_before_any_decode(monkeypatch):
         Utterance("u1", Path("/nonexistent.ctcl"), None, None),
     ]
     lexicons = [["ab", "cd"]]
-    runtime = build_runtime(
+    cfg = build_runtime(
         "none", lexicons, [], ScorerConfig(), default_alphabet(1)
-    )
+    ).decoder_config()
     with pytest.raises(ValueError, match="'u1' has no reference"):
-        evaluate("unit", utts, [("none", runtime)])
+        evaluate("unit", utts, [("none", cfg)])
     with pytest.raises(ValueError, match="'u1' has no reference"):
         run_grid_search(
             "none", utts, lexicons, [], GridSpec(betas=(0.0,)), default_alphabet(1)
@@ -551,13 +619,13 @@ def test_an_empty_corpus_is_refused_before_any_runtime_is_built(monkeypatch):
     monkeypatch.setattr(
         evaluation, "decode_utterances", lambda *a, **k: pytest.fail("decoded")
     )
-    runtime = build_runtime(
+    cfg = build_runtime(
         "none", [["ab", "cd"]], [], ScorerConfig(), default_alphabet(1)
-    )
+    ).decoder_config()
     for name in ("build_runtime", "_build_grammar", "_build_scorer"):
         monkeypatch.setattr(evaluation, name, lambda *a, **k: pytest.fail("built"))
     with pytest.raises(ValueError, match="manifest has no utterances"):
-        evaluate("unit", [], [("none", runtime)])
+        evaluate("unit", [], [("none", cfg)])
     with pytest.raises(ValueError, match="manifest has no utterances"):
         run_grid_search(
             "none", [], [["ab", "cd"]], [], GridSpec(betas=(0.0,)),
