@@ -29,6 +29,11 @@ The decode set:
 - after each corpus config's decodes, their pooled WER, CER and jargon
   WER against the references, by ``float.hex``, so the metrics are
   held to the base bit for bit as well;
+- one synthetic utterance of 400 words (language seed 1), decoded by
+  the ``coloring`` scorer at beam 64 with off-lexicon spelling off and
+  with subword penalty -3, and by the ``general`` scorer unconstrained
+  at beam 16, so long word histories and many frames are held to the
+  base bit for bit;
 - the rows and the best point of a coloring ``run_grid_search`` with
   off-lexicon spelling on (an 8-point grid at beam 16, on a corpus
   synthesized from the same spec), at ``jobs`` 1 and 2, so the worker
@@ -72,6 +77,11 @@ CORPUS_CONFIGS = (
     (None, 0.0), (0.0, 0.0), (-3.0, 0.0), (1.0, 0.0), (None, 0.5), (-3.0, 0.5)
 )
 CORPUS_BEAMS = (4, 16, 64)
+LONG_WORDS = 400
+# subword penalties of the long utterance's coloring decodes
+LONG_PENALTIES = (None, -3.0)
+LONG_COLORING_BEAM = 64
+LONG_UNCONSTRAINED_BEAM = 16
 # (subword penalty, word bonus) per config of the corpus whose general
 # lexicon lacks every fifth word
 THINNED_CONFIGS = ((0.0, 0.0), (-3.0, 0.0))
@@ -159,6 +169,44 @@ def _corpus_decodes():
             for width in CORPUS_BEAMS:
                 cfg = _unconstrained_config(kind, models, config, template, width)
                 yield from _decode_set(cfg, logits, sentences)
+
+
+def _long_decodes():
+    """One ``LONG_WORDS``-word utterance of language seed 1, decoded by
+    coloring per ``LONG_PENALTIES`` entry and by the ``general`` scorer
+    unconstrained."""
+    from colordecode import corpus, evaluation, scorers
+    from colordecode.decoder import decode
+    from colordecode.lexicon import ColoredAlphabet
+
+    spec = corpus.SynthesisSpec(
+        num_sentences=1,
+        jargon_insertion_rate=0.3,
+        noise_level=0.25,
+        frames_per_char=1,
+        rng_seed=2,
+        min_words=LONG_WORDS,
+        max_words=LONG_WORDS,
+        language_seed=1,
+    )
+    lang = corpus.build_language(1)
+    lexicons = [lang.lexicons.general, lang.lexicons.jargon]
+    general, jargon = corpus.language_models(lang)
+    template = ColoredAlphabet(tuple(corpus.LETTERS + " "), 1, " ")
+    [(words, _mask)] = corpus.sample_sentences(spec, lang)
+    logits = corpus.synthesize_logits(" ".join(words), template, 0.25, 1)
+    for penalty in LONG_PENALTIES:
+        config = scorers.ScorerConfig(unknown_subword_penalty=penalty)
+        runtime = evaluation.build_runtime(
+            "coloring", lexicons, [general, jargon], config, template,
+            LONG_COLORING_BEAM,
+        )
+        yield decode(logits, runtime.decoder_config())
+    cfg = _unconstrained_config(
+        "general", [general], scorers.ScorerConfig(), template,
+        LONG_UNCONSTRAINED_BEAM,
+    )
+    yield decode(logits, cfg)
 
 
 def _decode_set(cfg, logits, sentences):
@@ -343,6 +391,7 @@ def digest() -> str:
     sources = (
         _random_decodes(),
         _corpus_decodes(),
+        _long_decodes(),
         _grid_searches(),
         _method_comparisons(),
         _model_outputs(),

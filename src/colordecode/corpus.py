@@ -77,7 +77,21 @@ class MalformedManifest(ValueError):
 
 
 class MissingLogitsFile(FileNotFoundError):
-    """A manifest names a logits file that does not exist."""
+    """A logits file that does not exist. ``path`` is the file; when a
+    manifest row names it, ``manifest`` and ``line`` name the row."""
+
+    def __init__(self, path, manifest=None, line: int | None = None):
+        message = f"logits file {path} does not exist"
+        if manifest is not None:
+            message += f" (manifest {manifest}, line {line})"
+        super().__init__(message)
+        self.path = path
+        self.manifest = manifest
+        self.line = line
+
+    def __reduce__(self):
+        # a decode worker's error reaches the parent process pickled
+        return type(self), (self.path, self.manifest, self.line)
 
 
 class EmptyLexicon(ValueError):
@@ -162,7 +176,7 @@ def read_manifest(path) -> list[Utterance]:
             mask = tuple(raw_mask)
         logits_path = _resolve(base, logits, dirs)
         if not logits_path.exists():
-            raise MissingLogitsFile(str(logits_path))
+            raise MissingLogitsFile(logits_path, path, line_no)
         utterances.append(Utterance(utt_id, logits_path, reference, mask))
     return utterances
 
@@ -204,7 +218,7 @@ def read_logits(path) -> LogitsMatrix:
     per-frame distributions raise MalformedLogits naming the file."""
     path = Path(path)
     if not path.exists():
-        raise MissingLogitsFile(str(path))
+        raise MissingLogitsFile(path)
     blob = path.read_bytes()
     if blob.startswith(MAGIC):
         rest = blob[len(MAGIC):]

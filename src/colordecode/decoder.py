@@ -5,12 +5,16 @@ of a tree. A node holds its parent, the (column, color) label it adds and
 its depth, plus the text metadata that is a pure function of the prefix:
 the text score ``p_text`` accumulated from the fusion scorer at every
 completed word (and per-character penalties for off-lexicon spellings),
-the completed words, the grammar state and the scorer state. Each node
-memoizes its children by label, so extending a live prefix by the same
-label always yields the same node. The memo holds weak references: a
-node keeps its ancestors alive but not its descendants, so the tree has
-no reference cycles and a branch that leaves the beam is freed as soon
-as nothing points to it.
+the completed words, the grammar state and the scorer state. The
+completed words are a chain shared with the ancestors: None at the root
+and ``(previous chain, word, color)`` at each node that completes a
+word, so a completion costs one link, not a copy of every word before
+it, and ``decode`` reads the winner's words back once, at the end.
+Each node memoizes its children by label, so extending a live prefix by
+the same label always yields the same node. The memo holds weak
+references: a node keeps its ancestors alive but not its descendants,
+so the tree has no reference cycles and a branch that leaves the beam
+is freed as soon as nothing points to it.
 
 A frame scores a child that has no live node without building it: its
 score is its one acoustic mass plus its text score. Only the children
@@ -91,6 +95,13 @@ contributions, its own stay and its one parent's extension, and
 candidates strictly below it, however the floor rose, so the same
 candidates survive. Finishing takes the minimum over a strict total
 order.
+
+A frame converts only its own row of log10 posteriors to Python
+floats, and the non-blank columns ranked from the likeliest down are
+argsorted once per utterance, at its first wide beam; a frame converts
+its own row of that ranking at its first wide beam. The memory that
+grows with the utterance is then the numpy arrays and the live
+hypotheses' ancestors, not lists of every frame.
 
 The CTC repeat rule compares raw columns, ignoring color: extending a
 prefix with the column it already ends in consumes only the blank-ending
@@ -242,10 +253,10 @@ class LogitsMatrix:
     def log10_rows(self) -> list[list[float]]:
         return self._log10.tolist()
 
-    def ranked_columns(self) -> list[list[int]]:
-        """Per frame, the non-blank columns from the highest log10 value
-        to the lowest."""
-        return np.argsort(-self._log10[:, :-1], axis=1, kind="stable").tolist()
+    def ranked_columns(self) -> np.ndarray:
+        """Per frame (row), the non-blank columns from the highest log10
+        value to the lowest."""
+        return np.argsort(-self._log10[:, :-1], axis=1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -263,11 +274,14 @@ class Prefix:
     """One interned colored prefix: its parent plus one (column, color)
     label, and the text metadata that this prefix determines.
 
-    The root has no parent and no label. ``children`` maps a label to a
-    weak reference to the child node with it, if one was made. A beam
-    also holds the masses and figures that ``set_masses`` sets, and
-    ``decode`` sums its masses for the next frame in ``next_b`` and
-    ``next_nb``, written last in frame ``frame`` (-1 before any).
+    The root has no parent and no label. ``words`` is the chain of
+    completed words: None at the root, and ``(parent chain, word,
+    color)`` at a node that completes a word; any other node shares its
+    parent's. ``children`` maps a label to a weak reference to the child
+    node with it, if one was made. A beam also holds the masses and
+    figures that ``set_masses`` sets, and ``decode`` sums its masses for
+    the next frame in ``next_b`` and ``next_nb``, written last in frame
+    ``frame`` (-1 before any).
     ``entry`` is the successor table entry of the word state, None
     until the node is first expanded. ``spelling`` is None until
     ``_spelling`` first reads the pending word of this in-word node.
@@ -301,7 +315,7 @@ class Prefix:
         col: int | None,
         color: int | None,
         p_text: float,
-        words: tuple[tuple[str, int], ...],
+        words: tuple | None,
         word_state: WordState,
         scorer_state: object,
     ):
@@ -560,6 +574,16 @@ def _spelling(node: Prefix, chars: Sequence[str]) -> str:
     return spelling
 
 
+def _chained_words(chain: tuple | None) -> tuple[tuple[str, int], ...]:
+    """The ``(word, color)`` pairs of a word chain, first word first."""
+    words = []
+    while chain is not None:
+        chain, word, color = chain
+        words.append((word, color))
+    words.reverse()
+    return tuple(words)
+
+
 def decode(
     logits: LogitsMatrix,
     config: DecoderConfig,
@@ -603,12 +627,16 @@ def decode(
             scored = deltas[key] = scorer.word_delta(scorer_state, word, color)
         return scored
 
-    root = Prefix(None, None, None, 0.0, (), WORD_START, scorer.initial_state())
+    root = Prefix(None, None, None, 0.0, None, WORD_START, scorer.initial_state())
     root.set_masses(0.0, NEG_INF)
     beams = [root]
 
-    ranked_columns = None  # per frame; made at the first wide beam
-    for t, row in enumerate(logits.log10_rows()):
+    # per frame, the non-blank columns from the likeliest down; argsorted
+    # at the utterance's first wide beam, each row converted at its
+    # frame's first
+    ranked = None
+    for t, log10_row in enumerate(logits._log10):
+        row = log10_row.tolist()
         best = get_best_beams(beams, beam_width)
         # the best beam first, so that a wide one starts the floor high
         best.sort(key=_EXPANSION_KEY, reverse=True)
@@ -664,8 +692,9 @@ def decode(
             if by_col is not None:
                 # a wide state: the first one of the frame starts the floor
                 if bounds is None:
-                    if ranked_columns is None:
-                        ranked_columns = logits.ranked_columns()
+                    if ranked is None:
+                        ranked = logits.ranked_columns()
+                    columns = ranked[t].tolist()
                     # a beam's final score is at least its larger stay
                     # mass plus its text score
                     bounds = []
@@ -750,7 +779,7 @@ def decode(
             # falls below the floor no later column can reach it.
             text = off_text if walk_off else p_text
             scorer_state = node.scorer_state
-            for col in ranked_columns[t]:
+            for col in columns:
                 bound = total + row[col]
                 score = bound + text
                 if score < floor:
@@ -807,7 +836,7 @@ def decode(
         for score, mass, node, ext, label, p_text, word, scorer_state in fresh:
             words = node.words
             if word is not None:
-                words = words + ((word, ext.color),)
+                words = (words, word, ext.color)
             child = Prefix(
                 node, ext.col, ext.color, p_text, words, ext.state, scorer_state
             )
@@ -819,8 +848,8 @@ def decode(
             child.score = score
             beams.append(child)
 
-    # (rank key, final score, words) per finished beam
-    candidates: list[tuple[tuple, float, tuple[tuple[str, int], ...]]] = []
+    # (rank key, final score, word chain) per finished beam
+    candidates: list[tuple[tuple, float, tuple | None]] = []
     for node in get_best_beams(beams, beam_width):
         state = node.word_state
         pending = finish_word(tries, state, _spelling(node, chars), allow_off)
@@ -830,7 +859,7 @@ def decode(
             word, color = pending
             delta, _ = score_word(node.scorer_state, word, color)
             fscore += delta
-            words = words + ((word, color),)
+            words = (words, word, color)
         elif state.in_word:
             continue  # unfinished spelling with no way to report it
         if fscore == NEG_INF:
@@ -841,4 +870,4 @@ def decode(
         return ColoredTranscript((), NEG_INF)
     # distinct nodes make the rank keys distinct, so min never looks past them
     _key, fscore, words = min(candidates)
-    return ColoredTranscript(words, fscore)
+    return ColoredTranscript(_chained_words(words), fscore)

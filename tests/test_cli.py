@@ -1023,6 +1023,83 @@ def test_gridsearch_names_the_malformed_logits_file(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["decode", "eval", "gridsearch"])
+def test_a_missing_logits_file_is_named(synth_dir, tmp_path, capsys, command):
+    """A logits file that does not exist exits 1 with an error saying
+    so; named by a manifest row, the error names the manifest and the
+    row's line as well."""
+    missing = tmp_path.resolve() / "missing.ctcl"
+    lexicon = ["--lexicon", str(synth_dir / "general.txt")]
+    if command == "decode":
+        argv = ["decode", str(missing), *lexicon]
+        fault = f"logits file {missing} does not exist"
+    else:
+        manifest = tmp_path / "manifest.jsonl"
+        good = str(synth_dir / "logits" / "utt0000.ctcl")
+        manifest.write_text(
+            "".join(
+                json.dumps({"id": f"u{i}", "logits": path, "reference": "a"}) + "\n"
+                for i, path in enumerate([good, "missing.ctcl"])
+            ),
+            encoding="utf-8",
+        )
+        argv = [command, str(manifest), *lexicon]
+        fault = f"logits file {missing} does not exist (manifest {manifest}, line 2)"
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"error: {fault}" in err.splitlines(), err
+
+
+# malformation -> (logits file contents, None for a directory; the fault
+# stderr names). The tiny setup's alphabet "ab " needs 4 columns.
+BAD_LOGITS_FILES = {
+    "directory": (None, "Is a directory"),
+    "empty": (b"", "binary nor JSON"),
+    "bad header": (MAGIC + b"2 x\n", "non-integer header fields"),
+    "truncated body": (
+        ctcl_bytes(np.log(np.full((2, 4), 0.25)))[:-8],
+        "body has 56 bytes, expected 64",
+    ),
+    "NaN": (b'{"frames": [[NaN, 0.5, 0.25, 0.25]]}', "rows must be probabilities"),
+    "wrong columns": (
+        ctcl_bytes(np.log(np.full((2, 5), 0.2))), "logits have 5 columns"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["decode", "eval"])
+@pytest.mark.parametrize("malformation", sorted(BAD_LOGITS_FILES))
+def test_bad_logits_files_are_named(tiny_setup, capsys, command, malformation):
+    """A logits file given to ``decode``, or named by the one row of a
+    manifest given to ``eval``, that cannot be decoded exits 1 with an
+    error naming the file and its fault."""
+    contents, fault = BAD_LOGITS_FILES[malformation]
+    bad = tiny_setup["dir"] / "bad-logits"
+    if contents is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(contents)
+    if command == "decode":
+        source = bad
+    else:
+        source = tiny_setup["dir"] / "manifest.jsonl"
+        source.write_text(
+            json.dumps({"id": "u0", "logits": str(bad), "reference": "aa"}) + "\n",
+            encoding="utf-8",
+        )
+    argv = [command, str(source), "--alphabet", "ab ", "--lexicon", tiny_setup["general"]]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert any(
+        line.startswith("error: ") and str(bad) in line and fault in line
+        for line in err.splitlines()
+    ), err
+
+
 @pytest.mark.parametrize(
     "command, bad_role",
     [

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 
 import numpy as np
@@ -96,8 +97,11 @@ def test_logits_malformed(tmp_path, blob):
 
 
 def test_logits_missing_file(tmp_path):
-    with pytest.raises(MissingLogitsFile):
-        read_logits(tmp_path / "absent.ctcl")
+    path = tmp_path / "absent.ctcl"
+    with pytest.raises(MissingLogitsFile) as exc:
+        read_logits(path)
+    assert str(exc.value) == f"logits file {path} does not exist"
+    assert exc.value.path == path
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +204,20 @@ def test_manifest_that_is_not_utf8_is_named(tmp_path):
 
 
 def test_manifest_checks_logits_exist(tmp_path):
+    """The error names the file, the manifest and the row's line, and
+    survives the pickling that carries a decode worker's error back."""
     manifest = tmp_path / "m.jsonl"
-    manifest.write_text(json.dumps({"id": "u", "logits": "gone.ctcl"}) + "\n")
-    with pytest.raises(MissingLogitsFile):
+    manifest.write_text("\n" + json.dumps({"id": "u", "logits": "gone.ctcl"}) + "\n")
+    with pytest.raises(MissingLogitsFile) as exc:
         read_manifest(manifest)
+    gone = (tmp_path / "gone.ctcl").resolve()
+    assert str(exc.value) == (
+        f"logits file {gone} does not exist (manifest {manifest}, line 2)"
+    )
+    again = pickle.loads(pickle.dumps(exc.value))
+    assert type(again) is MissingLogitsFile
+    assert str(again) == str(exc.value)
+    assert (again.path, again.manifest, again.line) == (gone, manifest, 2)
 
 
 def test_manifest_paths_resolve_as_path_resolve(tmp_path):
@@ -255,7 +269,7 @@ def test_manifest_paths_resolve_as_path_resolve(tmp_path):
         write([missing])
         with pytest.raises(MissingLogitsFile) as exc:
             read_manifest(tmp_path / "datalink" / "m.jsonl")
-        assert str(exc.value) == str((tmp_path / "datalink" / missing).resolve())
+        assert str(exc.value.path) == str((tmp_path / "datalink" / missing).resolve())
 
 
 # ---------------------------------------------------------------------------

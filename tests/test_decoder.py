@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_logits_row_sum_tolerance():
 
 
 def _root() -> Prefix:
-    return Prefix(None, None, None, 0.0, (), WORD_START, None)
+    return Prefix(None, None, None, 0.0, None, WORD_START, None)
 
 
 def _interned(root: Prefix, labels) -> Prefix:
@@ -111,7 +112,7 @@ def _interned(root: Prefix, labels) -> Prefix:
         ref = node.children.get(label)
         child = None if ref is None else ref()
         if child is None:
-            child = Prefix(node, *label, 0.0, (), WORD_START, None)
+            child = Prefix(node, *label, 0.0, None, WORD_START, None)
             node.children[label] = weakref.ref(child)
         node = child
     return node
@@ -774,6 +775,39 @@ def test_decode_leaves_no_cyclic_garbage():
     assert got.words
 
 
+def test_decode_memory_grows_linearly_with_the_words():
+    """A word completion links one word onto its parent's chain rather
+    than copying every word before it, and a frame converts only its own
+    row, so doubling an utterance at most about doubles the peak memory
+    of decoding it. Beam 1 keeps the prefix tree a single chain, every
+    node of which stays alive as an ancestor of the last beam; copying
+    the words at each completion made the peak grow with their square,
+    2.76 times over at 400 words."""
+    alphabet = ColoredAlphabet(("a", "b", " "), 1, " ")
+    config = DecoderConfig(
+        alphabet, [build_trie(alphabet, 0, ["ab"])], NullScorer(ScorerConfig()),
+        beam_width=1,
+    )
+
+    def peak(repeats: int) -> int:
+        rows = []
+        for char in "ab " * repeats:
+            row = [0.01] * 4
+            row[alphabet.char_column(char)] = 0.97
+            rows.append(row)
+        logits = LogitsMatrix.from_linear(rows)
+        tracemalloc.start()
+        try:
+            got = decode(logits, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.words == (("ab", 0),) * repeats
+        return peak
+
+    assert peak(800) <= 2.25 * peak(400)
+
+
 # ---------------------------------------------------------------------------
 # off-lexicon spelling and the per-config successor table
 # ---------------------------------------------------------------------------
@@ -1170,8 +1204,8 @@ def test_repeat_column_without_blank_mass_does_not_end_the_walk(monkeypatch):
 
 def test_ranked_columns_order_non_blank_columns_by_log10():
     logits = LogitsMatrix.from_linear([[0.1, 0.4, 0.0, 0.2, 0.3], [0.25] * 4 + [0.0]])
-    assert logits.ranked_columns() == [[1, 3, 0, 2], [0, 1, 2, 3]]
-    assert LogitsMatrix.from_linear([], columns=3).ranked_columns() == []
+    assert logits.ranked_columns().tolist() == [[1, 3, 0, 2], [0, 1, 2, 3]]
+    assert LogitsMatrix.from_linear([], columns=3).ranked_columns().tolist() == []
 
 
 # ---------------------------------------------------------------------------
