@@ -46,7 +46,8 @@ The decode set:
   over every ``SCORER_KINDS`` entry (language seed 1, 12 validation
   and 24 test sentences, beam 8), at ``jobs`` 1 and 2, so the pool that
   ``evaluate`` shares among methods is held to the serial pass bit for
-  bit;
+  bit, and once more at ``jobs`` 1 with its splits written under a
+  ``workdir``;
 - ``parse_arpa`` of the synthetic models of language seed 1 and of a
   seeded random 3-gram model over 200 words, and three
   ``merge_colored`` merges of them, one of which collides (the
@@ -278,16 +279,20 @@ def _grid_searches():
 def _method_comparisons():
     """The test report and the grid searches of one
     ``run_method_comparison`` over every scorer kind per ``GRID_JOBS``
-    entry."""
+    entry, in a temporary directory, then of one more at ``jobs`` 1
+    with its splits under a ``workdir``."""
     from colordecode import evaluation, scorers
 
-    for jobs in GRID_JOBS:
-        report, searches = evaluation.run_method_comparison(
+    def compare(jobs, workdir=None):
+        return evaluation.run_method_comparison(
             1, kinds=scorers.SCORER_KINDS, num_test=24, num_validation=12,
-            beam_width=8, jobs=jobs,
+            beam_width=8, jobs=jobs, workdir=workdir,
         )
-        yield report
-        yield searches
+
+    for jobs in GRID_JOBS:
+        yield from compare(jobs)
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        yield from compare(1, workdir=tmp)
 
 
 def _random_trigram_text() -> str:

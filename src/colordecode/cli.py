@@ -33,6 +33,7 @@ from .corpus import (
     synthesize_corpus,
     write_colored_transcript,
 )
+from .decoder import DecoderConfig
 from .evaluation import (
     GridSpec,
     _decode_file,
@@ -44,7 +45,7 @@ from .evaluation import (
 from .lexicon import ColoredAlphabet, InvalidWordChar, UnknownChar, build_trie
 from .ngram_lm import load_arpa, merge_colored, save_arpa
 from .oracle import InstanceTooLarge, run_verification
-from .scorers import SCORER_KINDS, ScorerConfig, fit_bin_table
+from .scorers import SCORER_KINDS, EmptyCalibration, ScorerConfig, fit_bin_table
 
 DEFAULT_BEAM_WIDTH = 64
 JOBS_ENV = "COLOR_DECODE_JOBS"
@@ -218,20 +219,26 @@ def _scorer_config_from_args(args) -> ScorerConfig:
     )
 
 
-def _bin_table_from_args(args, models):
-    if args.fusion != "bins":
-        return None
-    if not args.calibration_manifest:
-        raise UsageError("--fusion bins needs --calibration-manifest")
-    utts = read_manifest(args.calibration_manifest)
-    pairs = calibration_pairs(utts, models, seed=args.calibration_seed)
-    return fit_bin_table(pairs, args.bins)
+def _calibration_from_args(args, models, utterances=None) -> list:
+    """Calibration pairs for the bins method from the references of
+    ``--calibration-manifest``, or, without one, of ``utterances`` (the
+    manifest gridsearch has read, whose references the search checks).
+    A calibration manifest that yields no pair is refused, naming it."""
+    path = args.calibration_manifest
+    if not path:
+        return calibration_pairs(utterances, models, seed=args.calibration_seed)
+    pairs = calibration_pairs(read_manifest(path), models, seed=args.calibration_seed)
+    if not pairs:
+        raise EmptyCalibration(
+            f"{path}: no row has a reference, so there are no calibration pairs"
+        )
+    return pairs
 
 
 def _load_models(args) -> list:
     """The ``--lm`` models, once their count fits ``--fusion`` and, for
     coloring, the ``--lexicon`` count; every model-using subcommand
-    checks here, before reading any file."""
+    checks its flag combinations here, before reading any file."""
     kind = args.fusion
     count = len(args.lm)
     if kind == "none" and count:
@@ -247,6 +254,12 @@ def _load_models(args) -> list:
             raise UsageError(
                 "--fusion coloring needs as many --lm files as --lexicon files"
             )
+    if args.command != "decode" and not args.lexicon:
+        raise UsageError(f"{args.command} needs at least one --lexicon file")
+    # gridsearch calibrates on its own manifest when given none
+    if kind == "bins" and args.command != "gridsearch":
+        if not args.calibration_manifest:
+            raise UsageError("--fusion bins needs --calibration-manifest")
     return [load_arpa(path) for path in args.lm]
 
 
@@ -267,20 +280,24 @@ def _naming_lexicon_file(paths, lexicons, template: ColoredAlphabet):
         raise
 
 
-def cmd_decode(args) -> int:
+def _decoder_config(args) -> DecoderConfig:
+    """The decoder config ``decode`` and ``eval`` run: the flags'
+    method over the ``--lexicon`` files, unconstrained without any."""
     template = _alphabet_from_args(args)
     models = _load_models(args)
-    config = _scorer_config_from_args(args)
-    bin_table = _bin_table_from_args(args, models)
-
-    # no lexicon decodes unconstrained
+    bin_table = None
+    if args.fusion == "bins":
+        bin_table = fit_bin_table(_calibration_from_args(args, models), args.bins)
     lexicons = [read_lexicon(p) for p in args.lexicon] or None
     with _naming_lexicon_file(args.lexicon, lexicons or (), template):
-        cfg = build_runtime(
-            args.fusion, lexicons, models, config, template,
-            args.beam_width, bin_table,
+        return build_runtime(
+            args.fusion, lexicons, models, _scorer_config_from_args(args),
+            template, args.beam_width, bin_table,
         ).decoder_config()
 
+
+def cmd_decode(args) -> int:
+    cfg = _decoder_config(args)
     transcript = _decode_file(args.logits, cfg)
     num_colors = cfg.alphabet.num_colors
     print(format_colored(transcript.words, num_colors))
@@ -292,18 +309,7 @@ def cmd_decode(args) -> int:
 
 def cmd_eval(args) -> int:
     jobs = _jobs_from_args(args)
-    template = _alphabet_from_args(args)
-    models = _load_models(args)
-    config = _scorer_config_from_args(args)
-    bin_table = _bin_table_from_args(args, models)
-    if not args.lexicon:
-        raise UsageError("eval needs at least one --lexicon file")
-    lexicons = [read_lexicon(p) for p in args.lexicon]
-    with _naming_lexicon_file(args.lexicon, lexicons, template):
-        cfg = build_runtime(
-            args.fusion, lexicons, models, config, template,
-            args.beam_width, bin_table,
-        ).decoder_config()
+    cfg = _decoder_config(args)
     utterances = read_manifest(args.manifest)
     report = evaluate(args.manifest, utterances, [(args.fusion, cfg)], jobs=jobs)
     sys.stdout.write(report.as_json() if args.json else report.as_text())
@@ -314,8 +320,6 @@ def cmd_gridsearch(args) -> int:
     jobs = _jobs_from_args(args)
     template = _alphabet_from_args(args)
     models = _load_models(args)
-    if not args.lexicon:
-        raise UsageError("gridsearch needs at least one --lexicon file")
     lexicons = [read_lexicon(p) for p in args.lexicon]
     utterances = read_manifest(args.manifest)
 
@@ -336,10 +340,7 @@ def cmd_gridsearch(args) -> int:
 
     calibration = None
     if args.fusion == "bins":
-        source = args.calibration_manifest or args.manifest
-        calibration = calibration_pairs(
-            read_manifest(source), models, seed=args.calibration_seed
-        )
+        calibration = _calibration_from_args(args, models, utterances)
 
     with _naming_lexicon_file(args.lexicon, lexicons, template):
         result = run_grid_search(

@@ -10,11 +10,14 @@ search over many points, decodes every (config, utterance) pair in one
 stream, in process or through one pool of worker processes. A grid
 search builds every point's config before the first decode, all over
 one grammar. It picks hyperparameters by validation WER (CER breaks
-ties, then grid order, so results are deterministic).
+ties, then grid order, so results are deterministic). A method
+comparison decodes its test split with the config each search built
+for its winner, so a tuned method is built once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 import tempfile
 from collections.abc import Iterator, Sequence
@@ -355,6 +358,9 @@ def evaluate(
 
 @dataclass
 class GridSearchResult:
+    """A grid search's rows and its best point. It holds no decoder
+    config, so results kept in bulk keep no tries or models alive."""
+
     kind: str
     best: GridPoint
     wer: float
@@ -386,6 +392,17 @@ def run_grid_search(
     The bin method fits one table per bin count from ``calibration``. A
     grid with no points, or a corpus with no utterances, is refused.
     """
+    return _grid_search(
+        kind, utterances, lexicons, models, grid, alphabet, beam_width, jobs,
+        calibration,
+    )[0]
+
+
+def _grid_search(
+    kind, utterances, lexicons, models, grid, alphabet, beam_width, jobs, calibration
+) -> tuple[GridSearchResult, DecoderConfig]:
+    """``run_grid_search``'s result, and the config it built for its best
+    point, ready to decode another corpus."""
     # every point's config is validated, every reference found, every
     # bin table fitted, the tries built and every scorer built before
     # the first decode
@@ -419,29 +436,15 @@ def run_grid_search(
         for point in points[1:]
     ]
 
-    best: tuple[float, float, int] | None = None
-    best_point: GridPoint | None = None
-    best_jw: float | None = None
-    rows: list[tuple[GridPoint, float, float, float | None]] = []
     runs = decode_utterances(utterances, configs, jobs)
-    for index, (point, transcripts) in enumerate(zip(points, runs)):
-        w, c, jw = _rates(refs, masks, transcripts)
-        rows.append((point, w, c, jw))
-        key = (w, c, index)
-        if best is None or key < best:
-            best = key
-            best_point = point
-            best_jw = jw
-
-    assert best is not None and best_point is not None
-    return GridSearchResult(
-        kind=kind,
-        best=best_point,
-        wer=best[0],
-        cer=best[1],
-        jargon_wer=best_jw,
-        rows=rows,
-    )
+    rows = [
+        (point, *_rates(refs, masks, transcripts))
+        for point, transcripts in zip(points, runs)
+    ]
+    # ``min`` keeps the first of equal (WER, CER) keys: enumeration order
+    best = min(range(len(rows)), key=lambda i: rows[i][1:3])
+    point, w, c, jw = rows[best]
+    return GridSearchResult(kind, point, w, c, jw, rows), configs[best]
 
 
 # reduced grid for quick method comparisons; the full defaults above are
@@ -482,102 +485,59 @@ def run_method_comparison(
     score the tuned methods on a held-out test split.
 
     Validation and test share the language (lexicons, chain, true
-    models) but sample disjoint sentences. Returns the test report plus
-    each method's grid search outcome.
+    models) but sample disjoint sentences. Each method's test decodes
+    use the decoder config its grid search built for its best point.
+    The splits are written under ``workdir``, or under a temporary
+    directory removed on return. Returns the test report plus each
+    method's grid search outcome.
     """
     if grid is None:
         grid = COMPARISON_GRID
 
-    def _splits(root: Path):
-        val_spec = SynthesisSpec(
-            num_sentences=num_validation,
+    def spec(num_sentences: int, offset: int) -> SynthesisSpec:
+        return SynthesisSpec(
+            num_sentences=num_sentences,
             jargon_insertion_rate=jargon_rate,
             noise_level=noise_level,
             frames_per_char=1,
-            rng_seed=language_seed + 1_000_000,
+            rng_seed=language_seed + offset,
             language_seed=language_seed,
         )
-        test_spec = SynthesisSpec(
-            num_sentences=num_test,
-            jargon_insertion_rate=jargon_rate,
-            noise_level=noise_level,
-            frames_per_char=1,
-            rng_seed=language_seed + 2_000_000,
-            language_seed=language_seed,
-        )
-        val_utts, lang = synthesize_corpus(val_spec, root / "validation")
-        test_utts, _ = synthesize_corpus(test_spec, root / "test")
-        return val_utts, test_utts, lang
 
+    scratch = contextlib.nullcontext(workdir)
     if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="colordecode-") as tmp:
-            val_utts, test_utts, lang = _splits(Path(tmp))
-            return _compare(
-                kinds, val_utts, test_utts, lang, grid, beam_width, jobs,
-                language_seed,
-            )
-    root = Path(workdir)
-    root.mkdir(parents=True, exist_ok=True)
-    val_utts, test_utts, lang = _splits(root)
-    return _compare(
-        kinds, val_utts, test_utts, lang, grid, beam_width, jobs, language_seed
-    )
-
-
-def _compare(
-    kinds, val_utts, test_utts, lang, grid, beam_width, jobs, language_seed
-) -> tuple[EvalReport, dict[str, GridSearchResult]]:
-    general, jargon = language_models(lang)
-    lexicons = [lang.lexicons.general, lang.lexicons.jargon]
-    alphabet = default_alphabet(2)
-
-    searches: dict[str, GridSearchResult] = {}
-    methods: list[tuple[str, DecoderConfig]] = []
-    configs: list[dict | None] = []
-    for kind in kinds:
-        models = _method_models(kind, general, jargon)
-        calibration = None
-        bin_table = None
-        if kind == "bins":
-            calibration = calibration_pairs(val_utts, models, seed=language_seed)
-        search = run_grid_search(
-            kind,
-            val_utts,
-            lexicons,
-            models,
-            grid,
-            alphabet,
-            beam_width=beam_width,
-            jobs=jobs,
-            calibration=calibration,
+        scratch = tempfile.TemporaryDirectory(prefix="colordecode-")
+    # the test split is decoded while its logits files exist
+    with scratch as root:
+        root = Path(root)
+        root.mkdir(parents=True, exist_ok=True)
+        val_utts, lang = synthesize_corpus(
+            spec(num_validation, 1_000_000), root / "validation"
         )
-        searches[kind] = search
-        if kind == "bins":
-            assert search.best.num_bins is not None
-            bin_table = fit_bin_table(calibration, search.best.num_bins)
-        methods.append(
-            (
-                kind,
-                build_runtime(
-                    kind,
-                    lexicons,
-                    models,
-                    search.best.config,
-                    alphabet,
-                    beam_width,
-                    bin_table,
-                ).decoder_config(),
-            )
-        )
-        configs.append(search.best.describe(kind))
+        test_utts, _ = synthesize_corpus(spec(num_test, 2_000_000), root / "test")
+        general, jargon = language_models(lang)
+        lexicons = [lang.lexicons.general, lang.lexicons.jargon]
+        alphabet = default_alphabet(2)
 
-    report = evaluate(
-        f"synthetic(language_seed={language_seed})",
-        test_utts,
-        methods,
-        jobs=jobs,
-        configs=configs,
-    )
+        searches: dict[str, GridSearchResult] = {}
+        methods: list[tuple[str, DecoderConfig]] = []
+        configs: list[dict | None] = []
+        for kind in kinds:
+            models = _method_models(kind, general, jargon)
+            calibration = None
+            if kind == "bins":
+                calibration = calibration_pairs(val_utts, models, seed=language_seed)
+            searches[kind], best_config = _grid_search(
+                kind, val_utts, lexicons, models, grid, alphabet, beam_width,
+                jobs, calibration,
+            )
+            methods.append((kind, best_config))
+            configs.append(searches[kind].best.describe(kind))
+
+        report = evaluate(
+            f"synthetic(language_seed={language_seed})", test_utts, methods,
+            jobs=jobs, configs=configs,
+        )
     return report, searches
 
 

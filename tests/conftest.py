@@ -43,6 +43,26 @@ def random_rows(rng: random.Random, frames: int, columns: int) -> list[list[floa
     return rows
 
 
+def random_model(rng: random.Random, word_list) -> NGramModel:
+    """A random unigram or bigram model over a random subset of
+    ``word_list``, so unknown-word paths occur."""
+    vocab = [w for w in word_list if rng.random() < 0.8]
+    order = 2 if vocab and rng.random() < 0.5 else 1
+    entries = {}
+    if vocab:
+        weights = [rng.random() + 0.05 for _ in vocab]
+        total = sum(weights)
+        for w, x in zip(vocab, weights):
+            backoff = rng.uniform(-0.5, 0.0) if order == 2 else None
+            entries[(w,)] = (math.log10(x / total), backoff)
+        if order == 2:
+            for a in vocab:
+                for b in vocab:
+                    if rng.random() < 0.4:
+                        entries[(a, b)] = (rng.uniform(-1.5, -0.1), None)
+    return NGramModel(max_order=order, entries=entries)
+
+
 def random_c1_instance(rng: random.Random):
     """A small single-lexicon decoding problem as raw parts.
 
@@ -58,23 +78,7 @@ def random_c1_instance(rng: random.Random):
         length = rng.randint(1, 3)
         words.add("".join(rng.choice(word_chars) for _ in range(length)))
     word_list = sorted(words)
-
-    vocab = [w for w in word_list if rng.random() < 0.8]
-    order = 2 if vocab and rng.random() < 0.5 else 1
-    entries = {}
-    if vocab:
-        weights = [rng.random() + 0.05 for _ in vocab]
-        total = sum(weights)
-        for w, x in zip(vocab, weights):
-            backoff = rng.uniform(-0.5, 0.0) if order == 2 else None
-            entries[(w,)] = (math.log10(x / total), backoff)
-        if order == 2:
-            for a in vocab:
-                for b in vocab:
-                    if rng.random() < 0.4:
-                        entries[(a, b)] = (rng.uniform(-1.5, -0.1), None)
-    model = NGramModel(max_order=order, entries=entries)
-
+    model = random_model(rng, word_list)
     rows = random_rows(rng, rng.randint(0, 4), k + 1)
     alpha = rng.choice([0.5, 1.0])
     beta = rng.choice([0.0, 0.5])

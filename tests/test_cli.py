@@ -1069,11 +1069,12 @@ BAD_LOGITS_FILES = {
 }
 
 
-@pytest.mark.parametrize("command", ["decode", "eval"])
+@pytest.mark.parametrize("command", ["decode", "eval", "gridsearch"])
 @pytest.mark.parametrize("malformation", sorted(BAD_LOGITS_FILES))
 def test_bad_logits_files_are_named(tiny_setup, capsys, command, malformation):
     """A logits file given to ``decode``, or named by the one row of a
-    manifest given to ``eval``, that cannot be decoded exits 1 with an
+    manifest given to ``eval`` or to ``gridsearch`` (in process and
+    through its worker pool), that cannot be decoded exits 1 with an
     error naming the file and its fault."""
     contents, fault = BAD_LOGITS_FILES[malformation]
     bad = tiny_setup["dir"] / "bad-logits"
@@ -1090,14 +1091,18 @@ def test_bad_logits_files_are_named(tiny_setup, capsys, command, malformation):
             encoding="utf-8",
         )
     argv = [command, str(source), "--alphabet", "ab ", "--lexicon", tiny_setup["general"]]
-    rc, out, err = run_cli(argv, capsys)
-    assert rc == 1
-    assert out == ""
-    assert "Traceback" not in err
-    assert any(
-        line.startswith("error: ") and str(bad) in line and fault in line
-        for line in err.splitlines()
-    ), err
+    runs = [argv]
+    if command == "gridsearch":
+        runs = [argv + ["--betas", "0.0,0.5", "--jobs", jobs] for jobs in ("1", "2")]
+    for run in runs:
+        rc, out, err = run_cli(run, capsys)
+        assert rc == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert any(
+            line.startswith("error: ") and str(bad) in line and fault in line
+            for line in err.splitlines()
+        ), err
 
 
 @pytest.mark.parametrize(
@@ -1200,3 +1205,135 @@ def test_decode_names_the_unconvertible_json_logits_file(tmp_path, capsys, bad_n
     assert rc == 1
     assert out == ""
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+# malformation -> calibration manifest contents, None for a directory and
+# "missing" for no file; the rows' logits are written beside them. A
+# calibration manifest that is not UTF-8 is in
+# test_a_manifest_that_is_not_utf8_is_named.
+BAD_CALIBRATION_MANIFESTS = {
+    "missing": "missing",
+    "directory": None,
+    "no reference": b'{"id": "u0", "logits": "u0.ctcl"}\n'
+    b'{"id": "u1", "logits": "u0.ctcl", "reference": null}\n',
+}
+
+
+@pytest.mark.parametrize("command", ["decode", "eval", "gridsearch"])
+@pytest.mark.parametrize("malformation", sorted(BAD_CALIBRATION_MANIFESTS))
+def test_bad_calibration_manifests_are_named(
+    synth_dir, tmp_path, capsys, command, malformation
+):
+    """A ``--calibration-manifest`` that is missing, a directory or has
+    no row with a reference exits 1 with an error naming it."""
+    contents = BAD_CALIBRATION_MANIFESTS[malformation]
+    bad = tmp_path / "calibration.jsonl"
+    shutil.copy(synth_dir / "logits" / "utt0000.ctcl", tmp_path / "u0.ctcl")
+    if contents is None:
+        bad.mkdir()
+    elif contents != "missing":
+        bad.write_bytes(contents)
+    first = (
+        str(synth_dir / "logits" / "utt0000.ctcl")
+        if command == "decode"
+        else str(synth_dir / "manifest.jsonl")
+    )
+    argv = [
+        command, first,
+        "--lexicon", str(synth_dir / "general.txt"),
+        "--lexicon", str(synth_dir / "jargon.txt"),
+        "--fusion", "bins",
+        "--lm", str(synth_dir / "general.arpa"),
+        "--lm", str(synth_dir / "jargon.arpa"),
+        "--calibration-manifest", str(bad),
+        "--beam-width", "4",
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and str(bad) in err, err
+    if malformation == "no reference":
+        assert err == (
+            f"error: {bad}: no row has a reference, so there are no "
+            "calibration pairs\n"
+        )
+
+
+# a path prefix for files that do not exist: reading any of them would
+# exit 1, not 2
+NOWHERE = "/nonexistent"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", f"{NOWHERE}.jsonl", "--fusion", "general",
+          "--lm", f"{NOWHERE}.arpa"],
+         "eval needs at least one --lexicon file"),
+        (["gridsearch", f"{NOWHERE}.jsonl", "--fusion", "general",
+          "--lm", f"{NOWHERE}.arpa"],
+         "gridsearch needs at least one --lexicon file"),
+        (["eval", f"{NOWHERE}.jsonl"], "eval needs at least one --lexicon file"),
+        (["decode", f"{NOWHERE}.ctcl", "--fusion", "bins", "--lm", f"{NOWHERE}.arpa",
+          "--lm", f"{NOWHERE}.arpa", "--lexicon", f"{NOWHERE}.txt"],
+         "--fusion bins needs --calibration-manifest"),
+        (["eval", f"{NOWHERE}.jsonl", "--fusion", "bins", "--lm", f"{NOWHERE}.arpa",
+          "--lm", f"{NOWHERE}.arpa", "--lexicon", f"{NOWHERE}.txt"],
+         "--fusion bins needs --calibration-manifest"),
+        (["eval", f"{NOWHERE}.jsonl", "--fusion", "coloring",
+          "--lm", f"{NOWHERE}.arpa"],
+         "--fusion coloring needs --lexicon files"),
+        (["gridsearch", f"{NOWHERE}.jsonl", "--fusion", "linear",
+          "--lm", f"{NOWHERE}.arpa", "--lexicon", f"{NOWHERE}.txt"],
+         "--fusion linear needs exactly two --lm files"),
+    ],
+    ids=[
+        "eval-no-lexicon", "gridsearch-no-lexicon", "eval-no-lexicon-no-model",
+        "decode-bins-no-calibration", "eval-bins-no-calibration",
+        "eval-coloring-no-lexicon", "gridsearch-linear-one-model",
+    ],
+)
+def test_flag_combinations_are_refused_before_any_file_is_read(
+    argv, message, capsys, monkeypatch
+):
+    for name in ("load_arpa", "read_lexicon", "read_manifest", "_decode_file"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("read a file"))
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == f"error: {message}\n"
+
+
+def test_gridsearch_bins_calibrates_on_the_manifest_it_read(
+    synth_dir, capsys, monkeypatch
+):
+    """Without ``--calibration-manifest``, a bins grid search calibrates
+    on the utterances of its manifest, read once, and prints what it
+    prints when that manifest is also named as the calibration one."""
+    manifest = str(synth_dir / "manifest.jsonl")
+    argv = [
+        "gridsearch", manifest,
+        "--lexicon", str(synth_dir / "general.txt"),
+        "--lexicon", str(synth_dir / "jargon.txt"),
+        "--fusion", "bins",
+        "--lm", str(synth_dir / "general.arpa"),
+        "--lm", str(synth_dir / "jargon.arpa"),
+        "--alphas", "1.0", "--betas", "0.0", "--word-penalties", "-10",
+        "--bin-counts", "4,9", "--beam-width", "4", "--all",
+    ]
+    rc, named, _ = run_cli(argv + ["--calibration-manifest", manifest], capsys)
+    assert rc == 0
+    reads = []
+    real_read = cli.read_manifest
+
+    def read_manifest(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(cli, "read_manifest", read_manifest)
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 0 and err == ""
+    assert reads == [manifest]
+    assert out == named

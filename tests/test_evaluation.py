@@ -634,6 +634,75 @@ def test_an_empty_corpus_is_refused_before_any_runtime_is_built(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Method comparison
+# ---------------------------------------------------------------------------
+
+
+def _small_comparison(**kwargs):
+    grid = GridSpec(alphas=(0.5, 1.0), betas=(0.0,), word_penalties=(-10.0,),
+                    subword_penalties=(0.0,), bin_counts=(4, 9))
+    return evaluation.run_method_comparison(
+        3, kinds=("coloring", "bins"), num_test=4, num_validation=3,
+        grid=grid, beam_width=4, **kwargs,
+    )
+
+
+def test_method_comparison_builds_each_tuned_method_once(monkeypatch):
+    """A comparison decodes its test split with the configs its grid
+    searches built for their best points: one colored merge, one bin
+    table per bin count and each kind's tries once, none of them
+    rebuilt for the winner."""
+    calls = {"merge": 0, "fit": [], "trie": []}
+    decoded = []
+    real_merge = scorers_module.merge_colored
+    real_fit = evaluation.fit_bin_table
+    real_trie = evaluation.build_trie
+    real_decode = evaluation.decode_utterances
+
+    def decode_utterances(utterances, configs, jobs=1):
+        decoded.append(list(configs))
+        return real_decode(utterances, configs, jobs)
+
+    def merge(pairs):
+        calls["merge"] += 1
+        return real_merge(pairs)
+
+    def fit(pairs, num_bins):
+        calls["fit"].append(num_bins)
+        return real_fit(pairs, num_bins)
+
+    def trie(alphabet, color, words):
+        calls["trie"].append((alphabet.num_colors, color))
+        return real_trie(alphabet, color, words)
+
+    monkeypatch.setattr(scorers_module, "merge_colored", merge)
+    monkeypatch.setattr(evaluation, "fit_bin_table", fit)
+    monkeypatch.setattr(evaluation, "build_trie", trie)
+    monkeypatch.setattr(evaluation, "decode_utterances", decode_utterances)
+    report, searches = _small_comparison()
+    assert [r.method for r in report.results] == ["coloring", "bins"]
+    assert calls == {"merge": 1, "fit": [4, 9], "trie": [(2, 0), (2, 1), (1, 0)]}
+    *grids, tested = decoded
+    for grid_configs, search, cfg in zip(grids, searches.values(), tested, strict=True):
+        best = [point for point, *_ in search.rows].index(search.best)
+        assert cfg is grid_configs[best]
+
+
+def test_method_comparison_in_a_workdir_keeps_its_splits(tmp_path):
+    """With ``workdir`` both splits' manifests stay under it, and the
+    report and every grid row equal those of a temporary directory."""
+    in_tmp = _small_comparison()
+    in_workdir = _small_comparison(workdir=tmp_path / "work")
+    for split in ("validation", "test"):
+        assert (tmp_path / "work" / split / "manifest.jsonl").is_file()
+    assert in_workdir[0].as_json() == in_tmp[0].as_json()
+    assert list(in_workdir[1]) == list(in_tmp[1]) == ["coloring", "bins"]
+    for kind in in_tmp[1]:
+        assert _hex_rows(in_workdir[1][kind].rows) == _hex_rows(in_tmp[1][kind].rows)
+        assert in_workdir[1][kind] == in_tmp[1][kind]
+
+
+# ---------------------------------------------------------------------------
 # Calibration pairs
 # ---------------------------------------------------------------------------
 

@@ -5,8 +5,9 @@ from collections import defaultdict
 
 import pytest
 
-from colordecode.decoder import LogitsMatrix
+from colordecode.decoder import DecoderConfig, LogitsMatrix, decode
 from colordecode.lexicon import ColoredAlphabet, build_trie
+from colordecode.ngram_lm import NGramModel
 from colordecode.logmath import NEG_INF, logsumexp10
 from colordecode.oracle import (
     InstanceTooLarge,
@@ -17,8 +18,16 @@ from colordecode.oracle import (
     random_instance,
     run_verification,
 )
-from colordecode.scorers import NullScorer, ScorerConfig
-from conftest import random_rows, trie_words
+from colordecode.scorers import (
+    SCORER_KINDS,
+    BayesScorer,
+    ColoringScorer,
+    NullScorer,
+    ScorerConfig,
+    fit_bin_table,
+    make_scorer,
+)
+from conftest import random_model, random_rows, trie_words
 
 # ---------------------------------------------------------------------------
 # Forward pass
@@ -198,3 +207,92 @@ def test_run_verification_clean():
     assert report.instances == 30
     assert report.mismatches == []
     assert report.max_score_divergence <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Every scorer kind against the oracle
+# ---------------------------------------------------------------------------
+
+
+def _kind_scorer(kind, inst, rng):
+    """A ``kind`` scorer for a random instance: coloring keeps the
+    instance's colored merge, the two-model kinds get two random models
+    over the instance's words, and every kind a random config with the
+    instance's off-lexicon setting."""
+    config = ScorerConfig(
+        alpha=rng.choice([0.5, 1.0]),
+        beta=rng.choice([0.0, 0.5]),
+        unknown_word_penalty=(rng.choice([-10.0, -2.0]), rng.choice([-10.0, -2.0])),
+        unknown_subword_penalty=inst.scorer.config.unknown_subword_penalty,
+        lam=rng.choice([0.25, 0.5, 0.75]),
+    )
+    if kind == "coloring":
+        return ColoringScorer(config, inst.scorer.merged, inst.alphabet.num_colors)
+    words = sorted(set().union(*(trie_words(t) for t in inst.tries)))
+    models = [random_model(rng, words), random_model(rng, words)]
+    if kind in ("general", "jargon"):
+        models = models[:1]
+    table = None
+    if kind == "bins":
+        pairs = [
+            (rng.choice([0.0, rng.random()]), rng.random(), rng.random() < 0.5)
+            for _ in range(12)
+        ]
+        table = fit_bin_table(pairs, rng.randint(1, 4))
+    return make_scorer(kind, models, config, bin_table=table)
+
+
+def _check_against_oracle(inst, scorer, tries):
+    oracle = exhaustive_decode(inst.logits, scorer, inst.alphabet, tries)
+    cfg = DecoderConfig(inst.alphabet, tries, scorer, len(oracle.all_scores) + 1)
+    got = decode(inst.logits, cfg)
+    assert got.words == oracle.best.words
+    if oracle.best.score == NEG_INF:
+        assert got.score == NEG_INF
+    else:
+        assert got.score == pytest.approx(oracle.best.score, abs=1e-9, rel=0)
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+def test_every_scorer_kind_agrees_with_the_oracle(kind):
+    """At a beam holding every prefix the oracle enumerates, the search
+    finds the oracle's best transcript and score for every scorer kind,
+    over the instance's tries and unconstrained."""
+    rng = random.Random(f"oracle:{kind}")
+    for _ in range(100):
+        inst = random_instance(rng, max_frames=5, max_words=3)
+        scorer = _kind_scorer(kind, inst, rng)
+        for tries in (inst.tries, None):
+            _check_against_oracle(inst, scorer, tries)
+
+
+def test_bayes_histories_that_differ_only_in_mass_agree_with_the_oracle():
+    """Unigram models leave every history with the same model contexts,
+    so after "a" and after "b" the Bayes states differ only in their
+    history masses, and so do the deltas of the next word. The search
+    must score each history's next word with its own masses."""
+    general = NGramModel(1, {("a",): (math.log10(0.9), None),
+                             ("b",): (math.log10(0.1), None)})
+    domain = NGramModel(1, {("a",): (math.log10(0.2), None),
+                            ("b",): (math.log10(0.8), None)})
+    scorer = BayesScorer(ScorerConfig(), general, domain)
+    start = scorer.initial_state()
+    _, after_a = scorer.word_delta(start, "a", 0)
+    _, after_b = scorer.word_delta(start, "b", 0)
+    assert after_a[:2] == after_b[:2] and after_a[2:] != after_b[2:]
+    assert scorer.word_delta(after_a, "b", 0)[0] != scorer.word_delta(after_b, "b", 0)[0]
+
+    alphabet = ColoredAlphabet(("a", "b", " "), 1, " ")
+    tries = [build_trie(alphabet, 0, ["a", "b"])]
+    # columns a, b, separator, blank: an unsure first word, a separator,
+    # then an unsure second word
+    rows = [[0.48, 0.42, 0.05, 0.05], [0.05, 0.05, 0.85, 0.05], [0.4, 0.5, 0.05, 0.05]]
+    logits = LogitsMatrix.from_linear(rows)
+    oracle = exhaustive_decode(logits, scorer, alphabet, tries)
+    assert len(oracle.best.words) == 2
+    for tries_or_none in (tries, None):
+        cfg = DecoderConfig(alphabet, tries_or_none, scorer, 200)
+        got = decode(logits, cfg)
+        expected = exhaustive_decode(logits, scorer, alphabet, tries_or_none).best
+        assert got.words == expected.words
+        assert got.score == pytest.approx(expected.score, abs=1e-9, rel=0)
