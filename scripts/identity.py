@@ -23,6 +23,11 @@ The decode set:
   lexicon (the models still know it), by every ``SCORER_KINDS`` entry at
   beams 4, 16 and 64, with subword penalties 0 and -3: the decoder must
   then spell and score words a model knows although no lexicon has them;
+- the same corpus by the ``coloring`` scorer at beams 4, 16 and 64,
+  with subword penalty -3, over models that also know words no trie can
+  hold (a lexicon word capitalized, and one with a character outside
+  the alphabet): those words withhold their color's unknown-word price,
+  so its off-trie words are spelled and scored;
 - the same corpus decoded unconstrained (``tries=None``, where every
   grammar state offers all 27 characters) by the ``none`` and
   ``general`` scorers at word bonuses 0 and +0.5, at beams 4, 16 and 64;
@@ -86,6 +91,9 @@ LONG_UNCONSTRAINED_BEAM = 16
 # (subword penalty, word bonus) per config of the corpus whose general
 # lexicon lacks every fifth word
 THINNED_CONFIGS = ((0.0, 0.0), (-3.0, 0.0))
+# subword penalty of the coloring decodes over models that know words
+# no trie can hold
+STRANGER_PENALTY = -3.0
 UNCONSTRAINED_KINDS = ("none", "general")
 UNCONSTRAINED_BETAS = (0.0, 0.5)
 GRID_JOBS = (1, 2)
@@ -163,6 +171,13 @@ def _corpus_decodes():
                     )
                     cfg = runtime.decoder_config()
                     yield from _decode_set(cfg, logits, sentences)
+    strangers = [_with_strangers(general), _with_strangers(jargon)]
+    config = scorers.ScorerConfig(unknown_subword_penalty=STRANGER_PENALTY)
+    for width in CORPUS_BEAMS:
+        runtime = evaluation.build_runtime(
+            "coloring", lexicons, strangers, config, template, width
+        )
+        yield from _decode_set(runtime.decoder_config(), logits, sentences)
     for kind in UNCONSTRAINED_KINDS:
         models = [general] if kind == "general" else []
         for beta in UNCONSTRAINED_BETAS:
@@ -170,6 +185,18 @@ def _corpus_decodes():
             for width in CORPUS_BEAMS:
                 cfg = _unconstrained_config(kind, models, config, template, width)
                 yield from _decode_set(cfg, logits, sentences)
+
+
+def _with_strangers(model):
+    """``model`` with two more unigrams that no trie can hold: its first
+    word capitalized, and its first word with an "é" added."""
+    from colordecode.ngram_lm import NGramModel
+
+    first = next(iter(model.entries))[0]
+    entries = dict(model.entries)
+    for word in (first.capitalize(), first + "\u00e9"):
+        entries[(word,)] = (-2.0, None)
+    return NGramModel(model.max_order, entries)
 
 
 def _long_decodes():

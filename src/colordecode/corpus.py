@@ -67,11 +67,10 @@ LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class MalformedManifest(ValueError):
-    """Manifest line is not valid or contradicts the rest of the file."""
+    """Manifest line is not valid or contradicts the rest of the file:
+    ``<manifest>: line <line>: <fault>``."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
 
@@ -112,12 +111,14 @@ class Utterance:
     jargon_mask: tuple[bool, ...] | None = None
 
 
-def _parse_reference(value, line: int) -> tuple[str, ...]:
+def _parse_reference(value) -> tuple[str, ...] | None:
+    """A row's reference words; None when it is neither a string nor a
+    list of words."""
     if isinstance(value, str):
         return tuple(value.split())
     if isinstance(value, list) and all(isinstance(w, str) for w in value):
         return tuple(value)
-    raise MalformedManifest("reference must be a string or list of words", line)
+    return None
 
 
 def read_manifest(path) -> list[Utterance]:
@@ -134,6 +135,10 @@ def read_manifest(path) -> list[Utterance]:
     seen: set[str] = set()
     # a row's directory part -> its resolved path, so each is resolved once
     dirs: dict[str, Path] = {}
+
+    def malformed(fault: str) -> MalformedManifest:
+        return MalformedManifest(f"{path}: line {line_no}: {fault}", line_no)
+
     for line_no, raw in enumerate(text.split("\n"), start=1):
         raw = raw.strip()
         if not raw:
@@ -141,37 +146,36 @@ def read_manifest(path) -> list[Utterance]:
         try:
             row = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise MalformedManifest(f"invalid JSON: {exc.msg}", line_no) from None
+            raise malformed(f"invalid JSON: {exc.msg}") from None
         if not isinstance(row, dict):
-            raise MalformedManifest("each line must be a JSON object", line_no)
+            raise malformed("each line must be a JSON object")
         utt_id = row.get("id")
         if not isinstance(utt_id, str) or not utt_id:
-            raise MalformedManifest("missing or empty id", line_no)
+            raise malformed("missing or empty id")
         if utt_id in seen:
-            raise MalformedManifest(f"duplicate id {utt_id!r}", line_no)
+            raise malformed(f"duplicate id {utt_id!r}")
         seen.add(utt_id)
         logits = row.get("logits")
         if not isinstance(logits, str) or not logits:
-            raise MalformedManifest("missing logits path", line_no)
+            raise malformed("missing logits path")
         reference = None
         if row.get("reference") is not None:
-            reference = _parse_reference(row["reference"], line_no)
+            reference = _parse_reference(row["reference"])
+            if reference is None:
+                raise malformed("reference must be a string or list of words")
         mask = None
         if row.get("jargon_mask") is not None:
             raw_mask = row["jargon_mask"]
             if reference is None:
-                raise MalformedManifest("jargon_mask requires a reference", line_no)
+                raise malformed("jargon_mask requires a reference")
             if not isinstance(raw_mask, list) or not all(
                 isinstance(b, bool) for b in raw_mask
             ):
-                raise MalformedManifest(
-                    "jargon_mask must be a list of booleans", line_no
-                )
+                raise malformed("jargon_mask must be a list of booleans")
             if len(raw_mask) != len(reference):
-                raise MalformedManifest(
+                raise malformed(
                     f"jargon_mask length {len(raw_mask)} does not match "
-                    f"{len(reference)} reference words",
-                    line_no,
+                    f"{len(reference)} reference words"
                 )
             mask = tuple(raw_mask)
         logits_path = _resolve(base, logits, dirs)

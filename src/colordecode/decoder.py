@@ -61,12 +61,13 @@ bit-identical to scoring every extension.
 
 A child that completes a word off its color's trie is priced before it
 is spelled. A scorer states the delta it gives every word it does not
-know; the first decode of a config records it per color whenever every
-word the scorer knows for that color is on that color's trie (with no
-tries, whenever it knows no word), since an off-trie spelling is then
-unknown to it. Such a child scores ``mass + (p_text + delta)`` spelled
-or not, so one strictly below the floor is skipped with no spelling and
-no scorer call; any other is spelled and scored as before.
+know; a config records it per color when it is built, whenever every
+word the scorer knows for that color is one of the words that color's
+tries hold (with no tries, whenever it knows no word), since an
+off-trie spelling is then unknown to it. Such a child scores
+``mass + (p_text + delta)`` spelled or not, so one strictly below the
+floor is skipped with no spelling and no scorer call; any other is
+spelled and scored as before.
 
 A beam is a node holding two acoustic masses in log10, the probability
 of all frame paths ending in blank (``p_blank``) and in the prefix's
@@ -125,8 +126,6 @@ import numpy as np
 from .lexicon import (
     ColoredAlphabet,
     LexiconTrie,
-    TrieNode,
-    UnknownChar,
     WORD_START,
     WordState,
     finish_word,
@@ -278,10 +277,11 @@ class Prefix:
     completed words: None at the root, and ``(parent chain, word,
     color)`` at a node that completes a word; any other node shares its
     parent's. ``children`` maps a label to a weak reference to the child
-    node with it, if one was made. A beam also holds the masses and
-    figures that ``set_masses`` sets, and ``decode`` sums its masses for
-    the next frame in ``next_b`` and ``next_nb``, written last in frame
-    ``frame`` (-1 before any).
+    node with it, if one was made. A beam also holds its masses
+    ``p_blank`` and ``p_nonblank``, their sum ``total`` and its
+    ``score``, ``total`` plus ``p_text``, which ``decode`` sets; it sums
+    its masses for the next frame in ``next_b`` and ``next_nb``, written
+    last in frame ``frame`` (-1 before any).
     ``entry`` is the successor table entry of the word state, None
     until the node is first expanded. ``spelling`` is None until
     ``_spelling`` first reads the pending word of this in-word node.
@@ -333,29 +333,14 @@ class Prefix:
         self.entry: tuple | None = None
 
     def __lt__(self, other: "Prefix") -> bool:
-        """Lexicographic order of the label sequences, a proper prefix
-        first. Walks up only to the nearest common ancestor."""
+        """Lexicographic order of the label sequences of two nodes of
+        one depth, the only nodes ``decode`` compares. Walks up only to
+        the nearest common ancestor."""
         a, b = self, other
-        while a.depth > b.depth:
-            a = a.parent
-        while b.depth > a.depth:
-            b = b.parent
-        if a is b:
-            return self.depth < other.depth
         while a.parent is not b.parent:
             a = a.parent
             b = b.parent
         return (a.col, a.color) < (b.col, b.color)
-
-    def set_masses(self, p_blank: float, p_nonblank: float) -> None:
-        """Make this node a beam with these final masses: ``total`` is
-        ``logaddexp10(p_blank, p_nonblank)`` and ``score`` adds the
-        node's text score. ``decode`` sets the root so, and every other
-        beam to the same figures inline."""
-        self.p_blank = p_blank
-        self.p_nonblank = p_nonblank
-        self.total = total = logaddexp10(p_blank, p_nonblank)
-        self.score = total + self.p_text
 
 
 @dataclass(frozen=True)
@@ -371,7 +356,9 @@ class DecoderConfig:
     decodes have reached, built on first use and shared by every
     utterance it decodes. That table belongs to the grammar (the
     alphabet, the tries and the off-lexicon setting), not to the scorer:
-    ``with_scorer`` shares it with a config for another scorer.
+    ``with_scorer`` shares it with a config for another scorer. The
+    unknown-word deltas belong to the scorer and the tries; a config
+    fixes them when it is built, so decoding changes no figure of them.
     """
 
     alphabet: ColoredAlphabet
@@ -390,23 +377,26 @@ class DecoderConfig:
     _successors: dict[WordState, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # per color, built by _unknown_deltas at the first decode: the word
+    # per color, set by _unknown_deltas as the config is built: the word
     # delta of every word that is off that color's trie, or None
     _unknown_deltas: dict[int, float | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError("beam width must be at least 1")
+        object.__setattr__(
+            self, "_unknown_deltas", _unknown_deltas(self.tries, self.scorer)
+        )
 
-    def with_scorer(self, scorer: Scorer, beam_width: int) -> "DecoderConfig":
-        """A config for ``scorer`` at ``beam_width`` over this config's
+    def with_scorer(self, scorer: Scorer) -> "DecoderConfig":
+        """A config for ``scorer`` at this config's beam width over its
         alphabet and tries. It shares this config's successor table when
         both scorers agree on off-lexicon spelling, as every point of one
-        grid kind does, and starts a fresh one when they do not. The
-        unknown-word deltas belong to the scorer and start empty."""
-        config = DecoderConfig(self.alphabet, self.tries, scorer, beam_width)
+        grid kind does, and starts a fresh one when they do not. Its
+        unknown-word deltas are its own scorer's."""
+        config = DecoderConfig(self.alphabet, self.tries, scorer, self.beam_width)
         if (scorer.config.unknown_subword_penalty is None) == (
             self.scorer.config.unknown_subword_penalty is None
         ):
@@ -465,13 +455,11 @@ def _successor_entry(
 
 
 def _unknown_deltas(
-    alphabet: ColoredAlphabet,
-    tries: Sequence[LexiconTrie] | None,
-    scorer: Scorer,
+    tries: Sequence[LexiconTrie] | None, scorer: Scorer
 ) -> dict[int, float | None]:
     """Per color an extension can carry, the delta ``scorer`` gives
     every word of that color spelled off its trie: the scorer's unknown
-    delta when every word it knows for the color is on one of the
+    delta when every word it knows for the color is held by one of the
     color's tries, else None. Unconstrained (``tries`` None), every
     spelling is off-trie, so that needs a scorer that knows no word."""
     colors = {0} if tries is None else {trie.color for trie in tries}
@@ -479,26 +467,13 @@ def _unknown_deltas(
     for color in colors:
         delta = scorer.unknown_delta(color)
         if delta is not None:
-            roots = [t.root for t in tries or () if t.color == color]
-            for word in scorer.known_words(color):
-                if not any(_on_trie(alphabet, root, word) for root in roots):
-                    delta = None
-                    break
+            held = frozenset().union(
+                *(t.words for t in tries or () if t.color == color)
+            )
+            if not scorer.known_words(color) <= held:
+                delta = None
         out[color] = delta
     return out
-
-
-def _on_trie(alphabet: ColoredAlphabet, root: TrieNode, word: str) -> bool:
-    """Whether ``word`` ends at a word node below ``root``."""
-    node = root
-    for char in word:
-        try:
-            node = node.children.get(alphabet.char_column(char))
-        except UnknownChar:
-            return False
-        if node is None:
-            return False
-    return node.word is not None
 
 
 def _select(
@@ -613,8 +588,6 @@ def decode(
     successors = config._successors
     beam_width = config.beam_width
     unknown = config._unknown_deltas
-    if not unknown:
-        unknown.update(_unknown_deltas(alphabet, tries, scorer))
 
     # (scorer state, word, color) -> (delta, next scorer state): within
     # one utterance a word completing the same history is scored once
@@ -628,7 +601,8 @@ def decode(
         return scored
 
     root = Prefix(None, None, None, 0.0, None, WORD_START, scorer.initial_state())
-    root.set_masses(0.0, NEG_INF)
+    root.p_blank = root.total = root.score = 0.0
+    root.p_nonblank = NEG_INF
     beams = [root]
 
     # per frame, the non-blank columns from the likeliest down; argsorted

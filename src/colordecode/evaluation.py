@@ -430,8 +430,7 @@ def _grid_search(
         base.with_scorer(
             _build_scorer(
                 kind, models, point.config, ab, tables.get(point.num_bins), merged
-            ),
-            beam_width,
+            )
         )
         for point in points[1:]
     ]
@@ -520,23 +519,22 @@ def run_method_comparison(
         alphabet = default_alphabet(2)
 
         searches: dict[str, GridSearchResult] = {}
-        methods: list[tuple[str, DecoderConfig]] = []
-        configs: list[dict | None] = []
-        for kind in kinds:
+        tuned: dict[str, DecoderConfig] = {}
+        # a repeated kind is searched once and reported once per entry
+        for kind in dict.fromkeys(kinds):
             models = _method_models(kind, general, jargon)
             calibration = None
             if kind == "bins":
                 calibration = calibration_pairs(val_utts, models, seed=language_seed)
-            searches[kind], best_config = _grid_search(
+            searches[kind], tuned[kind] = _grid_search(
                 kind, val_utts, lexicons, models, grid, alphabet, beam_width,
                 jobs, calibration,
             )
-            methods.append((kind, best_config))
-            configs.append(searches[kind].best.describe(kind))
 
         report = evaluate(
-            f"synthetic(language_seed={language_seed})", test_utts, methods,
-            jobs=jobs, configs=configs,
+            f"synthetic(language_seed={language_seed})", test_utts,
+            [(kind, tuned[kind]) for kind in kinds], jobs=jobs,
+            configs=[searches[kind].best.describe(kind) for kind in kinds],
         )
     return report, searches
 

@@ -104,13 +104,15 @@ class TrieNode:
 
 
 class LexiconTrie:
-    """Spellings of one color's lexicon, keyed by alphabet column."""
+    """Spellings of one color's lexicon, keyed by alphabet column, and
+    ``words``, the spellings it holds."""
 
-    __slots__ = ("color", "root")
+    __slots__ = ("color", "root", "words")
 
     def __init__(self, color: int):
         self.color = color
         self.root = TrieNode()
+        self.words: frozenset[str] = frozenset()
 
 
 def build_trie(
@@ -123,6 +125,7 @@ def build_trie(
     """
     trie = LexiconTrie(color)
     sep = alphabet.word_separator
+    held = set()
     for raw in words:
         word = raw.lower()
         if not word:
@@ -138,6 +141,8 @@ def build_trie(
             col = alphabet.char_column(char)
             node = node.children.setdefault(col, TrieNode())
         node.word = word
+        held.add(word)
+    trie.words = frozenset(held)
     return trie
 
 

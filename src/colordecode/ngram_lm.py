@@ -131,13 +131,11 @@ class NGramModel:
         if len(context) > self.max_order - 1:
             context = context[len(context) - (self.max_order - 1):]
         penalty = 0.0
+        # ends at the unigram entry, found above, at the latest
         while True:
             hit = self.entries.get(context + (word,))
             if hit is not None:
                 return penalty + hit[0], next_state
-            if not context:
-                # unreachable: the unigram entry exists
-                return oov_log10, next_state
             back = self.entries.get(context)
             if back is not None and back[1] is not None:
                 penalty += back[1]

@@ -16,6 +16,7 @@ import pytest
 from colordecode import cli, evaluation
 from colordecode.corpus import MAGIC
 from colordecode.ngram_lm import NGramModel, load_arpa, save_arpa
+from colordecode.oracle import VerificationReport
 
 LOG10_HALF = math.log10(0.5)
 
@@ -424,11 +425,13 @@ def test_jobs_come_from_flag_then_variable_then_one(
 
 
 @pytest.mark.parametrize(
-    "grid", [["--alphas", ""], ["--alphas", ","], ["--bin-counts", " , "]]
+    "grid",
+    [["--alphas", ""], ["--alphas", ","], ["--bin-counts", " , "], ["--alphas", "1,x"]],
 )
 def test_gridsearch_rejects_an_empty_grid_list(synth_dir, grid, capsys):
     """An empty grid list used to parse as "not given" and sweep the
-    whole default grid."""
+    whole default grid. A list with an item that is no number is
+    refused the same way."""
     argv = [
         "gridsearch",
         str(synth_dir / "manifest.jsonl"),
@@ -548,6 +551,29 @@ def test_verify_refuses_counts_it_cannot_use(flag, value, minimum, capsys):
     assert f"{flag}: must be at least {minimum}, got {value}" in err
 
 
+def test_verify_reports_mismatches(capsys, monkeypatch):
+    """A verification with mismatches exits 1 and prints the first ten
+    mismatched instances."""
+    mismatches = [
+        {"instance": i, "expected": ((("a", 0),), -1.0), "got": ((), -2.0)}
+        for i in range(12)
+    ]
+
+    def verification(instances, seed, max_frames, max_chars):
+        return VerificationReport(instances, mismatches, 1.0)
+
+    monkeypatch.setattr(cli, "run_verification", verification)
+    rc, out, err = run_cli(["verify", "--instances", "12"], capsys)
+    assert rc == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "12 instances, 12 mismatches, max score divergence 1.000e+00"
+    assert lines[1:] == [
+        f"  instance {i}: expected ((('a', 0),), -1.0), got ((), -2.0)"
+        for i in range(10)
+    ]
+
+
 def test_verify_runs_zero_frame_instances(capsys):
     argv = ["verify", "--instances", "5", "--max-frames", "0"]
     rc, out, err = run_cli(argv, capsys)
@@ -663,6 +689,7 @@ _REFUSED_SCORER_FLAGS = [
     ("gridsearch", ["--betas", "nan"], "--betas: must be finite"),
     ("gridsearch", ["--lambdas", "0.5,1.5"], "--lambdas: must lie in [0, 1]"),
     ("gridsearch", ["--bin-counts", "53,0"], "--bin-counts: must be at least 1"),
+    ("eval", ["--alpha", "abc"], "--alpha: not a number: 'abc'"),
 ]
 
 
@@ -1260,6 +1287,63 @@ def test_bad_calibration_manifests_are_named(
         )
 
 
+# malformation -> (second row of a manifest whose first row is good,
+# the start of the fault its error names)
+MALFORMED_MANIFEST_ROWS = {
+    "invalid-json": ('{"id": "u1", "logits"', "invalid JSON: "),
+    "not-an-object": ('["u1", "u0.ctcl"]', "each line must be a JSON object"),
+    "missing-id": ('{"logits": "u0.ctcl", "reference": "a"}', "missing or empty id"),
+    "duplicate-id": ('{"id": "u0", "logits": "u0.ctcl", "reference": "a"}',
+                     "duplicate id 'u0'"),
+    "missing-logits": ('{"id": "u1", "reference": "a"}', "missing logits path"),
+    "bad-reference": ('{"id": "u1", "logits": "u0.ctcl", "reference": 3}',
+                      "reference must be a string or list of words"),
+    "mask-without-reference": ('{"id": "u1", "logits": "u0.ctcl", "jargon_mask": []}',
+                               "jargon_mask requires a reference"),
+    "mask-not-booleans": (
+        '{"id": "u1", "logits": "u0.ctcl", "reference": "a", "jargon_mask": [1]}',
+        "jargon_mask must be a list of booleans",
+    ),
+    "mask-length": (
+        '{"id": "u1", "logits": "u0.ctcl", "reference": "a b", "jargon_mask": [true]}',
+        "jargon_mask length 1 does not match 2 reference words",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["decode", "eval", "gridsearch"])
+@pytest.mark.parametrize("malformation", sorted(MALFORMED_MANIFEST_ROWS))
+def test_a_malformed_manifest_row_names_its_file_and_line(
+    synth_dir, tmp_path, capsys, command, malformation
+):
+    """A malformed row of the manifest of ``eval`` or ``gridsearch``, or
+    of the ``--calibration-manifest`` of ``decode --fusion bins``, exits
+    1 with one error line naming the file and the line."""
+    row, fault = MALFORMED_MANIFEST_ROWS[malformation]
+    shutil.copy(synth_dir / "logits" / "utt0000.ctcl", tmp_path / "u0.ctcl")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        '{"id": "u0", "logits": "u0.ctcl", "reference": "a"}\n' + row + "\n",
+        encoding="utf-8",
+    )
+    argv = ["--lexicon", str(synth_dir / "general.txt"), "--beam-width", "4"]
+    if command == "decode":
+        argv = [
+            "decode", str(tmp_path / "u0.ctcl"), *argv,
+            "--fusion", "bins",
+            "--lm", str(synth_dir / "general.arpa"),
+            "--lm", str(synth_dir / "jargon.arpa"),
+            "--calibration-manifest", str(bad),
+        ]
+    else:
+        argv = [command, str(bad), *argv]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {bad}: line 2: {fault}") and err.count("\n") == 1, err
+
+
 # a path prefix for files that do not exist: reading any of them would
 # exit 1, not 2
 NOWHERE = "/nonexistent"
@@ -1287,11 +1371,20 @@ NOWHERE = "/nonexistent"
         (["gridsearch", f"{NOWHERE}.jsonl", "--fusion", "linear",
           "--lm", f"{NOWHERE}.arpa", "--lexicon", f"{NOWHERE}.txt"],
          "--fusion linear needs exactly two --lm files"),
+        (["decode", f"{NOWHERE}.ctcl", "--fusion", "general",
+          "--lm", f"{NOWHERE}.arpa", "--lm", f"{NOWHERE}.arpa"],
+         "--fusion general needs exactly one --lm file"),
+        (["eval", f"{NOWHERE}.jsonl", "--fusion", "jargon", "--lm", f"{NOWHERE}.arpa",
+          "--lm", f"{NOWHERE}.arpa", "--lexicon", f"{NOWHERE}.txt"],
+         "--fusion jargon needs exactly one --lm file"),
+        (["merge-lm", "--out", f"{NOWHERE}.arpa"],
+         "merge-lm needs at least one --lm file"),
     ],
     ids=[
         "eval-no-lexicon", "gridsearch-no-lexicon", "eval-no-lexicon-no-model",
         "decode-bins-no-calibration", "eval-bins-no-calibration",
         "eval-coloring-no-lexicon", "gridsearch-linear-one-model",
+        "decode-general-two-models", "eval-jargon-two-models", "merge-lm-no-model",
     ],
 )
 def test_flag_combinations_are_refused_before_any_file_is_read(

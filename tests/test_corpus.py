@@ -85,6 +85,7 @@ def test_json_logits(tmp_path):
         b"CTCL1\nx y\n",  # non-integer dims
         b"CTCL1\n2 3\n" + b"\x00" * 10,  # body size mismatch
         b"CTCL1\n1 1\n" + b"\x00" * 8,  # too few columns
+        b"CTCL1\n5\n",  # a header with one field
         b"not json at all {",
         b'{"no_frames": 1}',
     ],
@@ -168,6 +169,7 @@ def test_manifest_malformed_rows(tmp_path, row, err_line):
     with pytest.raises(MalformedManifest) as exc:
         read_manifest(manifest)
     assert exc.value.line == err_line
+    assert str(exc.value).startswith(f"{manifest}: line {err_line}: ")
 
 
 def test_manifest_duplicate_ids(tmp_path):
@@ -178,6 +180,7 @@ def test_manifest_duplicate_ids(tmp_path):
     with pytest.raises(MalformedManifest) as exc:
         read_manifest(manifest)
     assert exc.value.line == 2
+    assert str(exc.value) == f"{manifest}: line 2: duplicate id 'u'"
 
 
 def test_manifest_line_numbers_count_newlines_only(tmp_path):

@@ -78,6 +78,7 @@ _BAD_ROWS = [
     ([[0.5, 0.5], [1.0]], None),  # ragged
     ([[0.5, "a"]], None),  # not a number
     ([[0.5, 0.5]], 3),  # a column count the rows contradict
+    ([[[0.5, 0.5]]], None),  # 3-D
 ]
 
 
@@ -119,8 +120,12 @@ def _interned(root: Prefix, labels) -> Prefix:
 
 
 def _beam(node: Prefix, p_blank: float, p_nonblank: float) -> Prefix:
-    """``node`` as a beam with these masses, the way ``decode`` sets them."""
-    node.set_masses(p_blank, p_nonblank)
+    """``node`` as a beam with these masses: its total and its score,
+    the total plus its text score, as ``decode`` sets them."""
+    node.p_blank = p_blank
+    node.p_nonblank = p_nonblank
+    node.total = logaddexp10(p_blank, p_nonblank)
+    node.score = node.total + node.p_text
     return node
 
 
@@ -813,15 +818,17 @@ def test_decode_memory_grows_linearly_with_the_words():
 # ---------------------------------------------------------------------------
 
 
-def _offlex_coloring_config(subword_penalty=-2.0, beam_width=16):
+def _offlex_coloring_config(subword_penalty=-2.0, beam_width=16, stranger=None):
     """Two colors over "abc" plus a separator, scored by a coloring
-    scorer that allows off-lexicon spelling."""
+    scorer that allows off-lexicon spelling. Color 0's model also knows
+    ``stranger``, when given, as likely as each of its lexicon words."""
     alphabet = ColoredAlphabet(("a", "b", "c", " "), 2, " ")
     lexicons = [["ab", "abc", "ba"], ["b", "cab"]]
     tries = [build_trie(alphabet, c, words) for c, words in enumerate(lexicons)]
+    known = [lexicons[0] + [stranger] if stranger else lexicons[0], lexicons[1]]
     models = [
-        NGramModel(max_order=1, entries={(w,): (math.log10(1 / len(words)), None) for w in words})
-        for words in lexicons
+        NGramModel(max_order=1, entries={(w,): (math.log10(1 / len(lex)), None) for w in words})
+        for lex, words in zip(lexicons, known)
     ]
     scorer = ColoringScorer(
         ScorerConfig(
@@ -867,11 +874,12 @@ def test_successor_table_is_built_once_per_config(monkeypatch):
 def test_a_config_for_another_scorer_shares_the_table_only_when_spelling_agrees(
     monkeypatch,
 ):
-    """``with_scorer`` keeps the successor table for a scorer that spells
-    off the lexicon as the first one does, so no state's successor list
-    is built twice; for one that does not, the table starts fresh and
-    the states met before are built again. Either way the transcript is
-    the one a fresh config decodes."""
+    """``with_scorer`` keeps the beam width and the successor table for
+    a scorer that spells off the lexicon as the first one does, so no
+    state's successor list is built twice; for one that does not, the
+    table starts fresh and the states met before are built again. Either
+    way the config holds its own scorer's unknown-word prices from the
+    start, and the transcript is the one a fresh config decodes."""
     calls = []
 
     def counting(alphabet, tries, state, allow_off_lexicon=False):
@@ -879,7 +887,7 @@ def test_a_config_for_another_scorer_shares_the_table_only_when_spelling_agrees(
         return word_successors(alphabet, tries, state, allow_off_lexicon)
 
     monkeypatch.setattr(decoder_module, "word_successors", counting)
-    config = _offlex_coloring_config(subword_penalty=-2.0)
+    config = _offlex_coloring_config(subword_penalty=-2.0, beam_width=8)
     logits = LogitsMatrix.from_linear(random_rows(random.Random(9), 20, 5))
     decode(logits, config)
     built = len(calls)
@@ -887,11 +895,12 @@ def test_a_config_for_another_scorer_shares_the_table_only_when_spelling_agrees(
 
     for penalty, reused in ((0.0, True), (None, False)):
         fresh = _offlex_coloring_config(subword_penalty=penalty, beam_width=8)
-        derived = config.with_scorer(fresh.scorer, 8)
+        derived = config.with_scorer(fresh.scorer)
         assert (derived.alphabet, derived.tries) == (config.alphabet, config.tries)
         assert derived.scorer is fresh.scorer and derived.beam_width == 8
         assert (derived._successors is config._successors) == reused
-        assert not derived._unknown_deltas
+        assert derived._unknown_deltas == fresh._unknown_deltas
+        assert None not in derived._unknown_deltas.values()
         before = len(calls)
         transcript = decode(logits, derived)
         again = {s for s, _ in calls[before:]} & {s for s, _ in calls[:before]}
@@ -1311,6 +1320,72 @@ def test_pricing_unknown_words_first_changes_no_ranked_candidate(monkeypatch, ki
             assert with_skip == without
     # the skip spares scorer calls wherever it can price a word unspelled
     assert (scored[True] < scored[False]) == (kind != "bayes")
+
+
+def test_a_config_fixes_its_unknown_word_prices_when_it_is_built(monkeypatch):
+    """A config prices the words spelled off each color's trie once, as
+    it is built, and decoding leaves the prices as they were."""
+    calls = []
+    unknown_deltas = decoder_module._unknown_deltas
+
+    def counting(*args):
+        calls.append(args)
+        return unknown_deltas(*args)
+
+    monkeypatch.setattr(decoder_module, "_unknown_deltas", counting)
+    config = _offlex_coloring_config()
+    assert len(calls) == 1
+    prices = {color: config.scorer.unknown_delta(color) for color in (0, 1)}
+    assert config._unknown_deltas == prices
+    logits = LogitsMatrix.from_linear(random_rows(random.Random(9), 20, 5))
+    for _ in range(2):
+        decode(logits, config)
+    assert len(calls) == 1
+    assert config._unknown_deltas == prices
+
+
+@pytest.mark.parametrize("stranger", ["Ab", "ad"])
+def test_a_model_word_no_trie_holds_withholds_its_colors_price(monkeypatch, stranger):
+    """A model word that no trie can hold, with an uppercase letter or
+    with a character outside the alphabet, withholds its color's price:
+    every word of that color completed off its trie is spelled and
+    scored, as with no price at all, while the other color's words are
+    still priced unspelled. Without the stranger, color 0 is priced and
+    fewer of its words are scored."""
+    logits = LogitsMatrix.from_linear(random_rows(random.Random(1), 12, 5))
+
+    def decoded(config):
+        """The transcript of ``config`` and every ``(word, color)`` its
+        scorer scored."""
+        scored = []
+        word_delta = config.scorer.word_delta
+
+        def recording(state, word, color):
+            scored.append((word, color))
+            return word_delta(state, word, color)
+
+        config.scorer.word_delta = recording
+        return decode(logits, config), scored
+
+    config = _offlex_coloring_config(-0.5, 3, stranger)
+    assert config._unknown_deltas[0] is None
+    assert config._unknown_deltas[1] == config.scorer.unknown_delta(1)
+    with monkeypatch.context() as m:
+        m.setattr(decoder_module, "_unknown_deltas", lambda *args: {0: None, 1: None})
+        unpriced = _offlex_coloring_config(-0.5, 3, stranger)
+    transcript, scored = decoded(config)
+    unpriced_transcript, unpriced_scored = decoded(unpriced)
+    assert unpriced_transcript == transcript
+
+    def of_color(calls, color):
+        return [call for call in calls if call[1] == color]
+
+    assert of_color(scored, 0) == of_color(unpriced_scored, 0)
+    assert any(word not in ("ab", "abc", "ba") for word, _ in of_color(scored, 0))
+    assert len(of_color(scored, 1)) < len(of_color(unpriced_scored, 1))
+    plain, plain_scored = decoded(_offlex_coloring_config(-0.5, 3))
+    assert plain == transcript
+    assert len(of_color(plain_scored, 0)) < len(of_color(scored, 0))
 
 
 # ---------------------------------------------------------------------------

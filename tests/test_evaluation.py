@@ -688,6 +688,29 @@ def test_method_comparison_builds_each_tuned_method_once(monkeypatch):
         assert cfg is grid_configs[best]
 
 
+def test_method_comparison_searches_a_repeated_kind_once(monkeypatch):
+    """A kind listed twice is searched once; the report keeps one row
+    per listed kind, in order, the repeated rows alike."""
+    searched = []
+    real_search = evaluation._grid_search
+
+    def counting(kind, *args):
+        searched.append(kind)
+        return real_search(kind, *args)
+
+    monkeypatch.setattr(evaluation, "_grid_search", counting)
+    report, searches = evaluation.run_method_comparison(
+        3, kinds=("none", "general", "none"), num_test=4, num_validation=3,
+        grid=GridSpec(betas=(0.0, 0.5), alphas=(1.0,), word_penalties=(-10.0,)),
+        beam_width=4,
+    )
+    assert searched == ["none", "general"]
+    assert list(searches) == ["none", "general"]
+    assert [r.method for r in report.results] == ["none", "general", "none"]
+    assert report.results[0] == report.results[2]
+    assert report.results[0].config == searches["none"].best.describe("none")
+
+
 def test_method_comparison_in_a_workdir_keeps_its_splits(tmp_path):
     """With ``workdir`` both splits' manifests stay under it, and the
     report and every grid row equal those of a temporary directory."""

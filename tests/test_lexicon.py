@@ -68,13 +68,14 @@ def test_trie_shares_prefixes():
     assert a_node.word == "a"
     assert set(a_node.children) == {1}
     assert a_node.children[1].word == "ab"
-    assert trie_words(trie) == {"a", "ab"}
+    assert trie_words(trie) == trie.words == {"a", "ab"}
 
 
 def test_trie_lowercases():
     ab = ColoredAlphabet(("a", "b"), 1, None)
     trie = build_trie(ab, 0, ["AB"])
-    assert trie_words(trie) == {"ab"}
+    assert trie_words(trie) == trie.words == {"ab"}
+    assert isinstance(trie.words, frozenset)
 
 
 @pytest.mark.parametrize("word", ["", "a b", "az"])
@@ -96,7 +97,7 @@ def test_trie_membership_matches_set():
         "".join(rng.choice("abc") for _ in range(rng.randint(1, 4)))
         for _ in range(200)
     }
-    assert trie_words(trie) == words
+    assert trie_words(trie) == trie.words == words
     for w in probes | words:
         node = trie.root
         for c in w:

@@ -198,6 +198,8 @@ def test_empty_pair_contributes_nothing():
 def test_wer_length_mismatch():
     with pytest.raises(LengthMismatch):
         wer([["a"]], [["a"], ["b"]])
+    with pytest.raises(LengthMismatch):
+        cer([["a"]], [["a"], ["b"]])
 
 
 def test_cer_fixtures():

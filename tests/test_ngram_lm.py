@@ -356,6 +356,11 @@ def test_merge_colored_prefixes_tokens(bigram_fixture_model):
     assert ("fever",) not in merged.entries
 
 
+def test_merge_colored_needs_a_model():
+    with pytest.raises(ValueError, match="at least one model"):
+        merge_colored([])
+
+
 def test_merge_colored_duplicate_rejected():
     a = NGramModel(max_order=1, entries={("w",): (-1.0, None)})
     b = NGramModel(max_order=1, entries={("w",): (-2.0, None)})

@@ -473,6 +473,10 @@ def test_make_scorer_validation(two_models):
         make_scorer("coloring", [general, domain], cfg, num_colors=3)
     with pytest.raises(MissingBinTable):
         make_scorer("bins", [general, domain], cfg)
+    with pytest.raises(ValueError, match="unknown interpolation kind"):
+        InterpolationScorer(cfg, general, domain, "fancy")
+    with pytest.raises(ValueError, match="at least one color"):
+        ColoringScorer(cfg, general, num_colors=0)
 
 
 # ---------------------------------------------------------------------------
