@@ -24,10 +24,11 @@ The decode set:
   beams 4, 16 and 64, with subword penalties 0 and -3: the decoder must
   then spell and score words a model knows although no lexicon has them;
 - the same corpus by the ``coloring`` scorer at beams 4, 16 and 64,
-  with subword penalty -3, over models that also know words no trie can
-  hold (a lexicon word capitalized, and one with a character outside
-  the alphabet): those words withhold their color's unknown-word price,
-  so its off-trie words are spelled and scored;
+  with subword penalty -3, over models that also know words the
+  alphabet cannot spell (a lexicon word capitalized, and one with a
+  character outside the alphabet): no spelling can reach those words,
+  so they withhold no color's unknown-word price (the left-out general
+  words above are the case where a price is withheld);
 - the same corpus decoded unconstrained (``tries=None``, where every
   grammar state offers all 27 characters) by the ``none`` and
   ``general`` scorers at word bonuses 0 and +0.5, at beams 4, 16 and 64;
@@ -92,7 +93,7 @@ LONG_UNCONSTRAINED_BEAM = 16
 # lexicon lacks every fifth word
 THINNED_CONFIGS = ((0.0, 0.0), (-3.0, 0.0))
 # subword penalty of the coloring decodes over models that know words
-# no trie can hold
+# the alphabet cannot spell
 STRANGER_PENALTY = -3.0
 UNCONSTRAINED_KINDS = ("none", "general")
 UNCONSTRAINED_BETAS = (0.0, 0.5)
@@ -188,8 +189,9 @@ def _corpus_decodes():
 
 
 def _with_strangers(model):
-    """``model`` with two more unigrams that no trie can hold: its first
-    word capitalized, and its first word with an "é" added."""
+    """``model`` with two more unigrams that the lowercase alphabet
+    cannot spell: its first word capitalized, and its first word with an
+    "é" added."""
     from colordecode.ngram_lm import NGramModel
 
     first = next(iter(model.entries))[0]

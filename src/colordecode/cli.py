@@ -37,6 +37,7 @@ from .decoder import DecoderConfig
 from .evaluation import (
     GridSpec,
     _decode_file,
+    _own_collector,
     build_runtime,
     calibration_pairs,
     evaluate,
@@ -532,6 +533,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The ``colordecode`` console command. The command owns its
+    process, so it raises the collector's threshold before it runs;
+    ``main`` runs in whatever process calls it, so it leaves it alone."""
+    _own_collector()
     sys.exit(main())
 
 

@@ -387,7 +387,9 @@ class DecoderConfig:
         if self.beam_width < 1:
             raise ValueError("beam width must be at least 1")
         object.__setattr__(
-            self, "_unknown_deltas", _unknown_deltas(self.tries, self.scorer)
+            self,
+            "_unknown_deltas",
+            _unknown_deltas(self.alphabet, self.tries, self.scorer),
         )
 
     def with_scorer(self, scorer: Scorer) -> "DecoderConfig":
@@ -455,13 +457,19 @@ def _successor_entry(
 
 
 def _unknown_deltas(
-    tries: Sequence[LexiconTrie] | None, scorer: Scorer
+    alphabet: ColoredAlphabet,
+    tries: Sequence[LexiconTrie] | None,
+    scorer: Scorer,
 ) -> dict[int, float | None]:
     """Per color an extension can carry, the delta ``scorer`` gives
     every word of that color spelled off its trie: the scorer's unknown
-    delta when every word it knows for the color is held by one of the
-    color's tries, else None. Unconstrained (``tries`` None), every
-    spelling is off-trie, so that needs a scorer that knows no word."""
+    delta when every word it knows for the color, and ``alphabet`` can
+    spell, is held by one of the color's tries, else None. A word with a
+    character that is no column or is the separator, such as an ARPA
+    file's ``<s>``, can never be spelled, so it withholds no price.
+    Unconstrained (``tries`` None), every spelling is off-trie, so that
+    needs a scorer that knows no spellable word."""
+    letters = set(alphabet.base_chars) - {alphabet.word_separator}
     colors = {0} if tries is None else {trie.color for trie in tries}
     out = {}
     for color in colors:
@@ -470,7 +478,8 @@ def _unknown_deltas(
             held = frozenset().union(
                 *(t.words for t in tries or () if t.color == color)
             )
-            if not scorer.known_words(color) <= held:
+            unheld = scorer.known_words(color) - held
+            if any(letters.issuperset(word) for word in unheld):
                 delta = None
         out[color] = delta
     return out

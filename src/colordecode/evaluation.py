@@ -18,6 +18,7 @@ for its winner, so a tuned method is built once.
 from __future__ import annotations
 
 import contextlib
+import gc
 import random
 import tempfile
 from collections.abc import Iterator, Sequence
@@ -241,6 +242,20 @@ def _build_scorer(
     return make_scorer(kind, models, config, bin_table=bin_table)
 
 
+# the cyclic collector's generation-0 threshold in a process the package
+# owns; the search makes no reference cycles, so a collection there frees
+# nothing and only walks the live prefix nodes
+_GC_GEN0_THRESHOLD = 100_000
+
+
+def _own_collector() -> None:
+    """Raise this process's generation-0 collection threshold to
+    ``_GC_GEN0_THRESHOLD``. Only a process the package owns calls this,
+    a pool worker or the console command; a library call leaves the
+    caller's collector as it found it."""
+    gc.set_threshold(_GC_GEN0_THRESHOLD, *gc.get_threshold()[1:])
+
+
 # the decoder configs of the running ``decode_utterances`` call, set in
 # each worker process by the pool's initializer
 _CONFIGS: Sequence[DecoderConfig] = ()
@@ -249,6 +264,7 @@ _CONFIGS: Sequence[DecoderConfig] = ()
 def _init_worker(configs: Sequence[DecoderConfig]) -> None:
     global _CONFIGS
     _CONFIGS = configs
+    _own_collector()
 
 
 def _decode_task(task: tuple[int, str]) -> ColoredTranscript:
@@ -335,14 +351,18 @@ def evaluate(
     jobs: int = 1,
     configs: Sequence[dict | None] | None = None,
 ) -> EvalReport:
-    """Decode the corpus once per ``(name, decoder config)`` method,
-    every method's decodes through one ``decode_utterances`` call, and
-    tabulate error rates. A corpus with no utterances is refused."""
+    """Decode the corpus once per distinct decoder config of the ``(name,
+    decoder config)`` methods, every decode through one
+    ``decode_utterances`` call, and tabulate error rates, one row per
+    method in order. A corpus with no utterances is refused."""
     refs, masks = _references(utterances)
-    runs = decode_utterances(utterances, [cfg for _, cfg in methods], jobs)
+    distinct = {id(cfg): cfg for _, cfg in methods}
+    runs = dict(
+        zip(distinct, decode_utterances(utterances, list(distinct.values()), jobs))
+    )
     results = []
-    for i, ((name, _), transcripts) in enumerate(zip(methods, runs)):
-        w, c, jw = _rates(refs, masks, transcripts)
+    for i, (name, cfg) in enumerate(methods):
+        w, c, jw = _rates(refs, masks, runs[id(cfg)])
         results.append(
             MethodResult(
                 method=name,

@@ -6,6 +6,7 @@ stdout/stderr plus the exit code, exactly what a shell user would see.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import shutil
@@ -213,6 +214,36 @@ def test_decode_stdout_is_byte_identical_across_runs(tiny_setup, capsys):
 # ---------------------------------------------------------------------------
 # synth + eval
 # ---------------------------------------------------------------------------
+
+
+def test_main_leaves_the_collector_as_it_found_it(synth_dir, capsys):
+    """``main`` runs in its caller's process, as here, so an eval that
+    starts a worker pool leaves the caller's collector threshold and
+    switch alone."""
+    before = gc.get_threshold()
+    gc.set_threshold(701, 11, 12)
+    try:
+        rc, _, _ = run_cli(_eval_argv(synth_dir, "--jobs", "2"), capsys)
+        assert rc == 0
+        assert gc.get_threshold() == (701, 11, 12)
+        assert gc.isenabled()
+    finally:
+        gc.set_threshold(*before)
+
+
+def test_the_console_command_raises_its_collector_threshold(monkeypatch):
+    """The ``colordecode`` console command owns its process and raises
+    the generation-0 threshold before ``main`` runs."""
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_threshold()) or 0)
+    before = gc.get_threshold()
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+    finally:
+        gc.set_threshold(*before)
+    assert exited.value.code == 0
+    assert seen == [(evaluation._GC_GEN0_THRESHOLD, *before[1:])]
 
 
 def test_synth_writes_corpus_lexicons_and_models(synth_dir):
@@ -900,8 +931,9 @@ def test_lexicon_outside_alphabet_fails_cleanly(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-# (file kind, malformation) -> (file contents, None for a directory;
-# the fault stderr names)
+# (file kind, malformation) -> (file contents, None for a directory or a
+# missing file; the fault stderr names). A lexicon cut short is still a
+# list of words, so only a cut inside a character shows.
 BAD_INPUT_FILES = {
     ("arpa", "non-utf8"): (
         b"\\data\\\nngram 1=1\n\\1-grams:\n-0.3 \xd0a\n", "not UTF-8 text"
@@ -912,12 +944,19 @@ BAD_INPUT_FILES = {
         "line 4: bad log probability 'nope'",
     ),
     ("arpa", "directory"): (None, "Is a directory"),
+    ("arpa", "missing"): (None, "No such file or directory"),
+    ("arpa", "truncated"): (
+        b"\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3\taa\n",
+        "\\1-grams: section has 1 entries, header declared 2",
+    ),
     ("lexicon", "non-utf8"): (b"aa\n\xd0b\n", "not UTF-8 text"),
     ("lexicon", "empty"): (b"# no words\n\n", "no words"),
     ("lexicon", "bad line"): (
         b"aa\nzz\n", "word 'zz' contains 'z' outside the alphabet"
     ),
     ("lexicon", "directory"): (None, "Is a directory"),
+    ("lexicon", "missing"): (None, "No such file or directory"),
+    ("lexicon", "truncated"): (b"aa\nb\xc3", "not UTF-8 text"),
 }
 
 
@@ -928,25 +967,36 @@ def _bad_input_argv(command, kind, bad, setup):
     lms = [setup["general_lm"], setup["jargon_lm"]]
     lexicons = [setup["general"], setup["jargon"]]
     (lms if kind == "arpa" else lexicons)[1] = bad
-    return ["decode", setup["logits"], "--alphabet", "ab ", "--fusion", "coloring",
+    source = setup["logits"]
+    if command != "decode":
+        source = str(setup["dir"] / "manifest.jsonl")
+        with open(source, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "u0", "logits": setup["logits"],
+                                 "reference": "aa bb"}) + "\n")
+    return [command, source, "--alphabet", "ab ", "--fusion", "coloring",
             "--lm", lms[0], "--lm", lms[1],
             "--lexicon", lexicons[0], "--lexicon", lexicons[1]]
 
 
 @pytest.mark.parametrize(
     "command, kind, malformation",
-    [("decode", kind, malformation) for kind, malformation in BAD_INPUT_FILES]
+    [(command, kind, malformation)
+     for command in ("decode", "eval", "gridsearch")
+     for kind, malformation in BAD_INPUT_FILES]
     + [("merge-lm", "arpa", malformation) for kind, malformation in BAD_INPUT_FILES
        if kind == "arpa"],
 )
 def test_bad_model_and_lexicon_files_are_named(
     tiny_setup, command, kind, malformation, capsys
 ):
+    """A model or lexicon file that is missing, a directory, empty,
+    truncated, not UTF-8 or holds a bad line exits 1 with an error
+    naming the file and its fault, whichever command reads it."""
     contents, fault = BAD_INPUT_FILES[kind, malformation]
     bad = tiny_setup["dir"] / f"bad-{kind}"
-    if contents is None:
+    if malformation == "directory":
         bad.mkdir()
-    else:
+    elif malformation != "missing":
         bad.write_bytes(contents)
     rc, out, err = run_cli(_bad_input_argv(command, kind, str(bad), tiny_setup), capsys)
     assert rc == 1

@@ -761,23 +761,51 @@ def test_spawned_bounded_by_alphabet_size_per_beam():
         assert spawned <= expanded * (alphabet.size + 1)
 
 
+def _cycle_case_configs():
+    """One config per scorer kind and grammar: over the lexicons, with
+    off-lexicon spelling at subword penalty -2, and unconstrained. The
+    models are bigram models over each color's words; coloring takes one
+    per color, the two-model kinds the first as general and the last as
+    domain model."""
+    alphabet, tries = _partitioned_setup(2)
+    models = []
+    for trie in tries:
+        words = sorted(trie_words(trie))
+        entries = {(w,): (math.log10(1 / len(words)), -0.3) for w in words}
+        entries.update({(a, b): (-0.2, None) for a in words for b in words if a < b})
+        models.append(NGramModel(max_order=2, entries=entries))
+    for kind in SCORER_KINDS:
+        for grammar, subword_penalty in (
+            ("lexicon", None), ("off-lexicon", -2.0), ("unconstrained", None)
+        ):
+            config = ScorerConfig(
+                beta=0.5, unknown_word_penalty=(-10.0, -10.0),
+                unknown_subword_penalty=subword_penalty,
+            )
+            scorer = _scorer_of_kind(kind, models, config)
+            grammar_tries = None if grammar == "unconstrained" else tries
+            yield kind, grammar, DecoderConfig(alphabet, grammar_tries, scorer, beam_width=16)
+
+
 def test_decode_leaves_no_cyclic_garbage():
     """The children memo holds weak references, so the prefix tree has
     no reference cycles: pruned branches are freed by reference counting
-    and a 300-frame decode leaves nothing for the cycle collector."""
-    alphabet, tries = _partitioned_setup(4)
+    and a 300-frame decode leaves nothing for the cycle collector, for
+    every scorer kind, over the lexicons with off-lexicon spelling off
+    and on, and unconstrained."""
     logits = LogitsMatrix.from_linear(random_rows(random.Random(8), 300, 10))
-    config = DecoderConfig(alphabet, tries, NullScorer(ScorerConfig(beta=0.5)), beam_width=16)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        got = decode(logits, config)
-        assert gc.collect() == 0
+        for kind, grammar, config in _cycle_case_configs():
+            gc.collect()
+            got = decode(logits, config)
+            assert gc.collect() == 0, (kind, grammar)
+            assert got.words, (kind, grammar)
     finally:
         if was_enabled:
             gc.enable()
-    assert got.words
 
 
 def test_decode_memory_grows_linearly_with_the_words():
@@ -818,14 +846,15 @@ def test_decode_memory_grows_linearly_with_the_words():
 # ---------------------------------------------------------------------------
 
 
-def _offlex_coloring_config(subword_penalty=-2.0, beam_width=16, stranger=None):
+def _offlex_coloring_config(subword_penalty=-2.0, beam_width=16, strangers=((), ())):
     """Two colors over "abc" plus a separator, scored by a coloring
-    scorer that allows off-lexicon spelling. Color 0's model also knows
-    ``stranger``, when given, as likely as each of its lexicon words."""
+    scorer that allows off-lexicon spelling. Each color's model also
+    knows that color's ``strangers``, as likely as each of its lexicon
+    words."""
     alphabet = ColoredAlphabet(("a", "b", "c", " "), 2, " ")
     lexicons = [["ab", "abc", "ba"], ["b", "cab"]]
     tries = [build_trie(alphabet, c, words) for c, words in enumerate(lexicons)]
-    known = [lexicons[0] + [stranger] if stranger else lexicons[0], lexicons[1]]
+    known = [lex + list(extra) for lex, extra in zip(lexicons, strangers)]
     models = [
         NGramModel(max_order=1, entries={(w,): (math.log10(1 / len(lex)), None) for w in words})
         for lex, words in zip(lexicons, known)
@@ -1344,48 +1373,72 @@ def test_a_config_fixes_its_unknown_word_prices_when_it_is_built(monkeypatch):
     assert config._unknown_deltas == prices
 
 
-@pytest.mark.parametrize("stranger", ["Ab", "ad"])
-def test_a_model_word_no_trie_holds_withholds_its_colors_price(monkeypatch, stranger):
-    """A model word that no trie can hold, with an uppercase letter or
-    with a character outside the alphabet, withholds its color's price:
-    every word of that color completed off its trie is spelled and
-    scored, as with no price at all, while the other color's words are
-    still priced unspelled. Without the stranger, color 0 is priced and
-    fewer of its words are scored."""
+def _decoded_and_scored(logits, config):
+    """The transcript of ``config`` and every ``(word, color)`` its
+    scorer scored."""
+    scored = []
+    word_delta = config.scorer.word_delta
+
+    def recording(state, word, color):
+        scored.append((word, color))
+        return word_delta(state, word, color)
+
+    config.scorer.word_delta = recording
+    return decode(logits, config), scored
+
+
+def _of_color(calls, color):
+    return [call for call in calls if call[1] == color]
+
+
+@pytest.mark.parametrize("stranger", ["cc", "cab"])
+def test_a_spellable_model_word_no_trie_holds_withholds_its_colors_price(
+    monkeypatch, stranger
+):
+    """A model word that the alphabet spells but no trie of its color
+    holds, one another color's trie holds or none, withholds its color's
+    price: every word of that color completed off its trie is spelled
+    and scored, as with no price at all, while the other color's words
+    are still priced unspelled. Without the stranger, color 0 is priced
+    and fewer of its words are scored."""
     logits = LogitsMatrix.from_linear(random_rows(random.Random(1), 12, 5))
-
-    def decoded(config):
-        """The transcript of ``config`` and every ``(word, color)`` its
-        scorer scored."""
-        scored = []
-        word_delta = config.scorer.word_delta
-
-        def recording(state, word, color):
-            scored.append((word, color))
-            return word_delta(state, word, color)
-
-        config.scorer.word_delta = recording
-        return decode(logits, config), scored
-
-    config = _offlex_coloring_config(-0.5, 3, stranger)
+    config = _offlex_coloring_config(-0.5, 3, ([stranger], []))
     assert config._unknown_deltas[0] is None
     assert config._unknown_deltas[1] == config.scorer.unknown_delta(1)
     with monkeypatch.context() as m:
         m.setattr(decoder_module, "_unknown_deltas", lambda *args: {0: None, 1: None})
-        unpriced = _offlex_coloring_config(-0.5, 3, stranger)
-    transcript, scored = decoded(config)
-    unpriced_transcript, unpriced_scored = decoded(unpriced)
+        unpriced = _offlex_coloring_config(-0.5, 3, ([stranger], []))
+    transcript, scored = _decoded_and_scored(logits, config)
+    unpriced_transcript, unpriced_scored = _decoded_and_scored(logits, unpriced)
     assert unpriced_transcript == transcript
 
-    def of_color(calls, color):
-        return [call for call in calls if call[1] == color]
-
-    assert of_color(scored, 0) == of_color(unpriced_scored, 0)
-    assert any(word not in ("ab", "abc", "ba") for word, _ in of_color(scored, 0))
-    assert len(of_color(scored, 1)) < len(of_color(unpriced_scored, 1))
-    plain, plain_scored = decoded(_offlex_coloring_config(-0.5, 3))
+    assert _of_color(scored, 0) == _of_color(unpriced_scored, 0)
+    assert any(word not in ("ab", "abc", "ba") for word, _ in _of_color(scored, 0))
+    assert len(_of_color(scored, 1)) < len(_of_color(unpriced_scored, 1))
+    plain, plain_scored = _decoded_and_scored(logits, _offlex_coloring_config(-0.5, 3))
     assert plain == transcript
-    assert len(of_color(plain_scored, 0)) < len(of_color(scored, 0))
+    assert len(_of_color(plain_scored, 0)) < len(_of_color(scored, 0))
+
+
+@pytest.mark.parametrize(
+    "strangers",
+    [(["Ab"], []), (["ad"], []), (["<s>", "</s>"], ["<s>", "</s>"])],
+    ids=["Ab", "ad", "sentence-markers"],
+)
+def test_a_model_word_the_alphabet_cannot_spell_withholds_no_price(strangers):
+    """No spelling reaches a model word with a character that is no
+    column of the alphabet: an uppercase letter, "d" outside "abc", or
+    the ``<s>`` and ``</s>`` unigrams a standard ARPA file holds. Such a
+    word leaves both colors priced, and the decoder scores the same
+    words and returns the same transcript as without it."""
+    logits = LogitsMatrix.from_linear(random_rows(random.Random(1), 12, 5))
+    config = _offlex_coloring_config(-0.5, 3, strangers)
+    assert config._unknown_deltas == {
+        color: config.scorer.unknown_delta(color) for color in (0, 1)
+    }
+    assert None not in config._unknown_deltas.values()
+    plain = _offlex_coloring_config(-0.5, 3)
+    assert _decoded_and_scored(logits, config) == _decoded_and_scored(logits, plain)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import gc
 import math
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -233,6 +235,35 @@ def _coloring_inputs(lang):
     from colordecode.corpus import language_models
 
     return [lang.lexicons.general, lang.lexicons.jargon], list(language_models(lang))
+
+
+def test_evaluate_decodes_each_distinct_config_once(small_corpus, monkeypatch):
+    """Methods that share one config object share its decodes: each
+    distinct config reaches ``decode_utterances`` once, in first-listed
+    order, and the report keeps one row per method, in order."""
+    utts, lang = small_corpus
+    lexicons, models = _coloring_inputs(lang)
+    first, second = (
+        build_runtime("coloring", lexicons, models, ScorerConfig(alpha=a),
+                      default_alphabet(2), beam_width=4).decoder_config()
+        for a in (0.5, 1.5)
+    )
+    received = []
+    real_decode = evaluation.decode_utterances
+
+    def recording(utterances, configs, jobs=1):
+        received.append(list(configs))
+        return real_decode(utterances, configs, jobs)
+
+    monkeypatch.setattr(evaluation, "decode_utterances", recording)
+    report = evaluate("unit", utts, [("a", first), ("b", second), ("c", first)])
+    assert len(received) == 1
+    assert [id(cfg) for cfg in received[0]] == [id(first), id(second)]
+    assert [r.method for r in report.results] == ["a", "b", "c"]
+    alone = evaluate("unit", utts, [("a", first), ("b", second)])
+    assert report.results[:2] == alone.results
+    assert report.results[2].wer == report.results[0].wer
+    assert report.results[2].cer == report.results[0].cer
 
 
 def test_decode_utterances_streams_several_runtimes(small_corpus):
@@ -634,6 +665,79 @@ def test_an_empty_corpus_is_refused_before_any_runtime_is_built(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def own_threshold():
+    """A collector threshold no code of the package sets, restored when
+    the test ends."""
+    before = gc.get_threshold()
+    gc.set_threshold(701, 11, 12)
+    try:
+        yield gc.get_threshold()
+    finally:
+        gc.set_threshold(*before)
+
+
+def _coloring_config(lang, beam_width=4):
+    lexicons, models = _coloring_inputs(lang)
+    return build_runtime("coloring", lexicons, models, ScorerConfig(),
+                         default_alphabet(2), beam_width=beam_width).decoder_config()
+
+
+@pytest.mark.parametrize(
+    "call", ["decode", "decode_utterances", "decode_utterances-jobs2", "run_grid_search"]
+)
+def test_library_calls_leave_the_collector_as_they_found_it(
+    small_corpus, own_threshold, call
+):
+    """Only a process the package owns raises the collector's threshold;
+    a decode, a corpus decode (whose pool workers raise their own) and a
+    grid search leave the caller's threshold and switch alone."""
+    utts, lang = small_corpus
+    if call == "decode":
+        decode(read_logits(utts[0].logits_path), _coloring_config(lang))
+    elif call.startswith("decode_utterances"):
+        decode_utterances(utts, [_coloring_config(lang)], jobs=2 if call.endswith("jobs2") else 1)
+    else:
+        lexicons, models = _coloring_inputs(lang)
+        run_grid_search("coloring", utts, lexicons, models,
+                        GridSpec(alphas=(0.5, 1.0), betas=(0.0,), word_penalties=(-10.0,),
+                                 subword_penalties=(0.0,)),
+                        default_alphabet(2), beam_width=4, jobs=1)
+    assert gc.get_threshold() == own_threshold
+    assert gc.isenabled()
+
+
+def test_decode_utterances_workers_raise_their_collector_threshold(
+    small_corpus, monkeypatch
+):
+    """The pool ``decode_utterances`` starts runs ``_init_worker`` in
+    every worker, and a worker that ran it collects generation 0 only
+    after ``_GC_GEN0_THRESHOLD`` allocations, its older generations'
+    thresholds untouched."""
+    utts, lang = small_corpus
+    pools = []
+    real_pool = evaluation.ProcessPoolExecutor
+
+    def recording(**kwargs):
+        pools.append(kwargs)
+        return real_pool(**kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", recording)
+    decode_utterances(utts, [_coloring_config(lang)], jobs=2)
+    assert len(pools) == 1 and pools[0]["initializer"] is evaluation._init_worker
+
+    with ProcessPoolExecutor(
+        max_workers=1, initializer=pools[0]["initializer"], initargs=pools[0]["initargs"]
+    ) as pool:
+        threshold = pool.submit(gc.get_threshold).result(timeout=60)
+    assert threshold == (evaluation._GC_GEN0_THRESHOLD, *gc.get_threshold()[1:])
+
+
+# ---------------------------------------------------------------------------
 # Method comparison
 # ---------------------------------------------------------------------------
 
@@ -692,19 +796,29 @@ def test_method_comparison_searches_a_repeated_kind_once(monkeypatch):
     """A kind listed twice is searched once; the report keeps one row
     per listed kind, in order, the repeated rows alike."""
     searched = []
+    decoded = []
     real_search = evaluation._grid_search
+    real_decode = evaluation.decode_utterances
 
     def counting(kind, *args):
         searched.append(kind)
         return real_search(kind, *args)
 
+    def recording(utterances, configs, jobs=1):
+        decoded.append(list(configs))
+        return real_decode(utterances, configs, jobs)
+
     monkeypatch.setattr(evaluation, "_grid_search", counting)
+    monkeypatch.setattr(evaluation, "decode_utterances", recording)
     report, searches = evaluation.run_method_comparison(
         3, kinds=("none", "general", "none"), num_test=4, num_validation=3,
         grid=GridSpec(betas=(0.0, 0.5), alphas=(1.0,), word_penalties=(-10.0,)),
         beam_width=4,
     )
     assert searched == ["none", "general"]
+    # the test split is decoded once per distinct tuned config
+    *_, tested = decoded
+    assert len(tested) == 2 and tested[0] is not tested[1]
     assert list(searches) == ["none", "general"]
     assert [r.method for r in report.results] == ["none", "general", "none"]
     assert report.results[0] == report.results[2]
