@@ -184,8 +184,10 @@ def _corpus_decodes():
         for beta in UNCONSTRAINED_BETAS:
             config = scorers.ScorerConfig(beta=beta)
             for width in CORPUS_BEAMS:
-                cfg = _unconstrained_config(kind, models, config, template, width)
-                yield from _decode_set(cfg, logits, sentences)
+                runtime = evaluation.build_runtime(
+                    kind, None, models, config, template, width
+                )
+                yield from _decode_set(runtime.decoder_config(), logits, sentences)
 
 
 def _with_strangers(model):
@@ -232,11 +234,11 @@ def _long_decodes():
             LONG_COLORING_BEAM,
         )
         yield decode(logits, runtime.decoder_config())
-    cfg = _unconstrained_config(
-        "general", [general], scorers.ScorerConfig(), template,
+    runtime = evaluation.build_runtime(
+        "general", None, [general], scorers.ScorerConfig(), template,
         LONG_UNCONSTRAINED_BEAM,
     )
-    yield decode(logits, cfg)
+    yield decode(logits, runtime.decoder_config())
 
 
 def _decode_set(cfg, logits, sentences):
@@ -259,23 +261,6 @@ def _decode_set(cfg, logits, sentences):
         cer(refs, hyps).hex(),
         None if jw is None else jw.hex(),
     )
-
-
-def _unconstrained_config(kind, models, config, template, width):
-    """``build_runtime(kind, None, ...)``'s decoder config; a checkout
-    whose ``build_runtime`` needs lexicons gets the same config built
-    by hand, so the script can compare against it."""
-    from colordecode import evaluation, scorers
-    from colordecode.corpus import EmptyLexicon
-    from colordecode.decoder import DecoderConfig
-
-    try:
-        return evaluation.build_runtime(
-            kind, None, models, config, template, width
-        ).decoder_config()
-    except EmptyLexicon:
-        scorer = scorers.make_scorer(kind, models, config)
-        return DecoderConfig(template, None, scorer, width)
 
 
 def _grid_searches():

@@ -5,7 +5,6 @@ from .corpus import (
     Utterance,
     default_alphabet,
     format_colored,
-    parse_colored_markup,
     read_lexicon,
     read_logits,
     read_manifest,
@@ -77,7 +76,6 @@ __all__ = [
     "make_scorer",
     "merge_colored",
     "parse_arpa",
-    "parse_colored_markup",
     "read_lexicon",
     "read_logits",
     "read_manifest",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import math
 import os
@@ -138,7 +139,13 @@ def _positive_ints(raw: str) -> list[int]:
     return values
 
 
-def _add_alphabet_flags(p: argparse.ArgumentParser) -> None:
+def _add_decoding_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the subcommands that decode: lexicons, beam,
+    alphabet, and the fusion method with its models."""
+    p.add_argument("--lexicon", action="append", default=[], metavar="PATH",
+                   help="lexicon word list, repeatable; decode runs "
+                   "unconstrained without one")
+    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
     p.add_argument(
         "--alphabet",
         default="abcdefghijklmnopqrstuvwxyz ",
@@ -151,9 +158,6 @@ def _add_alphabet_flags(p: argparse.ArgumentParser) -> None:
         help="word separator character; defaults to space when the "
         "alphabet contains one, use --separator '' for none",
     )
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fusion",
         choices=SCORER_KINDS,
@@ -169,6 +173,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         help="manifest whose references calibrate the bins method",
     )
     p.add_argument("--calibration-seed", type=int, default=0)
+
+
+def _add_manifest_flags(p: argparse.ArgumentParser) -> None:
+    """The manifest and worker count of the subcommands that decode one."""
+    p.add_argument("manifest")
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help=f"worker processes (default ${JOBS_ENV} or 1)")
 
 
 def _add_hyperparameter_flags(p: argparse.ArgumentParser) -> None:
@@ -324,20 +335,10 @@ def cmd_gridsearch(args) -> int:
     lexicons = [read_lexicon(p) for p in args.lexicon]
     utterances = read_manifest(args.manifest)
 
-    overrides = {}
-    if args.alphas:
-        overrides["alphas"] = tuple(args.alphas)
-    if args.betas:
-        overrides["betas"] = tuple(args.betas)
-    if args.lambdas:
-        overrides["lams"] = tuple(args.lambdas)
-    if args.word_penalties:
-        overrides["word_penalties"] = tuple(args.word_penalties)
-    if args.subword_penalties:
-        overrides["subword_penalties"] = tuple(args.subword_penalties)
-    if args.bin_counts:
-        overrides["bin_counts"] = tuple(args.bin_counts)
-    grid = GridSpec(**overrides)
+    grid = GridSpec(**{
+        f.name: tuple(v) for f in dataclasses.fields(GridSpec)
+        if (v := getattr(args, f.name))
+    })
 
     calibration = None
     if args.fusion == "bins":
@@ -440,44 +441,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode one logits file")
     p.add_argument("logits", help="CTCL1 or JSON logits file")
-    p.add_argument("--lexicon", action="append", default=[], metavar="PATH",
-                   help="lexicon word list, repeatable; omit for "
-                   "unconstrained decoding")
-    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
+    _add_decoding_flags(p)
     p.add_argument("--out", help="write markup plus JSON sidecar here")
-    _add_alphabet_flags(p)
-    _add_model_flags(p)
     _add_hyperparameter_flags(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="evaluate one method on a manifest")
-    p.add_argument("manifest")
-    p.add_argument("--lexicon", action="append", default=[], metavar="PATH",
-                   required=False)
-    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help=f"worker processes (default ${JOBS_ENV} or 1)")
+    _add_manifest_flags(p)
+    _add_decoding_flags(p)
     p.add_argument("--json", action="store_true", help="JSON report")
-    _add_alphabet_flags(p)
-    _add_model_flags(p)
     _add_hyperparameter_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gridsearch", help="search hyperparameters on a manifest")
-    p.add_argument("manifest")
-    p.add_argument("--lexicon", action="append", default=[], metavar="PATH")
-    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help=f"worker processes (default ${JOBS_ENV} or 1)")
-    p.add_argument("--alphas", type=_finite_floats, default=None)
-    p.add_argument("--betas", type=_finite_floats, default=None)
-    p.add_argument("--lambdas", type=_weight_floats, default=None)
-    p.add_argument("--word-penalties", type=_finite_floats, default=None)
-    p.add_argument("--subword-penalties", type=_finite_floats, default=None)
-    p.add_argument("--bin-counts", type=_positive_ints, default=None)
+    _add_manifest_flags(p)
+    _add_decoding_flags(p)
+    # each grid flag's dest is the GridSpec field it sets
+    p.add_argument("--alphas", type=_finite_floats)
+    p.add_argument("--betas", type=_finite_floats)
+    p.add_argument("--lambdas", dest="lams", metavar="LAMBDAS", type=_weight_floats)
+    p.add_argument("--word-penalties", type=_finite_floats)
+    p.add_argument("--subword-penalties", type=_finite_floats)
+    p.add_argument("--bin-counts", type=_positive_ints)
     p.add_argument("--all", action="store_true", help="print every grid row")
-    _add_alphabet_flags(p)
-    _add_model_flags(p)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("merge-lm", help="merge models into one colored ARPA")

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import random
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -47,7 +46,6 @@ __all__ = [
     "write_logits",
     "read_lexicon",
     "format_colored",
-    "parse_colored_markup",
     "write_colored_transcript",
     "LETTERS",
     "default_alphabet",
@@ -292,9 +290,6 @@ def read_lexicon(path) -> tuple[str, ...]:
     return tuple(dict.fromkeys(words))
 
 
-_MARKUP = re.compile(r"^\[J(\d*):(.+)\]$")
-
-
 def format_colored(words: Sequence[tuple[str, int]], num_colors: int) -> str:
     """Markup text: color 0 plain, jargon colors tagged.
 
@@ -309,19 +304,6 @@ def format_colored(words: Sequence[tuple[str, int]], num_colors: int) -> str:
         else:
             parts.append(f"[J{color}:{word}]")
     return " ".join(parts)
-
-
-def parse_colored_markup(text: str) -> tuple[tuple[str, int], ...]:
-    """Invert ``format_colored``; bare ``[J:...]`` means color 1."""
-    out: list[tuple[str, int]] = []
-    for tok in text.split():
-        m = _MARKUP.match(tok)
-        if m:
-            color = int(m.group(1)) if m.group(1) else 1
-            out.append((m.group(2), color))
-        else:
-            out.append((tok, 0))
-    return tuple(out)
 
 
 def write_colored_transcript(

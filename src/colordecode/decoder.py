@@ -265,9 +265,6 @@ class ColoredTranscript:
     words: tuple[tuple[str, int], ...]
     score: float
 
-    def text(self) -> str:
-        return " ".join(w for w, _ in self.words)
-
 
 class Prefix:
     """One interned colored prefix: its parent plus one (column, color)

@@ -75,6 +75,8 @@ LAMBDA_GRID = (0.25, 0.5, 0.75)
 WORD_PENALTY_GRID = (-10.0, -50.0)
 SUBWORD_PENALTY_GRID = (-7.0, -5.0, -3.0, -1.0, 0.0)
 BIN_COUNT_GRID = (53, 100)
+# vocabulary words sampled per reference word as calibration negatives
+_NEGATIVES_PER_WORD = 3
 
 
 @dataclass(frozen=True)
@@ -563,12 +565,11 @@ def calibration_pairs(
     utterances: Sequence[Utterance],
     models: Sequence[NGramModel],
     seed: int = 0,
-    negatives_per_word: int = 3,
 ) -> list[tuple[float, float, bool]]:
     """Linear-probability pairs for fitting a bin table.
 
     Walks each reference through both models: the true next word gives a
-    positive pair, a few sampled vocabulary words give negatives under
+    positive pair, three sampled vocabulary words give negatives under
     the same histories. Unknown words contribute probability zero rather
     than a penalty, since calibration should see raw model beliefs.
     """
@@ -589,7 +590,7 @@ def calibration_pairs(
             lg, ng = general.score_word(st_g, word, oov_log10=neg_inf)
             lj, nj = domain.score_word(st_j, word, oov_log10=neg_inf)
             pairs.append((10.0 ** lg, 10.0 ** lj, True))
-            for _ in range(negatives_per_word):
+            for _ in range(_NEGATIVES_PER_WORD):
                 other = rng.choice(vocab)
                 if other == word:
                     continue

@@ -76,7 +76,7 @@ SCORER_KINDS = (
 
 
 class MissingModel(ValueError):
-    """A scorer kind was requested without the models it needs."""
+    """A scorer kind was given other models than the ones it scores with."""
 
 
 class MissingBinTable(ValueError):
@@ -475,31 +475,29 @@ def make_scorer(
 
     ``coloring`` merges the given models (one per color) internally;
     ``linear``/``loglinear``/``bins``/``bayes`` take exactly (general,
-    domain); ``general``/``jargon`` take the respective single model
-    first; ``none`` uses no model at all.
+    domain); ``general``/``jargon`` take exactly their one model;
+    ``none`` takes none. Any other model count is refused.
     """
     if kind not in SCORER_KINDS:
         raise ValueError(f"unknown scorer kind {kind!r}")
-    if kind == "none":
-        return NullScorer(config)
-    if not models:
-        raise MissingModel(f"scorer kind {kind!r} needs language models")
     if kind == "coloring":
         n = num_colors if num_colors is not None else len(models)
-        if n != len(models):
+        if not models or n != len(models):
             raise MissingModel(
                 f"coloring needs one model per color ({n} colors, {len(models)} models)"
             )
         merged = merge_colored((m, c) for c, m in enumerate(models))
         return ColoringScorer(config, merged, n)
-    if kind in ("linear", "loglinear", "bins", "bayes"):
-        if len(models) != 2:
-            raise MissingModel(f"{kind} fusion needs exactly two models")
-        general, domain = models
-        if kind == "bayes":
-            return BayesScorer(config, general, domain)
-        return InterpolationScorer(config, general, domain, kind, bin_table)
-    # single-model kinds
-    if kind == "general":
-        return SingleLmScorer(config, models[0], model_color=0)
-    return SingleLmScorer(config, models[0], model_color=1)
+    wanted = {"none": 0, "general": 1, "jargon": 1}.get(kind, 2)
+    if len(models) != wanted:
+        raise MissingModel(
+            f"scorer kind {kind!r} takes {wanted} models, not {len(models)}"
+        )
+    if kind == "none":
+        return NullScorer(config)
+    if kind in ("general", "jargon"):
+        return SingleLmScorer(config, models[0], model_color=int(kind == "jargon"))
+    general, domain = models
+    if kind == "bayes":
+        return BayesScorer(config, general, domain)
+    return InterpolationScorer(config, general, domain, kind, bin_table)

@@ -6,6 +6,8 @@ stdout/stderr plus the exit code, exactly what a shell user would see.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -337,6 +339,63 @@ def test_gridsearch_reports_best_point(synth_dir, capsys):
     assert "method none: searched 2 configurations" in out
     assert "best " in out
     assert out.count("wer=") == 2  # one row per grid point under --all
+
+
+def test_every_grid_field_is_the_dest_of_a_gridsearch_flag():
+    """``cmd_gridsearch`` reads each ``GridSpec`` field from the parsed
+    flag of that name, so each field needs a flag with it as ``dest``."""
+    [subparsers] = [
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    dests = {a.dest for a in subparsers.choices["gridsearch"]._actions}
+    assert {f.name for f in dataclasses.fields(evaluation.GridSpec)} <= dests
+
+
+@pytest.mark.parametrize(
+    "flags, grid",
+    [
+        ([], evaluation.GridSpec()),
+        (
+            ["--alphas", "0.5,2", "--betas", "0,1.5", "--lambdas", "0.25",
+             "--word-penalties", "-5", "--subword-penalties=-2,0",
+             "--bin-counts", "7,9"],
+            evaluation.GridSpec(
+                alphas=(0.5, 2.0), betas=(0.0, 1.5), lams=(0.25,),
+                word_penalties=(-5.0,), subword_penalties=(-2.0, 0.0),
+                bin_counts=(7, 9),
+            ),
+        ),
+    ],
+    ids=["defaults", "every-list-flag"],
+)
+def test_gridsearch_builds_its_grid_from_the_list_flags(
+    tiny_setup, flags, grid, monkeypatch
+):
+    """Each list flag replaces its ``GridSpec`` field; the fields of the
+    flags not given keep their defaults."""
+
+    class Searched(Exception):
+        pass
+
+    def search(kind, utterances, lexicons, models, grid, *args, **kwargs):
+        raise Searched(grid)
+
+    monkeypatch.setattr(cli, "run_grid_search", search)
+    manifest = tiny_setup["dir"] / "manifest.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "u0", "logits": tiny_setup["logits"],
+                    "reference": "aa bb"}) + "\n",
+        encoding="utf-8",
+    )
+    argv = ["gridsearch", str(manifest), "--alphabet", "ab ",
+            "--fusion", "coloring",
+            "--lm", tiny_setup["general_lm"], "--lm", tiny_setup["jargon_lm"],
+            "--lexicon", tiny_setup["general"], "--lexicon", tiny_setup["jargon"],
+            *flags]
+    with pytest.raises(Searched) as exc:
+        cli.main(argv)
+    assert exc.value.args[0] == grid
 
 
 @pytest.mark.parametrize(
@@ -1004,6 +1063,28 @@ def test_bad_model_and_lexicon_files_are_named(
     assert "Traceback" not in err
     assert any(
         line.startswith("error: ") and str(bad) in line and fault in line
+        for line in err.splitlines()
+    ), err
+
+
+@pytest.mark.parametrize("command", ["decode", "eval", "gridsearch"])
+def test_a_bad_word_in_a_union_trie_is_named_by_its_file(tiny_setup, command, capsys):
+    """Every fusion but coloring builds one trie from all its lexicon
+    files, so a word the alphabet refuses is found in the union; the
+    error still names the file that holds it, here the second one."""
+    bad = tiny_setup["dir"] / "bad-lexicon.txt"
+    bad.write_text("bb\nzz\n", encoding="utf-8")
+    # the command, its logits or manifest, and the alphabet
+    argv = _bad_input_argv(command, "lexicon", str(bad), tiny_setup)[:4]
+    argv += ["--fusion", "general", "--lm", tiny_setup["general_lm"],
+             "--lexicon", tiny_setup["general"], "--lexicon", str(bad)]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert any(
+        line.startswith(f"error: {bad}: ")
+        and "word 'zz' contains 'z' outside the alphabet" in line
         for line in err.splitlines()
     ), err
 

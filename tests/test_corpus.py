@@ -5,8 +5,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from colordecode.corpus import (
     EmptyLexicon,
@@ -20,7 +18,6 @@ from colordecode.corpus import (
     format_colored,
     generate_lexicons,
     language_models,
-    parse_colored_markup,
     read_lexicon,
     read_logits,
     read_manifest,
@@ -293,30 +290,12 @@ def test_read_lexicon(tmp_path):
 def test_markup_fixture():
     words = (("he", 0), ("clozaril", 1))
     assert format_colored(words, 2) == "he [J:clozaril]"
-    assert parse_colored_markup("he [J:clozaril]") == words
 
 
 def test_markup_many_colors():
     words = (("a", 0), ("b", 1), ("c", 2))
     text = format_colored(words, 3)
     assert text == "a [J1:b] [J2:c]"
-    assert parse_colored_markup(text) == words
-
-
-word_st = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
-
-
-@settings(max_examples=100)
-@given(
-    st.lists(
-        st.tuples(word_st, st.integers(min_value=0, max_value=3)),
-        max_size=6,
-    )
-)
-def test_markup_round_trip(words):
-    num_colors = max((c for _, c in words), default=0) + 1
-    text = format_colored(words, num_colors)
-    assert parse_colored_markup(text) == tuple(words)
 
 
 def test_write_colored_transcript(tmp_path):

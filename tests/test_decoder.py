@@ -260,7 +260,7 @@ def test_forced_path_single_char():
     config = DecoderConfig(alphabet, tries, NullScorer(ScorerConfig()), beam_width=8)
     got = decode(logits, config)
     assert got == ColoredTranscript((("a", 0),), 0.0)
-    assert got.text() == "a"
+    assert " ".join(w for w, _ in got.words) == "a"
 
 
 def test_three_uniform_frames_prefer_single_char():
@@ -740,7 +740,8 @@ def test_colored_branching_matches_union_lexicon():
             ),
             stats=stats,
         )
-        results[colors] = (stats.expanded, stats.spawned, got.text(), got.score)
+        text = " ".join(w for w, _ in got.words)
+        results[colors] = (stats.expanded, stats.spawned, text, got.score)
     assert results[1][0] == results[4][0]
     assert results[1][1] == results[4][1]
     assert results[1][2] == results[4][2]

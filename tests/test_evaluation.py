@@ -847,8 +847,7 @@ def test_method_comparison_in_a_workdir_keeps_its_splits(tmp_path):
 def test_calibration_pairs_shape():
     general, jargon = _tiny_models()
     utts = [Utterance("u", Path("/x.ctcl"), ("ab", "cd"), None)]
-    pairs = calibration_pairs(utts, [general, jargon], seed=1,
-                              negatives_per_word=3)
+    pairs = calibration_pairs(utts, [general, jargon], seed=1)
     positives = [p for p in pairs if p[2]]
     negatives = [p for p in pairs if not p[2]]
     assert len(positives) == 2

@@ -7,11 +7,12 @@ import pytest
 
 from colordecode.decoder import DecoderConfig, LogitsMatrix, decode
 from colordecode.lexicon import ColoredAlphabet, build_trie
-from colordecode.ngram_lm import NGramModel
+from colordecode.ngram_lm import NGramModel, merge_colored
 from colordecode.logmath import NEG_INF, logsumexp10
 from colordecode.oracle import (
     InstanceTooLarge,
     LabelTooLong,
+    RandomInstance,
     ctc_forward,
     ctc_path_sum,
     exhaustive_decode,
@@ -216,9 +217,10 @@ def test_run_verification_clean():
 
 def _kind_scorer(kind, inst, rng):
     """A ``kind`` scorer for a random instance: coloring keeps the
-    instance's colored merge, the two-model kinds get two random models
-    over the instance's words, and every kind a random config with the
-    instance's off-lexicon setting."""
+    instance's colored merge, the other kinds get the random models over
+    the instance's words that they score with, and every kind a random
+    config with the instance's off-lexicon setting. ``none`` draws the
+    models as the other kinds do, and scores with neither."""
     config = ScorerConfig(
         alpha=rng.choice([0.5, 1.0]),
         beta=rng.choice([0.0, 0.5]),
@@ -232,6 +234,8 @@ def _kind_scorer(kind, inst, rng):
     models = [random_model(rng, words), random_model(rng, words)]
     if kind in ("general", "jargon"):
         models = models[:1]
+    elif kind == "none":
+        models = []
     table = None
     if kind == "bins":
         pairs = [
@@ -251,6 +255,7 @@ def _check_against_oracle(inst, scorer, tries):
         assert got.score == NEG_INF
     else:
         assert got.score == pytest.approx(oracle.best.score, abs=1e-9, rel=0)
+    return oracle.best
 
 
 @pytest.mark.parametrize("kind", SCORER_KINDS)
@@ -264,6 +269,68 @@ def test_every_scorer_kind_agrees_with_the_oracle(kind):
         scorer = _kind_scorer(kind, inst, rng)
         for tries in (inst.tries, None):
             _check_against_oracle(inst, scorer, tries)
+
+
+def _planted_instance(rng):
+    """A small decoding problem whose likeliest labels spell two or
+    three words. The alphabet is a, b and a space separator, in one or
+    two colors; each color's lexicon holds a one-letter word and up to
+    two more words of one or two letters, with a random model over
+    them. Each frame puts most of its mass on one column of a planted
+    label: the words joined by separators, with a blank between repeated
+    characters. Labels stay within six frames, so the oracle can
+    enumerate every prefix."""
+    colors = rng.randint(1, 2)
+    alphabet = ColoredAlphabet(("a", "b", " "), colors, " ")
+    lexicons = []
+    for _ in range(colors):
+        more = rng.sample(["aa", "ab", "ba", "b"], rng.randint(0, 2))
+        lexicons.append(sorted({rng.choice("ab"), *more}))
+    tries = [build_trie(alphabet, c, lex) for c, lex in enumerate(lexicons)]
+    models = [random_model(rng, lex) for lex in lexicons]
+    while True:
+        words = [
+            rng.choice(lexicons[rng.randrange(colors)])
+            for _ in range(rng.randint(2, 3))
+        ]
+        label = []
+        for ch in " ".join(words):
+            col = alphabet.base_chars.index(ch)
+            if label and label[-1] == col:
+                label.append(alphabet.blank_index)
+            label.append(col)
+        if len(label) <= 6:
+            break
+    rows = []
+    for col in label:
+        row = [rng.random() + 1e-3 for _ in range(alphabet.num_columns)]
+        row[col] += rng.uniform(2.0, 6.0)
+        total = sum(row)
+        rows.append([v / total for v in row])
+    config = ScorerConfig(
+        unknown_word_penalty=(-10.0,) * colors,
+        unknown_subword_penalty=rng.choice([-2.0, None]),
+    )
+    merged = merge_colored((m, c) for c, m in enumerate(models))
+    logits = LogitsMatrix.from_linear(rows, columns=alphabet.num_columns)
+    return RandomInstance(logits, alphabet, tries, ColoringScorer(config, merged, colors))
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+def test_every_scorer_kind_agrees_with_the_oracle_on_multi_word_paths(kind):
+    """As above, over instances whose best transcripts mostly hold two
+    or three words, so that word histories decide the scores: with the
+    instance's tries and unconstrained, the search finds the oracle's
+    best transcript and score, and at least a third of the oracle's
+    winners hold two words or more."""
+    rng = random.Random(f"planted:{kind}")
+    winners = []
+    for _ in range(20):
+        inst = _planted_instance(rng)
+        scorer = _kind_scorer(kind, inst, rng)
+        for tries in (inst.tries, None):
+            winners.append(_check_against_oracle(inst, scorer, tries))
+    assert sum(len(best.words) >= 2 for best in winners) * 3 >= len(winners)
 
 
 def test_bayes_histories_that_differ_only_in_mass_agree_with_the_oracle():

@@ -416,6 +416,28 @@ def test_make_scorer_dispatch(two_models):
     assert isinstance(binned, InterpolationScorer) and binned.kind == "bins"
 
 
+def test_make_scorer_takes_exactly_the_models_its_kind_scores_with(two_models):
+    """A kind given more or fewer models than it scores with is refused,
+    rather than scoring with the first and ignoring the rest: a jargon
+    scorer given (general, jargon) would score with the general model."""
+    general, domain = two_models
+    cfg = ScorerConfig()
+    table = fit_bin_table([(0.5, 0.5, True)], 1)
+    for kind, models in [
+        ("none", [general]),
+        ("none", [general, domain]),
+        ("general", [general, domain]),
+        ("jargon", [general, domain]),
+        ("jargon", []),
+        ("linear", [general, domain, domain]),
+        ("bins", [general]),
+        ("bayes", [general, domain, general]),
+        ("coloring", []),
+    ]:
+        with pytest.raises(MissingModel):
+            make_scorer(kind, models, cfg, bin_table=table)
+
+
 @pytest.mark.parametrize("kind", SCORER_KINDS)
 def test_unknown_delta_is_the_word_delta_of_a_word_no_model_knows(kind):
     """A scorer's unknown delta is what ``word_delta`` gives a word none
