@@ -156,11 +156,10 @@ def _corpus_decodes():
     ]
     pairs = evaluation.calibration_pairs(references, [general, jargon])
     table = scorers.fit_bin_table(pairs, 53)
+    kind_models = _kind_models()
     for words, configs in ((lexicons, CORPUS_CONFIGS), (thinned, THINNED_CONFIGS)):
         for kind in scorers.SCORER_KINDS:
-            models = {"none": [], "general": [general], "jargon": [jargon]}.get(
-                kind, [general, jargon]
-            )
+            models = [(general, jargon)[i] for i in kind_models[kind]]
             for penalty, beta in configs:
                 config = scorers.ScorerConfig(
                     beta=beta, unknown_subword_penalty=penalty
@@ -180,7 +179,7 @@ def _corpus_decodes():
         )
         yield from _decode_set(runtime.decoder_config(), logits, sentences)
     for kind in UNCONSTRAINED_KINDS:
-        models = [general] if kind == "general" else []
+        models = [(general, jargon)[i] for i in kind_models[kind]]
         for beta in UNCONSTRAINED_BETAS:
             config = scorers.ScorerConfig(beta=beta)
             for width in CORPUS_BEAMS:
@@ -188,6 +187,20 @@ def _corpus_decodes():
                     kind, None, models, config, template, width
                 )
                 yield from _decode_set(runtime.decoder_config(), logits, sentences)
+
+
+def _kind_models():
+    """Each scorer kind's models as places in (general, jargon): the
+    package's ``KIND_MODELS``, or, in a checkout that predates that
+    table, the places its ``run_method_comparison`` picked."""
+    from colordecode import evaluation, scorers
+
+    if hasattr(scorers, "KIND_MODELS"):
+        return scorers.KIND_MODELS
+    return {
+        kind: tuple(evaluation._method_models(kind, 0, 1))
+        for kind in scorers.SCORER_KINDS
+    }
 
 
 def _with_strangers(model):

@@ -18,9 +18,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .corpus import (
     synthesize_corpus,
     write_colored_transcript,
 )
-from .decoder import DecoderConfig
+from .decoder import DEFAULT_BEAM_WIDTH, DecoderConfig
 from .evaluation import (
     GridSpec,
     _decode_file,
@@ -47,9 +47,14 @@ from .evaluation import (
 from .lexicon import ColoredAlphabet, InvalidWordChar, UnknownChar, build_trie
 from .ngram_lm import load_arpa, merge_colored, save_arpa
 from .oracle import InstanceTooLarge, run_verification
-from .scorers import SCORER_KINDS, EmptyCalibration, ScorerConfig, fit_bin_table
+from .scorers import (
+    KIND_MODELS,
+    SCORER_KINDS,
+    EmptyCalibration,
+    ScorerConfig,
+    fit_bin_table,
+)
 
-DEFAULT_BEAM_WIDTH = 64
 JOBS_ENV = "COLOR_DECODE_JOBS"
 
 
@@ -253,12 +258,12 @@ def _load_models(args) -> list:
     checks its flag combinations here, before reading any file."""
     kind = args.fusion
     count = len(args.lm)
-    if kind == "none" and count:
-        raise UsageError("--fusion none takes no --lm file")
-    if kind in ("linear", "loglinear", "bins", "bayes") and count != 2:
-        raise UsageError(f"--fusion {kind} needs exactly two --lm files")
-    if kind in ("general", "jargon") and count != 1:
-        raise UsageError(f"--fusion {kind} needs exactly one --lm file")
+    wanted = len(KIND_MODELS[kind])
+    if kind != "coloring" and count != wanted:
+        if not wanted:
+            raise UsageError(f"--fusion {kind} takes no --lm file")
+        files = ("one --lm file", "two --lm files")[wanted - 1]
+        raise UsageError(f"--fusion {kind} needs exactly {files}")
     if kind == "coloring":
         if not args.lexicon:
             raise UsageError("--fusion coloring needs --lexicon files")
@@ -430,14 +435,23 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser without prefix matching, so --beta is never read as
+    gridsearch's --betas, that takes a token starting like a negative
+    number for a value, as Python 3.13's argparse does: a comma list
+    such as -10,-10 may then follow its flag after a space."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # no prefix matching, so --beta is never read as gridsearch's --betas
-    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
-    parser = no_abbrev(
+    parser = _Parser(
         prog="colordecode",
         description="CTC beam search with lexicon-colored language model fusion",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("decode", help="decode one logits file")
     p.add_argument("logits", help="CTCL1 or JSON logits file")

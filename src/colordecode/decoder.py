@@ -147,6 +147,9 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-6
+# the beam width of a config, a runtime, a grid search and the CLI when
+# none is given
+DEFAULT_BEAM_WIDTH = 64
 # the key ``decode`` expands a frame's beams by, best first
 _EXPANSION_KEY = attrgetter("score")
 
@@ -361,7 +364,7 @@ class DecoderConfig:
     alphabet: ColoredAlphabet
     tries: Sequence[LexiconTrie] | None
     scorer: Scorer
-    beam_width: int = 64
+    beam_width: int = DEFAULT_BEAM_WIDTH
     # per state, built by _successor_entry: (count, succ, by_col,
     # walk_off), count being the number of extensions. Each extension is
     # a (col, label, extension, completes, off_trie) tuple; the label

@@ -35,11 +35,18 @@ from .corpus import (
     read_logits,
     synthesize_corpus,
 )
-from .decoder import ColoredTranscript, DecoderConfig, ShapeMismatch, decode
+from .decoder import (
+    DEFAULT_BEAM_WIDTH,
+    ColoredTranscript,
+    DecoderConfig,
+    ShapeMismatch,
+    decode,
+)
 from .lexicon import ColoredAlphabet, LexiconTrie, build_trie
 from .metrics import EvalReport, MethodResult, cer, jargon_wer, wer
 from .ngram_lm import EMPTY_STATE, NGramModel
 from .scorers import (
+    KIND_MODELS,
     BinTable,
     ColoringScorer,
     MissingBinTable,
@@ -167,7 +174,7 @@ class MethodRuntime:
     alphabet: ColoredAlphabet
     tries: list[LexiconTrie] | None
     scorer: Scorer
-    beam_width: int = 64
+    beam_width: int
 
     def decoder_config(self) -> DecoderConfig:
         return DecoderConfig(
@@ -184,7 +191,7 @@ def build_runtime(
     models: Sequence[NGramModel],
     config: ScorerConfig,
     alphabet: ColoredAlphabet,
-    beam_width: int = 64,
+    beam_width: int = DEFAULT_BEAM_WIDTH,
     bin_table: BinTable | None = None,
 ) -> MethodRuntime:
     """Assemble tries, scorer and alphabet for one method.
@@ -197,7 +204,7 @@ def build_runtime(
     template; its color count is replaced by what the method needs.
     """
     ab, tries = _build_grammar(kind, lexicons, alphabet)
-    scorer = _build_scorer(kind, models, config, ab, bin_table)
+    scorer = make_scorer(kind, models, config, bin_table, ab.num_colors)
     return MethodRuntime(ab, tries, scorer, beam_width)
 
 
@@ -224,24 +231,6 @@ def _build_grammar(
         return ab, None
     union = tuple(dict.fromkeys(w for lex in lexicons for w in lex))
     return ab, [build_trie(ab, 0, union)]
-
-
-def _build_scorer(
-    kind: str,
-    models: Sequence[NGramModel],
-    config: ScorerConfig,
-    alphabet: ColoredAlphabet,
-    bin_table: BinTable | None,
-    merged: NGramModel | None = None,
-) -> Scorer:
-    """The scorer of ``build_runtime`` over the grammar's ``alphabet``:
-    coloring scores one color per lexicon, against ``merged`` when the
-    colored merge of ``models`` is already made."""
-    if merged is not None:
-        return ColoringScorer(config, merged, alphabet.num_colors)
-    if kind == "coloring":
-        return make_scorer(kind, models, config, num_colors=alphabet.num_colors)
-    return make_scorer(kind, models, config, bin_table=bin_table)
 
 
 # the cyclic collector's generation-0 threshold in a process the package
@@ -398,7 +387,7 @@ def run_grid_search(
     models: Sequence[NGramModel],
     grid: GridSpec,
     alphabet: ColoredAlphabet,
-    beam_width: int = 64,
+    beam_width: int = DEFAULT_BEAM_WIDTH,
     jobs: int = 1,
     calibration: Sequence[tuple[float, float, bool]] | None = None,
 ) -> GridSearchResult:
@@ -443,16 +432,16 @@ def _grid_search(
     # point 0's scorer, built first, refuses a missing model or a
     # colliding colored n-gram as every point's would; the coloring
     # points then share its merged model
-    first = _build_scorer(
-        kind, models, points[0].config, ab, tables.get(points[0].num_bins)
+    first = make_scorer(
+        kind, models, points[0].config, tables.get(points[0].num_bins),
+        ab.num_colors,
     )
-    merged = first.merged if isinstance(first, ColoringScorer) else None
     base = DecoderConfig(ab, tries, first, beam_width)
     configs = [base] + [
         base.with_scorer(
-            _build_scorer(
-                kind, models, point.config, ab, tables.get(point.num_bins), merged
-            )
+            ColoringScorer(point.config, first.merged, first.num_colors)
+            if kind == "coloring"
+            else make_scorer(kind, models, point.config, tables.get(point.num_bins))
         )
         for point in points[1:]
     ]
@@ -478,16 +467,6 @@ COMPARISON_GRID = GridSpec(
     subword_penalties=(0.0, -3.0),
     bin_counts=(53,),
 )
-
-
-def _method_models(kind: str, general: NGramModel, jargon: NGramModel):
-    if kind == "none":
-        return []
-    if kind == "general":
-        return [general]
-    if kind == "jargon":
-        return [jargon]
-    return [general, jargon]
 
 
 def run_method_comparison(
@@ -544,7 +523,7 @@ def run_method_comparison(
         tuned: dict[str, DecoderConfig] = {}
         # a repeated kind is searched once and reported once per entry
         for kind in dict.fromkeys(kinds):
-            models = _method_models(kind, general, jargon)
+            models = [(general, jargon)[i] for i in KIND_MODELS[kind]]
             calibration = None
             if kind == "bins":
                 calibration = calibration_pairs(val_utts, models, seed=language_seed)

@@ -134,11 +134,11 @@ def build_trie(
             raise InvalidWordChar(f"word {word!r} contains the separator")
         node = trie.root
         for char in word:
-            if char not in alphabet._index:
+            col = alphabet._index.get(char)
+            if col is None:
                 raise InvalidWordChar(
                     f"word {word!r} contains {char!r} outside the alphabet"
                 )
-            col = alphabet.char_column(char)
             node = node.children.setdefault(col, TrieNode())
         node.word = word
         held.add(word)

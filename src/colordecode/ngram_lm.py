@@ -25,12 +25,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "MalformedArpa",
     "DuplicateColoredToken",
-    "LmState",
     "EMPTY_STATE",
     "NGramModel",
     "DEFAULT_OOV_LOG10",
@@ -66,18 +65,9 @@ def color_token(word: str, color: int) -> str:
     return f"{color}:{word}"
 
 
-class LmState(NamedTuple):
-    """Scoring context: the most recent words, oldest first.
-
-    The tuple never exceeds ``max_order - 1`` words for the model that
-    produced it. States are plain values so they can be shared freely
-    between decoder hypotheses.
-    """
-
-    context: tuple[str, ...]
-
-
-EMPTY_STATE = LmState(())
+# a scoring context is the tuple of the most recent words, oldest first,
+# never more than ``max_order - 1`` of them for the model that made it
+EMPTY_STATE: tuple[str, ...] = ()
 
 
 @dataclass
@@ -103,20 +93,19 @@ class NGramModel:
         """All tokens with a unigram entry."""
         return {key[0] for key in self.entries if len(key) == 1}
 
-    def advance(self, state: LmState, word: str) -> LmState:
+    def advance(self, state: tuple[str, ...], word: str) -> tuple[str, ...]:
         """Append a word to the context, truncating to what the model can use."""
-        context = state.context + (word,)
         keep = self.max_order - 1
         if keep <= 0:
             return EMPTY_STATE
-        return LmState(context[-keep:])
+        return (state + (word,))[-keep:]
 
     def score_word(
         self,
-        state: LmState,
+        state: tuple[str, ...],
         word: str,
         oov_log10: float = DEFAULT_OOV_LOG10,
-    ) -> tuple[float, LmState]:
+    ) -> tuple[float, tuple[str, ...]]:
         """Score one word after ``state`` and return (log10 prob, next state).
 
         Unknown words (no unigram entry) receive ``oov_log10`` with no
@@ -127,7 +116,7 @@ class NGramModel:
         if (word,) not in self.entries:
             return oov_log10, next_state
 
-        context = state.context
+        context = state
         if len(context) > self.max_order - 1:
             context = context[len(context) - (self.max_order - 1):]
         penalty = 0.0

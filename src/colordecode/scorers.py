@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .logmath import NEG_INF, logaddexp10, logsumexp10
-from .ngram_lm import EMPTY_STATE, LmState, NGramModel, color_token, merge_colored
+from .ngram_lm import EMPTY_STATE, NGramModel, color_token, merge_colored
 
 __all__ = [
     "MissingModel",
@@ -60,19 +60,23 @@ __all__ = [
     "InterpolationScorer",
     "BayesScorer",
     "make_scorer",
+    "KIND_MODELS",
     "SCORER_KINDS",
 ]
 
-SCORER_KINDS = (
-    "coloring",
-    "linear",
-    "loglinear",
-    "bins",
-    "bayes",
-    "general",
-    "jargon",
-    "none",
-)
+# the models each kind scores with, as places in (general, jargon);
+# coloring takes one model per color, and (0, 1) is its two-lexicon case
+KIND_MODELS = {
+    "coloring": (0, 1),
+    "linear": (0, 1),
+    "loglinear": (0, 1),
+    "bins": (0, 1),
+    "bayes": (0, 1),
+    "general": (0,),
+    "jargon": (1,),
+    "none": (),
+}
+SCORER_KINDS = tuple(KIND_MODELS)
 
 
 class MissingModel(ValueError):
@@ -195,23 +199,23 @@ class BinTable:
     j_range: tuple[float, float]
     cells: tuple[tuple[float | None, ...], ...]
 
-    def _index(self, value: float, lo: float, hi: float) -> int:
-        if hi <= lo:
-            return 0
-        if value <= lo:
-            return 0
-        if value >= hi:
-            return self.num_bins - 1
-        idx = int((value - lo) / (hi - lo) * self.num_bins)
-        return min(idx, self.num_bins - 1)
-
     def lookup(self, lg: float, lj: float) -> float:
-        gi = self._index(lg, *self.g_range)
-        ji = self._index(lj, *self.j_range)
+        gi = _bin_index(lg, self.g_range, self.num_bins)
+        ji = _bin_index(lj, self.j_range, self.num_bins)
         cell = self.cells[gi][ji]
         if cell is not None:
             return cell
         return _combine_linear_log10(lg, lj, 0.5)
+
+
+def _bin_index(value: float, value_range: tuple[float, float], num_bins: int) -> int:
+    """The equal-width bin of ``value`` over ``value_range``, clamped."""
+    lo, hi = value_range
+    if hi <= lo or value <= lo:
+        return 0
+    if value >= hi:
+        return num_bins - 1
+    return min(int((value - lo) / (hi - lo) * num_bins), num_bins - 1)
 
 
 _ZERO_FLOOR = -99.0
@@ -243,10 +247,9 @@ def fit_bin_table(
 
     counts = [[0] * num_bins for _ in range(num_bins)]
     hits = [[0] * num_bins for _ in range(num_bins)]
-    probe = BinTable(num_bins, g_range, j_range, ())
     for g, j, hit in logs:
-        gi = probe._index(g, *g_range)
-        ji = probe._index(j, *j_range)
+        gi = _bin_index(g, g_range, num_bins)
+        ji = _bin_index(j, j_range, num_bins)
         counts[gi][ji] += 1
         if hit:
             hits[gi][ji] += 1
@@ -315,10 +318,10 @@ class SingleLmScorer(Scorer):
         self.model = model
         self.model_color = model_color
 
-    def initial_state(self) -> LmState:
+    def initial_state(self) -> tuple[str, ...]:
         return EMPTY_STATE
 
-    def word_delta(self, state: LmState, word: str, color: int):
+    def word_delta(self, state: tuple[str, ...], word: str, color: int):
         lp, nxt = self.model.score_word(
             state, word, oov_log10=self.config.penalty(self.model_color)
         )
@@ -353,14 +356,14 @@ class ColoringScorer(Scorer):
         self.num_colors = num_colors
         self.log_prior = math.log10(1.0 / num_colors)
 
-    def initial_state(self) -> LmState:
+    def initial_state(self) -> tuple[str, ...]:
         return EMPTY_STATE
 
     def _check_color(self, color: int) -> None:
         if not 0 <= color < self.num_colors:
             raise ValueError(f"color {color} out of range")
 
-    def word_delta(self, state: LmState, word: str, color: int):
+    def word_delta(self, state: tuple[str, ...], word: str, color: int):
         self._check_color(color)
         token = color_token(word, color)
         lp, nxt = self.merged.score_word(
@@ -411,10 +414,10 @@ class InterpolationScorer(Scorer):
         self.kind = kind
         self.bin_table = bin_table
 
-    def initial_state(self) -> tuple[LmState, LmState]:
+    def initial_state(self) -> tuple[tuple, tuple]:
         return (EMPTY_STATE, EMPTY_STATE)
 
-    def word_delta(self, state: tuple[LmState, LmState], word: str, color: int):
+    def word_delta(self, state: tuple[tuple, tuple], word: str, color: int):
         st_g, st_j = state
         lg, ng = self.general.score_word(st_g, word, oov_log10=self.config.penalty(0))
         lj, nj = self.domain.score_word(st_j, word, oov_log10=self.config.penalty(1))
@@ -452,7 +455,7 @@ class BayesScorer(Scorer):
         self.general = general
         self.domain = domain
 
-    def initial_state(self) -> tuple[LmState, LmState, float, float]:
+    def initial_state(self) -> tuple[tuple, tuple, float, float]:
         return (EMPTY_STATE, EMPTY_STATE, 0.0, 0.0)
 
     def word_delta(self, state, word: str, color: int):
@@ -474,11 +477,10 @@ def make_scorer(
     """Build a scorer by kind name.
 
     ``coloring`` merges the given models (one per color) internally;
-    ``linear``/``loglinear``/``bins``/``bayes`` take exactly (general,
-    domain); ``general``/``jargon`` take exactly their one model;
-    ``none`` takes none. Any other model count is refused.
+    every other kind takes exactly the models ``KIND_MODELS`` gives it,
+    in that order. Any other model count is refused.
     """
-    if kind not in SCORER_KINDS:
+    if kind not in KIND_MODELS:
         raise ValueError(f"unknown scorer kind {kind!r}")
     if kind == "coloring":
         n = num_colors if num_colors is not None else len(models)
@@ -488,15 +490,15 @@ def make_scorer(
             )
         merged = merge_colored((m, c) for c, m in enumerate(models))
         return ColoringScorer(config, merged, n)
-    wanted = {"none": 0, "general": 1, "jargon": 1}.get(kind, 2)
-    if len(models) != wanted:
+    places = KIND_MODELS[kind]
+    if len(models) != len(places):
         raise MissingModel(
-            f"scorer kind {kind!r} takes {wanted} models, not {len(models)}"
+            f"scorer kind {kind!r} takes {len(places)} models, not {len(models)}"
         )
-    if kind == "none":
+    if not places:
         return NullScorer(config)
-    if kind in ("general", "jargon"):
-        return SingleLmScorer(config, models[0], model_color=int(kind == "jargon"))
+    if len(places) == 1:
+        return SingleLmScorer(config, models[0], model_color=places[0])
     general, domain = models
     if kind == "bayes":
         return BayesScorer(config, general, domain)

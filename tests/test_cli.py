@@ -20,6 +20,14 @@ from colordecode import cli, evaluation
 from colordecode.corpus import MAGIC
 from colordecode.ngram_lm import NGramModel, load_arpa, save_arpa
 from colordecode.oracle import VerificationReport
+from colordecode.scorers import (
+    KIND_MODELS,
+    SCORER_KINDS,
+    MissingModel,
+    ScorerConfig,
+    fit_bin_table,
+    make_scorer,
+)
 
 LOG10_HALF = math.log10(0.5)
 
@@ -554,7 +562,7 @@ def test_gridsearch_rejects_non_finite_penalties(
     monkeypatch.setattr(
         evaluation, "decode_utterances", lambda *a, **k: pytest.fail("decoded")
     )
-    models = ["general.arpa"] if fusion == "general" else ["general.arpa", "jargon.arpa"]
+    models = [("general.arpa", "jargon.arpa")[i] for i in KIND_MODELS[fusion]]
     argv = [
         "gridsearch",
         str(synth_dir / "manifest.jsonl"),
@@ -1528,6 +1536,77 @@ def test_flag_combinations_are_refused_before_any_file_is_read(
     assert out == ""
     assert "Traceback" not in err
     assert err == f"error: {message}\n"
+
+
+def _takes_models(kind, count):
+    """Whether ``make_scorer`` builds a ``kind`` scorer from ``count``
+    models."""
+    model = NGramModel(max_order=1, entries={("a",): (0.0, None)})
+    table = fit_bin_table([(0.5, 0.5, True)], 1)
+    try:
+        make_scorer(kind, [model] * count, ScorerConfig(), bin_table=table)
+    except MissingModel:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("count", range(4))
+@pytest.mark.parametrize("kind", [k for k in SCORER_KINDS if k != "coloring"])
+def test_decode_refuses_an_lm_count_exactly_when_make_scorer_does(
+    kind, count, capsys, monkeypatch
+):
+    """The CLI checks the ``--lm`` count against the same table the
+    library does: ``decode`` exits 2 before reading any file exactly
+    when ``make_scorer`` refuses that many models for the kind, and
+    otherwise goes on to read its files."""
+    reads = []
+
+    def read(*args, **kwargs):
+        reads.append(args)
+        raise OSError("read a file")
+
+    for name in ("load_arpa", "read_lexicon", "read_manifest", "_decode_file"):
+        monkeypatch.setattr(cli, name, read)
+    argv = ["decode", f"{NOWHERE}.ctcl", "--fusion", kind,
+            "--calibration-manifest", f"{NOWHERE}.jsonl",
+            *["--lm", f"{NOWHERE}.arpa"] * count]
+    rc, out, err = run_cli(argv, capsys)
+    if _takes_models(kind, count):
+        assert (rc, err) == (1, "error: read a file\n") and reads
+    else:
+        assert rc == 2 and not reads
+        assert err.startswith(f"error: --fusion {kind} ") and "--lm file" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, dest, value, expected",
+    [
+        ("decode", "--unk-word-penalty", "unk_word_penalty", "-10,-10", [-10.0, -10.0]),
+        ("eval", "--unk-word-penalty", "unk_word_penalty", "-10,-20.5", [-10.0, -20.5]),
+        ("gridsearch", "--alphas", "alphas", "-0.5,1", [-0.5, 1.0]),
+        ("gridsearch", "--betas", "betas", "-1.5,0", [-1.5, 0.0]),
+        ("gridsearch", "--word-penalties", "word_penalties", "-10,-50", [-10.0, -50.0]),
+        ("gridsearch", "--subword-penalties", "subword_penalties", "-3,-1", [-3.0, -1.0]),
+        ("gridsearch", "--lambdas", "lams", "0.25,0.75", [0.25, 0.75]),
+        ("gridsearch", "--bin-counts", "bin_counts", "4,9", [4, 9]),
+    ],
+    ids=[
+        "decode-unk-word-penalty", "eval-unk-word-penalty", "alphas", "betas",
+        "word-penalties", "subword-penalties", "lambdas", "bin-counts",
+    ],
+)
+def test_a_list_flag_parses_alike_after_a_space_and_after_an_equals_sign(
+    command, flag, dest, value, expected
+):
+    """A comma list parses to the same values after a space as after
+    ``=``, also when its first value is negative: argparse used to take
+    ``-10,-10`` for an option and refuse the flag as missing its
+    argument."""
+    parser = cli.build_parser()
+    source = "x.ctcl" if command == "decode" else "m.jsonl"
+    spaced = parser.parse_args([command, source, flag, value])
+    joined = parser.parse_args([command, source, f"{flag}={value}"])
+    assert getattr(spaced, dest) == getattr(joined, dest) == expected
 
 
 def test_gridsearch_bins_calibrates_on_the_manifest_it_read(

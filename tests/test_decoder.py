@@ -27,6 +27,7 @@ from colordecode.logmath import NEG_INF, logaddexp10, logsumexp10
 from colordecode.ngram_lm import NGramModel, merge_colored
 from colordecode.oracle import ctc_path_sum, exhaustive_decode, random_instance
 from colordecode.scorers import (
+    KIND_MODELS,
     SCORER_KINDS,
     BinTable,
     ColoringScorer,
@@ -1301,13 +1302,11 @@ def _scorer_of_kind(kind, models, config):
     domain model."""
     if kind == "coloring":
         return make_scorer(kind, models, config)
-    if kind == "none":
-        return make_scorer(kind, [], config)
-    general, domain = models[0], models[-1]
-    if kind in ("general", "jargon"):
-        return make_scorer(kind, [domain if kind == "jargon" else general], config)
+    general_domain = (models[0], models[-1])
     table = BinTable(2, (-3.0, 0.0), (-3.0, 0.0), ((-0.5, None), (-1.0, -0.2)))
-    return make_scorer(kind, [general, domain], config, bin_table=table)
+    return make_scorer(
+        kind, [general_domain[i] for i in KIND_MODELS[kind]], config, bin_table=table
+    )
 
 
 @pytest.mark.parametrize("kind", SCORER_KINDS)

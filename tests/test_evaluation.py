@@ -310,33 +310,39 @@ def test_grid_search_builds_every_point_before_the_first_decode(
     small_corpus, monkeypatch
 ):
     """On the default 500-point coloring grid each point's scorer is
-    built once, and all of them before the first decode; every point
-    decodes over one set of tries, built once."""
+    built once, and all of them before the first decode: the first point's
+    by ``make_scorer``, the others' over its merge; every point decodes
+    over one set of tries, built once."""
     utts, lang = small_corpus
     lexicons, models = _coloring_inputs(lang)
-    real_build = evaluation._build_scorer
     real_decode = evaluation.decode
     built = []
     tries = []
 
-    def build(*args, **kwargs):
-        assert not tries, f"scorer {len(built)} built after a decode"
-        built.append(1)
-        return real_build(*args, **kwargs)
+    def spy(name):
+        real = getattr(evaluation, name)
+
+        def build(*args, **kwargs):
+            assert not tries, f"scorer {len(built)} built after a decode"
+            built.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, build)
 
     def decode(logits, config):
         if not tries or config.tries is not tries[-1]:
             tries.append(config.tries)
         return real_decode(logits, config)
 
-    monkeypatch.setattr(evaluation, "_build_scorer", build)
+    spy("make_scorer")
+    spy("ColoringScorer")
     monkeypatch.setattr(evaluation, "decode", decode)
     grid = GridSpec()
     result = run_grid_search("coloring", utts[:1], lexicons, models, grid,
                              default_alphabet(2), beam_width=2)
     points = _size(grid, "coloring")
     assert len(result.rows) == points == 500
-    assert len(built) == points
+    assert built == ["make_scorer"] + ["ColoringScorer"] * (points - 1)
     assert len(tries) == 1 and len(tries[0]) == 2
 
 
@@ -653,7 +659,7 @@ def test_an_empty_corpus_is_refused_before_any_runtime_is_built(monkeypatch):
     cfg = build_runtime(
         "none", [["ab", "cd"]], [], ScorerConfig(), default_alphabet(1)
     ).decoder_config()
-    for name in ("build_runtime", "_build_grammar", "_build_scorer"):
+    for name in ("build_runtime", "_build_grammar", "make_scorer", "ColoringScorer"):
         monkeypatch.setattr(evaluation, name, lambda *a, **k: pytest.fail("built"))
     with pytest.raises(ValueError, match="manifest has no utterances"):
         evaluate("unit", [], [("none", cfg)])

@@ -9,7 +9,6 @@ from colordecode.ngram_lm import (
     DEFAULT_OOV_LOG10,
     EMPTY_STATE,
     DuplicateColoredToken,
-    LmState,
     MalformedArpa,
     NGramModel,
     color_token,
@@ -45,44 +44,44 @@ def backoff_model() -> NGramModel:
 
 
 def test_direct_hit(backoff_model):
-    lp, state = backoff_model.score_word(LmState(("a",)), "a")
+    lp, state = backoff_model.score_word(("a",), "a")
     assert lp == -0.3
-    assert state == LmState(("a",))
+    assert state == ("a",)
 
 
 def test_backoff_path(backoff_model):
     # P(b | a) backs off: backoff(a) + P(b) = -0.2 + -0.5 = -0.7
-    lp, state = backoff_model.score_word(LmState(("a",)), "b")
+    lp, state = backoff_model.score_word(("a",), "b")
     assert lp == pytest.approx(-0.7, abs=1e-12)
-    assert state == LmState(("b",))
+    assert state == ("b",)
 
 
 def test_backoff_from_context_without_entry(backoff_model):
     # ("b", "a") missing; backoff(b) + P(a) = -0.5 + -1.0 = -1.5
-    lp, _ = backoff_model.score_word(LmState(("b",)), "a")
+    lp, _ = backoff_model.score_word(("b",), "a")
     assert lp == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_empty_context_unigram(backoff_model):
     lp, state = backoff_model.score_word(EMPTY_STATE, "a")
     assert lp == -1.0
-    assert state == LmState(("a",))
+    assert state == ("a",)
 
 
 def test_oov_penalty(backoff_model):
-    lp, state = backoff_model.score_word(LmState(("a",)), "zzz")
+    lp, state = backoff_model.score_word(("a",), "zzz")
     assert lp == DEFAULT_OOV_LOG10
     lp2, _ = backoff_model.score_word(EMPTY_STATE, "zzz", oov_log10=-42.0)
     assert lp2 == -42.0
     # OOV words still advance the context window.
-    assert state == LmState(("zzz",))
+    assert state == ("zzz",)
 
 
 def test_context_truncated_to_order(backoff_model):
-    long_state = LmState(("x", "y", "a"))
+    long_state = ("x", "y", "a")
     lp, state = backoff_model.score_word(long_state, "a")
     assert lp == -0.3  # only the last (order-1) tokens matter
-    assert state.context == ("a",)
+    assert state == ("a",)
 
 
 def test_advance_truncates():
@@ -90,7 +89,7 @@ def test_advance_truncates():
     state = EMPTY_STATE
     for tok in ["a", "b", "c", "d"]:
         state = model.advance(state, tok)
-    assert state.context == ("c", "d")
+    assert state == ("c", "d")
 
 
 def test_score_word_chain(backoff_model):
@@ -140,7 +139,7 @@ def _random_trigram_model(rng: random.Random) -> NGramModel:
 
 
 def test_incremental_state_matches_full_history_walk():
-    """Threaded LmState scoring equals scoring from the raw history, for
+    """Threaded context scoring equals scoring from the raw history, for
     every history up to depth 5 over a random trigram model."""
     rng = random.Random(7)
     for _ in range(5):

@@ -20,6 +20,7 @@ from colordecode.oracle import (
     run_verification,
 )
 from colordecode.scorers import (
+    KIND_MODELS,
     SCORER_KINDS,
     BayesScorer,
     ColoringScorer,
@@ -231,11 +232,8 @@ def _kind_scorer(kind, inst, rng):
     if kind == "coloring":
         return ColoringScorer(config, inst.scorer.merged, inst.alphabet.num_colors)
     words = sorted(set().union(*(trie_words(t) for t in inst.tries)))
-    models = [random_model(rng, words), random_model(rng, words)]
-    if kind in ("general", "jargon"):
-        models = models[:1]
-    elif kind == "none":
-        models = []
+    drawn = (random_model(rng, words), random_model(rng, words))
+    models = [drawn[i] for i in KIND_MODELS[kind]]
     table = None
     if kind == "bins":
         pairs = [

@@ -15,6 +15,7 @@ from colordecode.scorers import (
     ColoringScorer,
     EmptyCalibration,
     InterpolationScorer,
+    KIND_MODELS,
     MissingBinTable,
     SCORER_KINDS,
     MissingModel,
@@ -282,14 +283,14 @@ def test_coloring_scorer_spec_fixture():
     delta, state = scorer.word_delta(scorer.initial_state(), "fever", 1)
     assert delta == pytest.approx(math.log10(0.5) - 2.0, abs=1e-12)
     # A unigram merged model keeps no context.
-    assert state.context == ()
+    assert state == ()
     bigram = NGramModel(
         max_order=2,
         entries={("1:fever",): (-2.0, None), ("1:fever", "1:fever"): (-0.5, None)},
     )
     scorer2 = ColoringScorer(ScorerConfig(), bigram, num_colors=2)
     _, state2 = scorer2.word_delta(scorer2.initial_state(), "fever", 1)
-    assert state2.context == ("1:fever",)
+    assert state2 == ("1:fever",)
 
 
 def test_coloring_scorer_rejects_out_of_range_color():
@@ -460,9 +461,7 @@ def test_unknown_delta_is_the_word_delta_of_a_word_no_model_knows(kind):
         alpha=0.7, beta=0.3, unknown_word_penalty=(-7.3, -11.1), lam=0.35
     )
     table = fit_bin_table([(0.3, 0.6, True), (1e-8, 0.4, False)], 3)
-    models = {"none": [], "general": [general], "jargon": [domain]}.get(
-        kind, [general, domain]
-    )
+    models = [(general, domain)[i] for i in KIND_MODELS[kind]]
     scorer = make_scorer(kind, models, config, bin_table=table)
     known = {
         "coloring": [{"x", "y"}, {"y", "z"}],
