@@ -4,16 +4,18 @@ checkout.
 
 Decodes one fixed set of inputs with the ``colordecode`` package of this
 working tree and with the one under ``--base DIR``, each in its own
-interpreter, and hashes ``repr`` of every transcript, error-rate triple
-and grid search outcome, in order, into one SHA-256 per tree. Prints
-both digests and exits 1 if they differ. Both sides are decoded on
-every run; no output is stored.
+interpreter, and hashes ``repr`` of every transcript, ``DecodeStats``,
+error-rate triple and grid search outcome, in order, into one SHA-256
+per tree. Prints both digests and exits 1 if they differ. Both sides
+are decoded on every run; no output is stored.
 
 The decode set:
 
 - 4,000 ``oracle.random_instance(max_frames=6, max_words=4)`` problems,
   each decoded at beams 1, 2, 3 and 50; every fifth is decoded
-  unconstrained (``tries=None``);
+  unconstrained (``tries=None``); after each transcript, its decode's
+  ``DecodeStats`` (beams expanded and extensions spawned per frame), so
+  the search's effort is held to the base bit for bit as well;
 - every ``SCORER_KINDS`` entry on a synthetic corpus of language seed 1,
   at beams 4, 16 and 64, with off-lexicon spelling off and with subword
   penalties 0, -3 and +1 (an off-lexicon character then scores above an
@@ -119,7 +121,7 @@ def _corpus_spec():
 
 
 def _random_decodes():
-    from colordecode.decoder import DecoderConfig, decode
+    from colordecode.decoder import DecodeStats, DecoderConfig, decode
     from colordecode.oracle import random_instance
 
     rng = random.Random(2024)
@@ -128,7 +130,9 @@ def _random_decodes():
         tries = None if i % 5 == 4 else inst.tries
         for width in RANDOM_BEAMS:
             config = DecoderConfig(inst.alphabet, tries, inst.scorer, width)
-            yield decode(inst.logits, config)
+            stats = DecodeStats()
+            yield decode(inst.logits, config, stats)
+            yield stats
 
 
 def _corpus_decodes():

@@ -438,12 +438,12 @@ def cmd_verify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """A parser without prefix matching, so --beta is never read as
     gridsearch's --betas, that takes a token starting like a negative
-    number for a value, as Python 3.13's argparse does: a comma list
-    such as -10,-10 may then follow its flag after a space."""
+    number, -inf or -nan (any case) for a value: -10,-10 may then follow
+    its flag after a space, and -inf is refused as not finite."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
 
 
 def build_parser() -> argparse.ArgumentParser:

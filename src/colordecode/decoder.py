@@ -39,9 +39,9 @@ state, and a node keeps its state's entry from its first expansion on,
 so a beam that stays for many frames looks it up once. From the frame's
 first wide beam on, a min-heap holds the largest ``beam_width`` lower
 bounds found so far on the final scores of distinct candidates: each
-expanded beam's larger stay mass plus its text score, and every fresh
-child accepted since. Once the heap is full its least element, the
-floor, is at most the cutoff.
+expanded beam's larger next mass so far plus its text score (a merge
+only raises it), and every fresh child accepted since. Once the heap
+is full its least element, the floor, is at most the cutoff.
 
 Every beam, narrow or wide, runs one loop over its directly scored
 extensions: a live child takes the extension's mass, a fresh child
@@ -74,11 +74,12 @@ of all frame paths ending in blank (``p_blank``) and in the prefix's
 last character (``p_nonblank``), and its score, acoustic mass times
 text score, set once the masses are final. A frame sums the next masses
 in two more slots of the node (``next_b``, ``next_nb``), as it still
-reads the current ones; the node records the frame that last wrote
-them, so a frame's first write starts them and a second one adds to
-them, and the frame lists the nodes it wrote in first-touch order. When
-the frame ends each listed node takes its next masses and is scored
-once; a built child is scored by the score it was ranked by.
+reads the current ones. It writes every beam's stay there first, then
+extends: an extension adds to a beam's stay and starts the masses of
+any other live child, recording the frame on it. The frame lists the
+beams, then those other children; when it ends each listed node takes
+its next masses and is scored once; a built child is scored by the
+score it was ranked by.
 
 Each frame expands the set of the ``beam_width`` best beams, selected,
 not sorted, at the end of the frame before: when more candidates tie at
@@ -90,8 +91,8 @@ next beam become nodes, and ``get_best_beams`` then receives no more
 than ``beam_width`` beams. The selected beams are expanded best first,
 so that a wide beam starts the floor high, but the order changes no bit
 of the result. A prefix's masses for the next frame get at most two
-contributions, its own stay and its one parent's extension, and
-``logaddexp10`` is symmetric bit for bit. The cutoff is the
+contributions, its own stay, always written first, and its one parent's
+extension. The cutoff is the
 ``beam_width``-th best of a multiset, and the floor skips only
 candidates strictly below it, however the floor rose, so the same
 candidates survive. Finishing takes the minimum over a strict total
@@ -131,7 +132,7 @@ from .lexicon import (
     finish_word,
     word_successors,
 )
-from .logmath import LN10, NEG_INF, logaddexp10
+from .logmath import LN10, NEG_INF
 from .scorers import Scorer
 
 __all__ = [
@@ -280,8 +281,9 @@ class Prefix:
     node with it, if one was made. A beam also holds its masses
     ``p_blank`` and ``p_nonblank``, their sum ``total`` and its
     ``score``, ``total`` plus ``p_text``, which ``decode`` sets; it sums
-    its masses for the next frame in ``next_b`` and ``next_nb``, written
-    last in frame ``frame`` (-1 before any).
+    its masses for the next frame in ``next_b`` and ``next_nb``, a beam's
+    stay first and its parent's extension then, in frame ``frame`` (-1
+    before any).
     ``entry`` is the successor table entry of the word state, None
     until the node is first expanded. ``spelling`` is None until
     ``_spelling`` first reads the pending word of this in-word node.
@@ -624,13 +626,18 @@ def decode(
         # the best beam first, so that a wide one starts the floor high
         best.sort(key=_EXPANSION_KEY, reverse=True)
 
-        # the nodes whose next masses this frame wrote, in first-touch
-        # order; each live prefix has one node
-        touched: list[Prefix] = []
+        # stays first (blank, or the last character repeated within one
+        # CTC segment), so an extension only adds to a beam's masses
+        for node in best:
+            node.frame = t
+            node.next_b = node.total + row[blank]
+            node.next_nb = node.p_nonblank + row[node.col] if node.depth else NEG_INF
+        # the nodes this frame writes: the beams, then the other live
+        # children the extensions reach; each live prefix has one node
+        touched = best.copy()
         # children with no live node, scored but not yet built:
         # (score, mass, parent, extension, label, p_text, word, scorer state)
         fresh: list[tuple] = []
-        spawned = 0
         # Lower bounds on the final scores of distinct candidates, a
         # min-heap of the beam_width largest, started by the frame's
         # first wide beam. Once full, its least element is a floor that
@@ -643,19 +650,6 @@ def decode(
             p_blank = node.p_blank
             total = node.total
 
-            # stay: emit blank, or repeat the last character within one
-            # CTC segment
-            stay_blank = total + row[blank]
-            stay_nonblank = node.p_nonblank + row[last] if node.depth else NEG_INF
-            if node.frame != t:
-                node.frame = t
-                node.next_b = stay_blank
-                node.next_nb = stay_nonblank
-                touched.append(node)
-            else:
-                node.next_b = logaddexp10(node.next_b, stay_blank)
-                node.next_nb = logaddexp10(node.next_nb, stay_nonblank)
-
             children = node.children
             entry = node.entry
             if entry is None:
@@ -666,8 +660,7 @@ def decode(
                         alphabet, tries, state, allow_off
                     )
                 node.entry = entry
-            count, succ, by_col, walk_off = entry
-            spawned += count
+            _count, succ, by_col, walk_off = entry
             p_text = node.p_text
             # read only by off-trie children, which need off-lexicon spelling
             off_text = p_text + subword_penalty if allow_off else p_text
@@ -678,16 +671,9 @@ def decode(
                     if ranked is None:
                         ranked = logits.ranked_columns()
                     columns = ranked[t].tolist()
-                    # a beam's final score is at least its larger stay
-                    # mass plus its text score
-                    bounds = []
-                    for o in best:
-                        stay = o.total + row[blank]
-                        if o.depth:
-                            repeat = o.p_nonblank + row[o.col]
-                            if repeat > stay:
-                                stay = repeat
-                        bounds.append(stay + o.p_text)
+                    # a beam's final score is at least its larger next
+                    # mass so far plus its text score
+                    bounds = [max(o.next_b, o.next_nb) + o.p_text for o in best]
                     heapq.heapify(bounds)
                     if len(bounds) == beam_width:
                         floor = bounds[0]
@@ -706,8 +692,15 @@ def decode(
                         child.next_b = NEG_INF
                         child.next_nb = mass
                         touched.append(child)
+                        continue
+                    # a beam: add to its stay, ``logaddexp10`` written out
+                    stay = child.next_nb
+                    if stay == NEG_INF:
+                        child.next_nb = mass
+                    elif stay < mass:
+                        child.next_nb = mass + log1p(10.0 ** (stay - mass)) / LN10
                     else:
-                        child.next_nb = logaddexp10(child.next_nb, mass)
+                        child.next_nb = stay + log1p(10.0 ** (mass - stay)) / LN10
 
             # A wide state scores its completing children (a word delta
             # may be positive) and on-trie ones beside off-trie ones here.
@@ -721,14 +714,21 @@ def decode(
                     ref = children.get(label)
                     child = None if ref is None else ref()
                     if child is not None:
-                        if by_col is None:
-                            if child.frame != t:
-                                child.frame = t
-                                child.next_b = NEG_INF
-                                child.next_nb = mass
-                                touched.append(child)
-                            else:
-                                child.next_nb = logaddexp10(child.next_nb, mass)
+                        if by_col is not None:
+                            continue
+                        if child.frame != t:
+                            child.frame = t
+                            child.next_b = NEG_INF
+                            child.next_nb = mass
+                            touched.append(child)
+                            continue
+                        stay = child.next_nb
+                        if stay == NEG_INF:
+                            child.next_nb = mass
+                        elif stay < mass:
+                            child.next_nb = mass + log1p(10.0 ** (stay - mass)) / LN10
+                        else:
+                            child.next_nb = stay + log1p(10.0 ** (mass - stay)) / LN10
                         continue
                 # No live node: its parent is expanded once per frame and
                 # a state's labels are distinct, so this is the child's
@@ -796,7 +796,7 @@ def decode(
 
         if stats is not None:
             stats.expanded.append(len(best))
-            stats.spawned.append(spawned)
+            stats.spawned.append(sum(node.entry[0] for node in best))
         # the masses are final: each beam is scored once, as they are
         # set, with ``logaddexp10`` written out
         for node in touched:

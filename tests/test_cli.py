@@ -552,6 +552,8 @@ def test_gridsearch_rejects_an_empty_grid_list(synth_dir, grid, capsys):
         ("coloring", ["--word-penalties", "-10", "--subword-penalties=-inf"]),
         ("linear", ["--word-penalties", "nan"]),
         ("general", ["--word-penalties=-10,inf"]),
+        ("coloring", ["--word-penalties", "-10", "--subword-penalties", "-inf"]),
+        ("general", ["--word-penalties", "-NAN,-10"]),
     ],
 )
 def test_gridsearch_rejects_non_finite_penalties(
@@ -743,11 +745,17 @@ def test_decode_refuses_an_alphabet_it_cannot_build(tmp_path, flags, message, ca
         ["--unk-subword-penalty=-inf"],
         ["--unk-word-penalty=-10,nan"],
         ["--unk-word-penalty=inf"],
+        ["--unk-subword-penalty", "-inf"],
+        ["--unk-subword-penalty", "-Infinity"],
+        ["--unk-word-penalty", "-NaN"],
+        ["--unk-word-penalty", "-inf,-10"],
     ],
 )
 def test_decode_rejects_non_finite_penalties(tiny_setup, flag, capsys):
     """``--unk-subword-penalty nan`` used to print ``score nan`` and a
-    garbage transcript with exit 0; it is a usage error naming the flag."""
+    garbage transcript with exit 0; it is a usage error naming the flag.
+    A negative non-finite value after a space is read as the flag's
+    value and refused so, not as a missing value."""
     argv = [
         "decode",
         tiny_setup["logits"],
