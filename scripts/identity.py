@@ -63,7 +63,13 @@ The decode set:
 - the message and line of ``parse_arpa``'s error, if any, over 400
   edits of the random model's text, each replacing or dropping one
   line (a bad or NaN or infinite float, a wrong field count, a stray
-  header, a duplicate line, a renamed token).
+  header, a duplicate line, a renamed token);
+- every ``SCORER_KINDS`` entry's ``GridSpec.points`` and each point's
+  ``describe`` dict, over four grids: the default grid,
+  ``COMPARISON_GRID``, one with two values in every field and one with
+  one value in every field (these two hold no value that a kind takes
+  by default for a field it does not read), so the grid points and the
+  hyperparameters each kind reads are held to the base bit for bit.
 
     python3 scripts/identity.py --base ../colordecode-parent
 """
@@ -105,6 +111,16 @@ GRID_BIN_COUNTS = (53, 100)
 RANDOM_MODEL_SEED = 16
 RANDOM_MODEL_WORDS = 200
 BAD_ARPA_TEXTS = 400
+# GridSpec fields of the two-valued and the one-valued grid
+TWO_VALUED_GRID = {
+    "alphas": (0.5, 2.0), "betas": (0.0, 1.5), "lams": (0.25, 1.0),
+    "word_penalties": (-5.0, -20.0), "subword_penalties": (-2.0, 0.0),
+    "bin_counts": (7, 9),
+}
+ONE_VALUED_GRID = {
+    "alphas": (2.0,), "betas": (-1.0,), "lams": (0.0,),
+    "word_penalties": (-3.0,), "subword_penalties": (1.0,), "bin_counts": (4,),
+}
 
 
 def _corpus_spec():
@@ -417,6 +433,26 @@ def _model_outputs():
             yield str(exc), exc.line
 
 
+def _grid_points():
+    """Every scorer kind's grid points, then each point's ``describe``
+    dict, over the default grid, ``COMPARISON_GRID``,
+    ``TWO_VALUED_GRID`` and ``ONE_VALUED_GRID``."""
+    from colordecode import evaluation, scorers
+
+    grids = (
+        evaluation.GridSpec(),
+        evaluation.COMPARISON_GRID,
+        evaluation.GridSpec(**TWO_VALUED_GRID),
+        evaluation.GridSpec(**ONE_VALUED_GRID),
+    )
+    for grid in grids:
+        for kind in scorers.SCORER_KINDS:
+            points = list(grid.points(kind))
+            yield points
+            for point in points:
+                yield point.describe(kind)
+
+
 def digest() -> str:
     """The SHA-256 over the decode set, the output count and the path
     of the package that decoded it, one line."""
@@ -431,6 +467,7 @@ def digest() -> str:
         _grid_searches(),
         _method_comparisons(),
         _model_outputs(),
+        _grid_points(),
     )
     for source in sources:
         for output in source:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import math
 import os
 import re
@@ -36,6 +35,7 @@ from .corpus import (
 )
 from .decoder import DEFAULT_BEAM_WIDTH, DecoderConfig
 from .evaluation import (
+    KIND_GRID_FIELDS,
     GridSpec,
     _decode_file,
     _own_collector,
@@ -46,7 +46,7 @@ from .evaluation import (
 )
 from .lexicon import ColoredAlphabet, InvalidWordChar, UnknownChar, build_trie
 from .ngram_lm import load_arpa, merge_colored, save_arpa
-from .oracle import InstanceTooLarge, run_verification
+from .oracle import _LETTER_POOL, InstanceTooLarge, run_verification
 from .scorers import (
     KIND_MODELS,
     SCORER_KINDS,
@@ -62,22 +62,29 @@ class UsageError(Exception):
     """Flag combinations argparse cannot catch on its own."""
 
 
-def _int_at_least(raw: str, minimum: int) -> int:
+def _int_in(raw: str, minimum: int, maximum: float = math.inf) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    if value > maximum:
+        raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
     return value
 
 
 def _positive_int(raw: str) -> int:
-    return _int_at_least(raw, 1)
+    return _int_in(raw, 1)
 
 
 def _non_negative_int(raw: str) -> int:
-    return _int_at_least(raw, 0)
+    return _int_in(raw, 0)
+
+
+def _char_count(raw: str) -> int:
+    """A ``verify --max-chars`` value, at most the oracle's letter pool."""
+    return _int_in(raw, 1, len(_LETTER_POOL))
 
 
 def _finite(value: float) -> float:
@@ -142,6 +149,17 @@ def _positive_ints(raw: str) -> list[int]:
     if min(values) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {min(values)}")
     return values
+
+
+# gridsearch's list flags, by the ``GridSpec`` field each one sets
+_GRID_FLAGS = {
+    "alphas": ("--alphas", _finite_floats),
+    "betas": ("--betas", _finite_floats),
+    "lams": ("--lambdas", _weight_floats),
+    "word_penalties": ("--word-penalties", _finite_floats),
+    "subword_penalties": ("--subword-penalties", _finite_floats),
+    "bin_counts": ("--bin-counts", _positive_ints),
+}
 
 
 def _add_decoding_flags(p: argparse.ArgumentParser) -> None:
@@ -273,10 +291,11 @@ def _load_models(args) -> list:
             )
     if args.command != "decode" and not args.lexicon:
         raise UsageError(f"{args.command} needs at least one --lexicon file")
+    if kind != "bins" and args.calibration_manifest:
+        raise UsageError(f"--fusion {kind} takes no --calibration-manifest")
     # gridsearch calibrates on its own manifest when given none
-    if kind == "bins" and args.command != "gridsearch":
-        if not args.calibration_manifest:
-            raise UsageError("--fusion bins needs --calibration-manifest")
+    if kind == "bins" and not args.calibration_manifest and args.command != "gridsearch":
+        raise UsageError("--fusion bins needs --calibration-manifest")
     return [load_arpa(path) for path in args.lm]
 
 
@@ -336,14 +355,15 @@ def cmd_eval(args) -> int:
 def cmd_gridsearch(args) -> int:
     jobs = _jobs_from_args(args)
     template = _alphabet_from_args(args)
+    # a list flag whose field the kind does not read is refused
+    given = {f: tuple(v) for f in _GRID_FLAGS if (v := getattr(args, f))}
+    for field in given:
+        if field not in KIND_GRID_FIELDS[args.fusion]:
+            flag = _GRID_FLAGS[field][0]
+            raise UsageError(f"--fusion {args.fusion} takes no {flag}")
     models = _load_models(args)
     lexicons = [read_lexicon(p) for p in args.lexicon]
     utterances = read_manifest(args.manifest)
-
-    grid = GridSpec(**{
-        f.name: tuple(v) for f in dataclasses.fields(GridSpec)
-        if (v := getattr(args, f.name))
-    })
 
     calibration = None
     if args.fusion == "bins":
@@ -351,14 +371,8 @@ def cmd_gridsearch(args) -> int:
 
     with _naming_lexicon_file(args.lexicon, lexicons, template):
         result = run_grid_search(
-            args.fusion,
-            utterances,
-            lexicons,
-            models,
-            grid,
-            template,
-            beam_width=args.beam_width,
-            jobs=jobs,
+            args.fusion, utterances, lexicons, models, GridSpec(**given),
+            template, beam_width=args.beam_width, jobs=jobs,
             calibration=calibration,
         )
     print(f"method {args.fusion}: searched {len(result.rows)} configurations")
@@ -470,13 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gridsearch", help="search hyperparameters on a manifest")
     _add_manifest_flags(p)
     _add_decoding_flags(p)
-    # each grid flag's dest is the GridSpec field it sets
-    p.add_argument("--alphas", type=_finite_floats)
-    p.add_argument("--betas", type=_finite_floats)
-    p.add_argument("--lambdas", dest="lams", metavar="LAMBDAS", type=_weight_floats)
-    p.add_argument("--word-penalties", type=_finite_floats)
-    p.add_argument("--subword-penalties", type=_finite_floats)
-    p.add_argument("--bin-counts", type=_positive_ints)
+    for field, (flag, parse) in _GRID_FLAGS.items():
+        metavar = flag[2:].replace("-", "_").upper()
+        p.add_argument(flag, dest=field, metavar=metavar, type=parse)
     p.add_argument("--all", action="store_true", help="print every grid row")
     p.set_defaults(func=cmd_gridsearch)
 
@@ -503,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-frames", type=_non_negative_int, default=4)
-    p.add_argument("--max-chars", type=_positive_int, default=3)
+    p.add_argument("--max-chars", type=_char_count, default=3)
     p.set_defaults(func=cmd_verify)
 
     return parser

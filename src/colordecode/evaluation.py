@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import itertools
 import random
 import tempfile
 from collections.abc import Iterator, Sequence
@@ -57,12 +58,7 @@ from .scorers import (
 )
 
 __all__ = [
-    "ALPHA_GRID",
-    "BETA_GRID",
-    "LAMBDA_GRID",
-    "WORD_PENALTY_GRID",
-    "SUBWORD_PENALTY_GRID",
-    "BIN_COUNT_GRID",
+    "KIND_GRID_FIELDS",
     "COMPARISON_GRID",
     "GridSpec",
     "GridPoint",
@@ -76,14 +72,19 @@ __all__ = [
     "run_method_comparison",
 ]
 
-ALPHA_GRID = (0.5, 0.75, 1.0, 1.25, 1.5)
-BETA_GRID = (0.5, 0.75, 1.0, 1.25, 1.5)
-LAMBDA_GRID = (0.25, 0.5, 0.75)
-WORD_PENALTY_GRID = (-10.0, -50.0)
-SUBWORD_PENALTY_GRID = (-7.0, -5.0, -3.0, -1.0, 0.0)
-BIN_COUNT_GRID = (53, 100)
 # vocabulary words sampled per reference word as calibration negatives
 _NEGATIVES_PER_WORD = 3
+
+# the ``GridSpec`` fields each fusion kind reads, in enumeration order:
+# every kind reads betas, a kind with a model also alphas and
+# word_penalties, and four kinds read one field more
+KIND_GRID_FIELDS = {
+    kind: (("alphas", "betas", "word_penalties") if places else ("betas",)) + {
+        "linear": ("lams",), "loglinear": ("lams",),
+        "coloring": ("subword_penalties",), "bins": ("bin_counts",),
+    }.get(kind, ())
+    for kind, places in KIND_MODELS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -95,75 +96,58 @@ class GridPoint:
     num_bins: int | None = None
 
     def describe(self, kind: str) -> dict:
+        """The settings ``kind`` reads, in ``GridSpec`` field order, by
+        name; alpha and beta are always given."""
         c = self.config
-        out: dict = {"alpha": c.alpha, "beta": c.beta}
-        if kind in ("linear", "loglinear"):
-            out["lambda"] = c.lam
-        if kind != "none":
-            out["unknown_word_penalty"] = list(c.unknown_word_penalty)
-        if kind == "coloring":
-            out["unknown_subword_penalty"] = c.unknown_subword_penalty
-        if kind == "bins":
-            out["num_bins"] = self.num_bins
-        return out
+        reads = ("alphas", "betas", *KIND_GRID_FIELDS[kind])
+        settings = (
+            ("alphas", "alpha", c.alpha),
+            ("betas", "beta", c.beta),
+            ("lams", "lambda", c.lam),
+            ("word_penalties", "unknown_word_penalty", list(c.unknown_word_penalty)),
+            ("subword_penalties", "unknown_subword_penalty", c.unknown_subword_penalty),
+            ("bin_counts", "num_bins", self.num_bins),
+        )
+        return {key: value for field, key, value in settings if field in reads}
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Hyperparameter grids; defaults cover the full search space.
 
-    ``points`` enumerates only the dimensions a method actually reads:
-    lambda for the two interpolations, subword penalties for coloring,
-    bin counts for the bin method, per-model word penalties wherever a
-    model can meet an unknown word.
+    ``points`` varies only the fields ``KIND_GRID_FIELDS`` gives a kind,
+    in that order; the rest keep their ``ScorerConfig`` or ``GridPoint``
+    default. A two-model kind draws its general and its jargon word
+    penalty from ``word_penalties``, a one-model kind one for both.
     """
 
-    alphas: tuple[float, ...] = ALPHA_GRID
-    betas: tuple[float, ...] = BETA_GRID
-    lams: tuple[float, ...] = LAMBDA_GRID
-    word_penalties: tuple[float, ...] = WORD_PENALTY_GRID
-    subword_penalties: tuple[float, ...] = SUBWORD_PENALTY_GRID
-    bin_counts: tuple[int, ...] = BIN_COUNT_GRID
+    alphas: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5)
+    betas: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5)
+    lams: tuple[float, ...] = (0.25, 0.5, 0.75)
+    word_penalties: tuple[float, ...] = (-10.0, -50.0)
+    subword_penalties: tuple[float, ...] = (-7.0, -5.0, -3.0, -1.0, 0.0)
+    bin_counts: tuple[int, ...] = (53, 100)
 
     def points(self, kind: str) -> Iterator[GridPoint]:
-        if kind == "none":
-            for beta in self.betas:
-                yield GridPoint(ScorerConfig(alpha=1.0, beta=beta))
-            return
-
-        if kind in ("general", "jargon"):
-            penalty_pairs = [(p, p) for p in self.word_penalties]
-        else:
-            penalty_pairs = [
-                (pg, pj)
-                for pg in self.word_penalties
-                for pj in self.word_penalties
-            ]
-
-        lams = self.lams if kind in ("linear", "loglinear") else (0.5,)
-        subwords: tuple[float | None, ...] = (
-            self.subword_penalties if kind == "coloring" else (None,)
+        pens = self.word_penalties
+        pairs = (
+            list(itertools.product(pens, pens)) if len(KIND_MODELS[kind]) == 2
+            else [(p, p) for p in pens]
         )
-        bins: tuple[int | None, ...] = (
-            self.bin_counts if kind == "bins" else (None,)
-        )
-
-        for alpha in self.alphas:
-            for beta in self.betas:
-                for pens in penalty_pairs:
-                    for lam in lams:
-                        for sub in subwords:
-                            for nb in bins:
-                                yield GridPoint(
-                                    ScorerConfig(
-                                        alpha=alpha,
-                                        beta=beta,
-                                        unknown_word_penalty=pens,
-                                        unknown_subword_penalty=sub,
-                                        lam=lam,
-                                    ),
-                                    num_bins=nb,
-                                )
+        # each field's GridPoint setting and its values, by field
+        axes = {
+            "alphas": ("alpha", self.alphas),
+            "betas": ("beta", self.betas),
+            "word_penalties": ("unknown_word_penalty", pairs),
+            "lams": ("lam", self.lams),
+            "subword_penalties": ("unknown_subword_penalty", self.subword_penalties),
+            "bin_counts": ("num_bins", self.bin_counts),
+        }
+        fields = KIND_GRID_FIELDS[kind]
+        for values in itertools.product(*(axes[f][1] for f in fields)):
+            settings = {axes[f][0]: v for f, v in zip(fields, values)}
+            num_bins = settings.pop("num_bins", None)
+            yield GridPoint(ScorerConfig(**settings), num_bins)
 
 
 @dataclass

@@ -219,8 +219,12 @@ def random_instance(
     Covers separators and separator-free alphabets, empty lexicons,
     words missing from their language model (OOV paths), optional
     bigrams with backoff, off-lexicon spelling, and zeroed acoustic
-    columns.
+    columns. A ``max_chars`` above the letter pool's size is refused.
     """
+    if max_chars > len(_LETTER_POOL):
+        raise ValueError(
+            f"max_chars {max_chars} exceeds the {len(_LETTER_POOL)}-letter pool"
+        )
     k = rng.randint(1, max_chars)
     chars = _LETTER_POOL[:k]
     sep = chars[-1] if k >= 2 and rng.random() < 0.7 else None

@@ -361,27 +361,29 @@ def test_every_grid_field_is_the_dest_of_a_gridsearch_flag():
 
 
 @pytest.mark.parametrize(
-    "flags, grid",
+    "fusion, flags, grid",
     [
-        ([], evaluation.GridSpec()),
+        ("coloring", [], evaluation.GridSpec()),
         (
-            ["--alphas", "0.5,2", "--betas", "0,1.5", "--lambdas", "0.25",
-             "--word-penalties", "-5", "--subword-penalties=-2,0",
-             "--bin-counts", "7,9"],
+            "coloring",
+            ["--alphas", "0.5,2", "--betas", "0,1.5", "--word-penalties", "-5",
+             "--subword-penalties=-2,0"],
             evaluation.GridSpec(
-                alphas=(0.5, 2.0), betas=(0.0, 1.5), lams=(0.25,),
-                word_penalties=(-5.0,), subword_penalties=(-2.0, 0.0),
-                bin_counts=(7, 9),
+                alphas=(0.5, 2.0), betas=(0.0, 1.5), word_penalties=(-5.0,),
+                subword_penalties=(-2.0, 0.0),
             ),
         ),
+        ("linear", ["--lambdas", "0.25"], evaluation.GridSpec(lams=(0.25,))),
+        ("bins", ["--bin-counts", "7,9"], evaluation.GridSpec(bin_counts=(7, 9))),
     ],
-    ids=["defaults", "every-list-flag"],
+    ids=["defaults", "coloring-list-flags", "linear-lambdas", "bins-bin-counts"],
 )
 def test_gridsearch_builds_its_grid_from_the_list_flags(
-    tiny_setup, flags, grid, monkeypatch
+    tiny_setup, fusion, flags, grid, monkeypatch
 ):
-    """Each list flag replaces its ``GridSpec`` field; the fields of the
-    flags not given keep their defaults."""
+    """Each list flag, given with a kind that reads its field, replaces
+    that ``GridSpec`` field; the fields of the flags not given keep their
+    defaults."""
 
     class Searched(Exception):
         pass
@@ -397,13 +399,58 @@ def test_gridsearch_builds_its_grid_from_the_list_flags(
         encoding="utf-8",
     )
     argv = ["gridsearch", str(manifest), "--alphabet", "ab ",
-            "--fusion", "coloring",
+            "--fusion", fusion,
             "--lm", tiny_setup["general_lm"], "--lm", tiny_setup["jargon_lm"],
             "--lexicon", tiny_setup["general"], "--lexicon", tiny_setup["jargon"],
             *flags]
     with pytest.raises(Searched) as exc:
         cli.main(argv)
     assert exc.value.args[0] == grid
+
+
+# each grid flag by the ``GridSpec`` field it sets
+GRID_FLAGS = {
+    "alphas": "--alphas", "betas": "--betas", "lams": "--lambdas",
+    "word_penalties": "--word-penalties",
+    "subword_penalties": "--subword-penalties", "bin_counts": "--bin-counts",
+}
+
+
+def _reads_field(kind, field):
+    """Whether ``GridSpec.points`` gives ``kind`` other points when
+    ``field`` holds 1 alone."""
+    grid = evaluation.GridSpec()
+    narrowed = dataclasses.replace(grid, **{field: (1,)})
+    return list(grid.points(kind)) != list(narrowed.points(kind))
+
+
+@pytest.mark.parametrize("field", list(GRID_FLAGS))
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+def test_gridsearch_refuses_a_grid_flag_exactly_when_its_kind_ignores_it(
+    kind, field, capsys, monkeypatch
+):
+    """A grid flag whose field the kind's grid points do not vary in
+    would be accepted and ignored: ``gridsearch`` exits 2 naming the
+    kind and the flag before reading any file. A flag whose field the
+    points vary in goes on to read the files."""
+    reads = []
+
+    def read(*args, **kwargs):
+        reads.append(args)
+        raise OSError("read a file")
+
+    for name in ("load_arpa", "read_lexicon", "read_manifest", "_decode_file"):
+        monkeypatch.setattr(cli, name, read)
+    flag = GRID_FLAGS[field]
+    argv = ["gridsearch", f"{NOWHERE}.jsonl", "--fusion", kind,
+            *["--lm", f"{NOWHERE}.arpa"] * len(KIND_MODELS[kind]),
+            *["--lexicon", f"{NOWHERE}.txt"] * 2, flag, "1"]
+    rc, out, err = run_cli(argv, capsys)
+    if _reads_field(kind, field):
+        assert (rc, err) == (1, "error: read a file\n") and reads
+    else:
+        assert (rc, out, err) == (2, "", f"error: --fusion {kind} takes no {flag}\n")
+        assert not reads
 
 
 @pytest.mark.parametrize(
@@ -649,6 +696,19 @@ def test_verify_refuses_counts_it_cannot_use(flag, value, minimum, capsys):
     assert out == ""
     assert err.startswith("usage:")
     assert f"{flag}: must be at least {minimum}, got {value}" in err
+
+
+def test_verify_refuses_more_chars_than_the_oracle_has_letters(capsys):
+    """The oracle draws each instance's alphabet from three letters, so
+    ``--max-chars 4`` used to run as ``--max-chars 3``; it is a usage
+    error before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--max-chars", "4"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage:")
+    assert "--max-chars: must be at most 3, got 4" in err
 
 
 def test_verify_reports_mismatches(capsys, monkeypatch):
@@ -1526,12 +1586,24 @@ NOWHERE = "/nonexistent"
          "--fusion jargon needs exactly one --lm file"),
         (["merge-lm", "--out", f"{NOWHERE}.arpa"],
          "merge-lm needs at least one --lm file"),
+        (["decode", f"{NOWHERE}.ctcl", "--fusion", "general", "--lm", f"{NOWHERE}.arpa",
+          "--calibration-manifest", f"{NOWHERE}.jsonl"],
+         "--fusion general takes no --calibration-manifest"),
+        (["eval", f"{NOWHERE}.jsonl", "--fusion", "coloring",
+          *["--lm", f"{NOWHERE}.arpa", "--lexicon", f"{NOWHERE}.txt"] * 2,
+          "--calibration-manifest", f"{NOWHERE}.jsonl"],
+         "--fusion coloring takes no --calibration-manifest"),
+        (["gridsearch", f"{NOWHERE}.jsonl", "--lexicon", f"{NOWHERE}.txt",
+          "--calibration-manifest", f"{NOWHERE}.jsonl"],
+         "--fusion none takes no --calibration-manifest"),
     ],
     ids=[
         "eval-no-lexicon", "gridsearch-no-lexicon", "eval-no-lexicon-no-model",
         "decode-bins-no-calibration", "eval-bins-no-calibration",
         "eval-coloring-no-lexicon", "gridsearch-linear-one-model",
         "decode-general-two-models", "eval-jargon-two-models", "merge-lm-no-model",
+        "decode-general-calibration", "eval-coloring-calibration",
+        "gridsearch-none-calibration",
     ],
 )
 def test_flag_combinations_are_refused_before_any_file_is_read(
@@ -1575,8 +1647,9 @@ def test_decode_refuses_an_lm_count_exactly_when_make_scorer_does(
 
     for name in ("load_arpa", "read_lexicon", "read_manifest", "_decode_file"):
         monkeypatch.setattr(cli, name, read)
+    calibration = ["--calibration-manifest", f"{NOWHERE}.jsonl"]
     argv = ["decode", f"{NOWHERE}.ctcl", "--fusion", kind,
-            "--calibration-manifest", f"{NOWHERE}.jsonl",
+            *(calibration if kind == "bins" else []),
             *["--lm", f"{NOWHERE}.arpa"] * count]
     rc, out, err = run_cli(argv, capsys)
     if _takes_models(kind, count):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import pickle
@@ -20,6 +21,7 @@ from colordecode.corpus import (
 from colordecode.decoder import ColoredTranscript, decode
 from colordecode.evaluation import (
     COMPARISON_GRID,
+    KIND_GRID_FIELDS,
     GridSpec,
     build_runtime,
     calibration_pairs,
@@ -74,18 +76,25 @@ def test_points_only_vary_relevant_dimensions():
         assert point.config.lam == 0.5
         assert point.num_bins is None
     assert {p.config.unknown_subword_penalty for p in grid.points("coloring")} == set(
-        evaluation.SUBWORD_PENALTY_GRID
+        grid.subword_penalties
     )
     for point in grid.points("linear"):
         assert point.config.unknown_subword_penalty is None
-    assert {p.config.lam for p in grid.points("linear")} == set(
-        evaluation.LAMBDA_GRID
-    )
+    assert {p.config.lam for p in grid.points("linear")} == set(grid.lams)
     for point in grid.points("general"):
         pg, pj = point.config.unknown_word_penalty
         assert pg == pj
     bins = list(grid.points("bins"))
-    assert {p.num_bins for p in bins} == set(evaluation.BIN_COUNT_GRID)
+    assert {p.num_bins for p in bins} == set(grid.bin_counts)
+
+
+def test_kind_grid_fields_name_the_grid_fields_of_every_scorer_kind():
+    """The table has one entry per scorer kind, in ``SCORER_KINDS``
+    order, each naming distinct ``GridSpec`` fields."""
+    fields = {f.name for f in dataclasses.fields(GridSpec)}
+    assert tuple(KIND_GRID_FIELDS) == scorers_module.SCORER_KINDS
+    for names in KIND_GRID_FIELDS.values():
+        assert len(set(names)) == len(names) and set(names) <= fields
 
 
 def test_describe_reports_method_relevant_keys():

@@ -194,6 +194,19 @@ def test_random_instance_deterministic():
     assert a.logits.log10_rows() == b.logits.log10_rows()
 
 
+def test_random_instance_refuses_more_chars_than_its_letter_pool():
+    """A ``max_chars`` above the three-letter pool used to be capped at
+    three without a word; it is refused, and three still draws every
+    alphabet size up to three."""
+    with pytest.raises(ValueError, match="max_chars 4 exceeds the 3-letter pool"):
+        random_instance(random.Random(0), max_chars=4)
+    rng = random.Random(5)
+    sizes = {
+        len(random_instance(rng, max_chars=3).alphabet.base_chars) for _ in range(60)
+    }
+    assert sizes == {1, 2, 3}
+
+
 def test_random_instance_color_bounds():
     rng = random.Random(8)
     seen = set()
