@@ -69,7 +69,13 @@ The decode set:
   ``COMPARISON_GRID``, one with two values in every field and one with
   one value in every field (these two hold no value that a kind takes
   by default for a field it does not read), so the grid points and the
-  hyperparameters each kind reads are held to the base bit for bit.
+  hyperparameters each kind reads are held to the base bit for bit;
+- per ``SCORER_KINDS`` entry, the scorer config, bin table and beam
+  width of the decoder config ``cli._decoder_config`` builds from
+  ``decode`` flags over files written from the corpus above: with none
+  of the flags the kind reads, with each alone, and with all of them,
+  over both lexicons and, but for coloring, without a lexicon, so the
+  CLI's settings and their defaults are held to the base bit for bit.
 
     python3 scripts/identity.py --base ../colordecode-parent
 """
@@ -120,6 +126,24 @@ TWO_VALUED_GRID = {
 ONE_VALUED_GRID = {
     "alphas": (2.0,), "betas": (-1.0,), "lams": (0.0,),
     "word_penalties": (-3.0,), "subword_penalties": (1.0,), "bin_counts": (4,),
+}
+# a value for each setting flag of decode, and the flags each kind reads
+CLI_VALUES = {
+    "--alpha": "0.7", "--beta": "0.4", "--lambda": "0.8",
+    "--unk-word-penalty": "-5,-20", "--unk-subword-penalty": "-3",
+    "--bins": "7", "--calibration-seed": "3", "--beam-width": "12",
+}
+_READ_BY_ALL = ("--beta", "--unk-subword-penalty", "--beam-width")
+_READ_WITH_MODELS = ("--alpha", "--unk-word-penalty") + _READ_BY_ALL
+CLI_KIND_FLAGS = {
+    "none": _READ_BY_ALL,
+    "general": _READ_WITH_MODELS,
+    "jargon": _READ_WITH_MODELS,
+    "linear": ("--lambda",) + _READ_WITH_MODELS,
+    "loglinear": ("--lambda",) + _READ_WITH_MODELS,
+    "bins": ("--bins", "--calibration-seed") + _READ_WITH_MODELS,
+    "bayes": _READ_WITH_MODELS,
+    "coloring": _READ_WITH_MODELS,
 }
 
 
@@ -453,6 +477,45 @@ def _grid_points():
                 yield point.describe(kind)
 
 
+def _cli_configs():
+    """Per scorer kind and per set of the decode flags it reads, the
+    scorer config, the bin table and the beam width of the decoder
+    config ``cli._decoder_config`` builds, over lexicons, models and a
+    calibration manifest written from the corpus of ``_corpus_spec``."""
+    from colordecode import cli, corpus, ngram_lm, scorers
+
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        root = Path(tmp)
+        _, lang = corpus.synthesize_corpus(_corpus_spec(), root)
+        lexicons = (lang.lexicons.general, lang.lexicons.jargon)
+        models = corpus.language_models(lang)
+        lexicon_flags, lm_flags = [], []
+        for name, words, model in zip(("general", "jargon"), lexicons, models):
+            (root / f"{name}.txt").write_text("\n".join(words) + "\n", encoding="utf-8")
+            ngram_lm.save_arpa(model, root / f"{name}.arpa")
+            lexicon_flags += ["--lexicon", str(root / f"{name}.txt")]
+            lm_flags.append(["--lm", str(root / f"{name}.arpa")])
+        calibration = ["--calibration-manifest", str(root / "manifest.jsonl")]
+        parser = cli.build_parser()
+        kind_models = _kind_models()
+        for kind in scorers.SCORER_KINDS:
+            base = ["decode", "unread.ctcl", "--fusion", kind,
+                    *(a for i in kind_models[kind] for a in lm_flags[i]),
+                    *(calibration if kind == "bins" else [])]
+            read = CLI_KIND_FLAGS[kind]
+            runs = [(lexicon_flags, f) for f in [(), *((f,) for f in read), read]]
+            if kind != "coloring":
+                spelled = "--unk-subword-penalty"
+                runs.append(([], tuple(f for f in read if f != spelled)))
+            for lexicon_args, flags in runs:
+                values = [a for flag in flags for a in (flag, CLI_VALUES[flag])]
+                args = parser.parse_args(base + lexicon_args + values)
+                cfg = cli._decoder_config(args)
+                table = getattr(cfg.scorer, "bin_table", None)
+                yield kind, bool(lexicon_args), flags, cfg.scorer.config, table
+                yield cfg.beam_width
+
+
 def digest() -> str:
     """The SHA-256 over the decode set, the output count and the path
     of the package that decoded it, one line."""
@@ -468,6 +531,7 @@ def digest() -> str:
         _method_comparisons(),
         _model_outputs(),
         _grid_points(),
+        _cli_configs(),
     )
     for source in sources:
         for output in source:

@@ -36,6 +36,7 @@ from .corpus import (
 from .decoder import DEFAULT_BEAM_WIDTH, DecoderConfig
 from .evaluation import (
     KIND_GRID_FIELDS,
+    GridPoint,
     GridSpec,
     _decode_file,
     _own_collector,
@@ -151,14 +152,33 @@ def _positive_ints(raw: str) -> list[int]:
     return values
 
 
-# gridsearch's list flags, by the ``GridSpec`` field each one sets
-_GRID_FLAGS = {
-    "alphas": ("--alphas", _finite_floats),
-    "betas": ("--betas", _finite_floats),
-    "lams": ("--lambdas", _weight_floats),
-    "word_penalties": ("--word-penalties", _finite_floats),
-    "subword_penalties": ("--subword-penalties", _finite_floats),
-    "bin_counts": ("--bin-counts", _positive_ints),
+# the bin count of decode's and eval's bins method without --bins
+_DEFAULT_BINS = 53
+
+# each scorer setting's flags, by the ``GridSpec`` field both set: the
+# single value of decode and eval (flag, parser, metavar, help), then the
+# comma list of gridsearch (flag, parser)
+_SETTING_FLAGS = {
+    "alphas": ("--alpha", _finite_float, "ALPHA", "LM weight",
+               "--alphas", _finite_floats),
+    "betas": ("--beta", _finite_float, "BETA", "word bonus",
+              "--betas", _finite_floats),
+    "lams": ("--lambda", _weight_float, "LAM",
+             "jargon weight for linear/loglinear fusion",
+             "--lambdas", _weight_floats),
+    "word_penalties": (
+        "--unk-word-penalty", _finite_floats, "P[,P...]",
+        "per-model log10 penalty for unknown words (default "
+        + ",".join(f"{p:g}" for p in ScorerConfig.unknown_word_penalty) + ")",
+        "--word-penalties", _finite_floats,
+    ),
+    "subword_penalties": ("--unk-subword-penalty", _finite_float, "P",
+                          "log10 penalty per off-lexicon character; omit to "
+                          "forbid off-lexicon spellings",
+                          "--subword-penalties", _finite_floats),
+    "bin_counts": ("--bins", _positive_int, "BINS",
+                   f"bin count for the bins method (default {_DEFAULT_BINS})",
+                   "--bin-counts", _positive_ints),
 }
 
 
@@ -195,7 +215,7 @@ def _add_decoding_flags(p: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="manifest whose references calibrate the bins method",
     )
-    p.add_argument("--calibration-seed", type=int, default=0)
+    p.add_argument("--calibration-seed", type=int)
 
 
 def _add_manifest_flags(p: argparse.ArgumentParser) -> None:
@@ -205,30 +225,14 @@ def _add_manifest_flags(p: argparse.ArgumentParser) -> None:
                    help=f"worker processes (default ${JOBS_ENV} or 1)")
 
 
-def _add_hyperparameter_flags(p: argparse.ArgumentParser) -> None:
-    """One scorer setting each; gridsearch takes grids instead. A value
-    the scorer would refuse is a usage error, refused here."""
-    p.add_argument("--alpha", type=_finite_float, default=1.0, help="LM weight")
-    p.add_argument("--beta", type=_finite_float, default=0.0, help="word bonus")
-    p.add_argument("--lambda", dest="lam", type=_weight_float, default=0.5,
-                   help="jargon weight for linear/loglinear fusion")
-    p.add_argument(
-        "--unk-word-penalty",
-        type=_finite_floats,
-        default=[-10.0, -10.0],
-        metavar="P[,P...]",
-        help="per-model log10 penalty for unknown words (default -10,-10)",
-    )
-    p.add_argument(
-        "--unk-subword-penalty",
-        type=_finite_float,
-        default=None,
-        metavar="P",
-        help="log10 penalty per off-lexicon character; omit to forbid "
-        "off-lexicon spellings",
-    )
-    p.add_argument("--bins", type=_positive_int, default=53,
-                   help="bin count for the bins method (default 53)")
+def _add_setting_flags(p: argparse.ArgumentParser, grid: bool) -> None:
+    """A flag per scorer setting, gridsearch's list or else one value, its
+    ``GridSpec`` field as ``dest``; a value the scorer refuses is refused."""
+    for field, (flag, parse, metavar, text, *lists) in _SETTING_FLAGS.items():
+        if grid:
+            flag, parse = lists
+            metavar, text = flag[2:].replace("-", "_").upper(), None
+        p.add_argument(flag, dest=field, metavar=metavar, type=parse, help=text)
 
 
 def _alphabet_from_args(args) -> ColoredAlphabet:
@@ -244,14 +248,10 @@ def _alphabet_from_args(args) -> ColoredAlphabet:
         raise UsageError(f"--alphabet/--separator: {exc}") from None
 
 
-def _scorer_config_from_args(args) -> ScorerConfig:
-    return ScorerConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        unknown_word_penalty=tuple(args.unk_word_penalty),
-        unknown_subword_penalty=args.unk_subword_penalty,
-        lam=args.lam,
-    )
+def _settings_from_args(args) -> dict:
+    """The setting flags given, by ``GridSpec`` field; a list as a tuple."""
+    return {f: tuple(v) if isinstance(v, list) else v
+            for f in _SETTING_FLAGS if (v := getattr(args, f)) is not None}
 
 
 def _calibration_from_args(args, models, utterances=None) -> list:
@@ -260,10 +260,10 @@ def _calibration_from_args(args, models, utterances=None) -> list:
     manifest gridsearch has read, whose references the search checks).
     A calibration manifest that yields no pair is refused, naming it."""
     path = args.calibration_manifest
-    if not path:
-        return calibration_pairs(utterances, models, seed=args.calibration_seed)
-    pairs = calibration_pairs(read_manifest(path), models, seed=args.calibration_seed)
-    if not pairs:
+    utterances = read_manifest(path) if path else utterances
+    seed = {} if args.calibration_seed is None else {"seed": args.calibration_seed}
+    pairs = calibration_pairs(utterances, models, **seed)
+    if path and not pairs:
         raise EmptyCalibration(
             f"{path}: no row has a reference, so there are no calibration pairs"
         )
@@ -291,11 +291,23 @@ def _load_models(args) -> list:
             )
     if args.command != "decode" and not args.lexicon:
         raise UsageError(f"{args.command} needs at least one --lexicon file")
-    if kind != "bins" and args.calibration_manifest:
-        raise UsageError(f"--fusion {kind} takes no --calibration-manifest")
     # gridsearch calibrates on its own manifest when given none
     if kind == "bins" and not args.calibration_manifest and args.command != "gridsearch":
         raise UsageError("--fusion bins needs --calibration-manifest")
+    # a flag whose setting the kind never reads is refused, not ignored;
+    # the single subword penalty is the decoder's, read over lexicons
+    grid = args.command == "gridsearch"
+    if not grid and args.subword_penalties is not None and not args.lexicon:
+        raise UsageError("--unk-subword-penalty needs --lexicon files")
+    reads = {*KIND_GRID_FIELDS[kind], *([] if grid else ["subword_penalties"])}
+    unread = [(f, row[4 if grid else 0]) for f, row in _SETTING_FLAGS.items()
+              if f not in reads]
+    if kind != "bins":
+        unread = [("calibration_manifest", "--calibration-manifest"),
+                  ("calibration_seed", "--calibration-seed"), *unread]
+    for dest, flag in unread:
+        if getattr(args, dest) is not None:
+            raise UsageError(f"--fusion {kind} takes no {flag}")
     return [load_arpa(path) for path in args.lm]
 
 
@@ -321,14 +333,17 @@ def _decoder_config(args) -> DecoderConfig:
     method over the ``--lexicon`` files, unconstrained without any."""
     template = _alphabet_from_args(args)
     models = _load_models(args)
+    point = GridPoint.from_fields(
+        {"bin_counts": _DEFAULT_BINS, **_settings_from_args(args)}
+    )
     bin_table = None
     if args.fusion == "bins":
-        bin_table = fit_bin_table(_calibration_from_args(args, models), args.bins)
+        bin_table = fit_bin_table(_calibration_from_args(args, models), point.num_bins)
     lexicons = [read_lexicon(p) for p in args.lexicon] or None
     with _naming_lexicon_file(args.lexicon, lexicons or (), template):
         return build_runtime(
-            args.fusion, lexicons, models, _scorer_config_from_args(args),
-            template, args.beam_width, bin_table,
+            args.fusion, lexicons, models, point.config, template,
+            args.beam_width, bin_table,
         ).decoder_config()
 
 
@@ -355,12 +370,6 @@ def cmd_eval(args) -> int:
 def cmd_gridsearch(args) -> int:
     jobs = _jobs_from_args(args)
     template = _alphabet_from_args(args)
-    # a list flag whose field the kind does not read is refused
-    given = {f: tuple(v) for f in _GRID_FLAGS if (v := getattr(args, f))}
-    for field in given:
-        if field not in KIND_GRID_FIELDS[args.fusion]:
-            flag = _GRID_FLAGS[field][0]
-            raise UsageError(f"--fusion {args.fusion} takes no {flag}")
     models = _load_models(args)
     lexicons = [read_lexicon(p) for p in args.lexicon]
     utterances = read_manifest(args.manifest)
@@ -371,9 +380,9 @@ def cmd_gridsearch(args) -> int:
 
     with _naming_lexicon_file(args.lexicon, lexicons, template):
         result = run_grid_search(
-            args.fusion, utterances, lexicons, models, GridSpec(**given),
-            template, beam_width=args.beam_width, jobs=jobs,
-            calibration=calibration,
+            args.fusion, utterances, lexicons, models,
+            GridSpec(**_settings_from_args(args)), template,
+            beam_width=args.beam_width, jobs=jobs, calibration=calibration,
         )
     print(f"method {args.fusion}: searched {len(result.rows)} configurations")
     print(f"best {result.best.describe(args.fusion)}")
@@ -471,22 +480,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("logits", help="CTCL1 or JSON logits file")
     _add_decoding_flags(p)
     p.add_argument("--out", help="write markup plus JSON sidecar here")
-    _add_hyperparameter_flags(p)
+    _add_setting_flags(p, grid=False)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="evaluate one method on a manifest")
     _add_manifest_flags(p)
     _add_decoding_flags(p)
     p.add_argument("--json", action="store_true", help="JSON report")
-    _add_hyperparameter_flags(p)
+    _add_setting_flags(p, grid=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gridsearch", help="search hyperparameters on a manifest")
     _add_manifest_flags(p)
     _add_decoding_flags(p)
-    for field, (flag, parse) in _GRID_FLAGS.items():
-        metavar = flag[2:].replace("-", "_").upper()
-        p.add_argument(flag, dest=field, metavar=metavar, type=parse)
+    _add_setting_flags(p, grid=True)
     p.add_argument("--all", action="store_true", help="print every grid row")
     p.set_defaults(func=cmd_gridsearch)
 

@@ -87,6 +87,18 @@ KIND_GRID_FIELDS = {
 }
 
 
+# each ``GridSpec`` field's setting: the ``ScorerConfig`` attribute it
+# sets (``num_bins`` is ``GridPoint``'s) and its ``describe`` key
+_GRID_SETTINGS = {
+    "alphas": ("alpha", "alpha"),
+    "betas": ("beta", "beta"),
+    "lams": ("lam", "lambda"),
+    "word_penalties": ("unknown_word_penalty", "unknown_word_penalty"),
+    "subword_penalties": ("unknown_subword_penalty", "unknown_subword_penalty"),
+    "bin_counts": ("num_bins", "num_bins"),
+}
+
+
 @dataclass(frozen=True)
 class GridPoint:
     """One hyperparameter assignment: a scorer config plus, for the bin
@@ -95,20 +107,21 @@ class GridPoint:
     config: ScorerConfig
     num_bins: int | None = None
 
+    @classmethod
+    def from_fields(cls, values: dict) -> GridPoint:
+        """The point of these ``GridSpec`` field values, defaults elsewhere."""
+        settings = {_GRID_SETTINGS[f][0]: v for f, v in values.items()}
+        num_bins = settings.pop("num_bins", None)
+        return cls(ScorerConfig(**settings), num_bins)
+
     def describe(self, kind: str) -> dict:
         """The settings ``kind`` reads, in ``GridSpec`` field order, by
         name; alpha and beta are always given."""
-        c = self.config
         reads = ("alphas", "betas", *KIND_GRID_FIELDS[kind])
-        settings = (
-            ("alphas", "alpha", c.alpha),
-            ("betas", "beta", c.beta),
-            ("lams", "lambda", c.lam),
-            ("word_penalties", "unknown_word_penalty", list(c.unknown_word_penalty)),
-            ("subword_penalties", "unknown_subword_penalty", c.unknown_subword_penalty),
-            ("bin_counts", "num_bins", self.num_bins),
-        )
-        return {key: value for field, key, value in settings if field in reads}
+        settings = {**vars(self.config), "num_bins": self.num_bins}
+        settings["unknown_word_penalty"] = list(self.config.unknown_word_penalty)
+        return {key: settings[name] for field, (name, key) in _GRID_SETTINGS.items()
+                if field in reads}
 
 
 @dataclass(frozen=True)
@@ -134,20 +147,10 @@ class GridSpec:
             list(itertools.product(pens, pens)) if len(KIND_MODELS[kind]) == 2
             else [(p, p) for p in pens]
         )
-        # each field's GridPoint setting and its values, by field
-        axes = {
-            "alphas": ("alpha", self.alphas),
-            "betas": ("beta", self.betas),
-            "word_penalties": ("unknown_word_penalty", pairs),
-            "lams": ("lam", self.lams),
-            "subword_penalties": ("unknown_subword_penalty", self.subword_penalties),
-            "bin_counts": ("num_bins", self.bin_counts),
-        }
         fields = KIND_GRID_FIELDS[kind]
-        for values in itertools.product(*(axes[f][1] for f in fields)):
-            settings = {axes[f][0]: v for f, v in zip(fields, values)}
-            num_bins = settings.pop("num_bins", None)
-            yield GridPoint(ScorerConfig(**settings), num_bins)
+        axes = [pairs if f == "word_penalties" else getattr(self, f) for f in fields]
+        for values in itertools.product(*axes):
+            yield GridPoint.from_fields(dict(zip(fields, values)))
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from colordecode import cli, evaluation
-from colordecode.corpus import MAGIC
+from colordecode.corpus import MAGIC, read_manifest
 from colordecode.ngram_lm import NGramModel, load_arpa, save_arpa
 from colordecode.oracle import VerificationReport
 from colordecode.scorers import (
@@ -1662,8 +1662,8 @@ def test_decode_refuses_an_lm_count_exactly_when_make_scorer_does(
 @pytest.mark.parametrize(
     "command, flag, dest, value, expected",
     [
-        ("decode", "--unk-word-penalty", "unk_word_penalty", "-10,-10", [-10.0, -10.0]),
-        ("eval", "--unk-word-penalty", "unk_word_penalty", "-10,-20.5", [-10.0, -20.5]),
+        ("decode", "--unk-word-penalty", "word_penalties", "-10,-10", [-10.0, -10.0]),
+        ("eval", "--unk-word-penalty", "word_penalties", "-10,-20.5", [-10.0, -20.5]),
         ("gridsearch", "--alphas", "alphas", "-0.5,1", [-0.5, 1.0]),
         ("gridsearch", "--betas", "betas", "-1.5,0", [-1.5, 0.0]),
         ("gridsearch", "--word-penalties", "word_penalties", "-10,-50", [-10.0, -50.0]),
@@ -1721,3 +1721,130 @@ def test_gridsearch_bins_calibrates_on_the_manifest_it_read(
     assert rc == 0 and err == ""
     assert reads == [manifest]
     assert out == named
+
+
+# each single-value setting flag of decode and eval, by the ``GridSpec``
+# field it sets, and the calibration seed, by its own name
+SETTING_FLAGS = {
+    "alphas": "--alpha", "betas": "--beta", "lams": "--lambda",
+    "word_penalties": "--unk-word-penalty",
+    "subword_penalties": "--unk-subword-penalty", "bin_counts": "--bins",
+    "calibration_seed": "--calibration-seed",
+}
+
+
+def _reads_setting(kind, field):
+    """Whether ``decode`` and ``eval`` read a setting flag with ``kind``
+    over lexicons: a scorer setting exactly when ``kind``'s grid points
+    vary in its field, the subword penalty for every kind (the decoder
+    charges it), and the calibration seed for ``bins`` alone."""
+    if field == "calibration_seed":
+        return kind == "bins"
+    return field == "subword_penalties" or _reads_field(kind, field)
+
+
+@pytest.mark.parametrize("field", list(SETTING_FLAGS))
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+@pytest.mark.parametrize("command", ["decode", "eval"])
+def test_a_setting_flag_is_refused_exactly_when_its_kind_ignores_it(
+    command, kind, field, capsys, monkeypatch
+):
+    """A single-value setting flag that ``kind`` would ignore exits 2,
+    naming the kind and the flag, before any file is read; one that it
+    reads goes on to read the files."""
+    reads = []
+
+    def read(*args, **kwargs):
+        reads.append(args)
+        raise OSError("read a file")
+
+    for name in ("load_arpa", "read_lexicon", "read_manifest", "_decode_file"):
+        monkeypatch.setattr(cli, name, read)
+    flag = SETTING_FLAGS[field]
+    source = f"{NOWHERE}.ctcl" if command == "decode" else f"{NOWHERE}.jsonl"
+    calibration = ["--calibration-manifest", f"{NOWHERE}.jsonl"]
+    argv = [command, source, "--fusion", kind,
+            *["--lm", f"{NOWHERE}.arpa"] * len(KIND_MODELS[kind]),
+            *["--lexicon", f"{NOWHERE}.txt"] * 2,
+            *(calibration if kind == "bins" else []), flag, "1"]
+    rc, out, err = run_cli(argv, capsys)
+    if _reads_setting(kind, field):
+        assert (rc, err) == (1, "error: read a file\n") and reads
+    else:
+        assert (rc, out, err) == (2, "", f"error: --fusion {kind} takes no {flag}\n")
+        assert not reads
+
+
+@pytest.mark.parametrize("kind", [k for k in SCORER_KINDS if k != "bins"])
+def test_gridsearch_refuses_a_calibration_seed_outside_bins(kind, capsys, monkeypatch):
+    """Only the bins method calibrates, so ``--calibration-seed`` with any
+    other kind exits 2 before any file is read, as
+    ``--calibration-manifest`` does."""
+    for name in ("load_arpa", "read_lexicon", "read_manifest", "_decode_file"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("read a file"))
+    argv = ["gridsearch", f"{NOWHERE}.jsonl", "--fusion", kind,
+            *["--lm", f"{NOWHERE}.arpa"] * len(KIND_MODELS[kind]),
+            *["--lexicon", f"{NOWHERE}.txt"] * 2, "--calibration-seed", "3"]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out, err) == (
+        2, "", f"error: --fusion {kind} takes no --calibration-seed\n"
+    )
+
+
+@pytest.mark.parametrize("kind", [k for k in SCORER_KINDS if k != "coloring"])
+def test_decode_refuses_a_subword_penalty_without_lexicons(kind, capsys, monkeypatch):
+    """Unconstrained decoding has no lexicon to leave, so it never charges
+    an off-lexicon character: ``decode --unk-subword-penalty`` without
+    ``--lexicon`` exits 2 before any file is read."""
+    for name in ("load_arpa", "read_lexicon", "read_manifest", "_decode_file"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("read a file"))
+    calibration = ["--calibration-manifest", f"{NOWHERE}.jsonl"]
+    argv = ["decode", f"{NOWHERE}.ctcl", "--fusion", kind,
+            *["--lm", f"{NOWHERE}.arpa"] * len(KIND_MODELS[kind]),
+            *(calibration if kind == "bins" else []),
+            "--unk-subword-penalty", "-3"]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out, err) == (
+        2, "", "error: --unk-subword-penalty needs --lexicon files\n"
+    )
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+def test_decode_without_setting_flags_builds_the_library_defaults(
+    tiny_setup, kind, monkeypatch
+):
+    """With no setting flag, ``decode`` builds its scorer from
+    ``ScorerConfig()`` itself and, for bins, a 53-bin table calibrated
+    with ``calibration_pairs``' own seed."""
+
+    class Built(Exception):
+        pass
+
+    def build_runtime(kind, lexicons, models, config, template, width, table):
+        raise Built(config, table)
+
+    monkeypatch.setattr(cli, "build_runtime", build_runtime)
+    manifest = tiny_setup["dir"] / "manifest.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "u0", "logits": tiny_setup["logits"],
+                    "reference": "aa bb"}) + "\n",
+        encoding="utf-8",
+    )
+    lms = [tiny_setup["general_lm"], tiny_setup["jargon_lm"]]
+    calibration = ["--calibration-manifest", str(manifest)]
+    argv = ["decode", tiny_setup["logits"], "--alphabet", "ab ", "--fusion", kind,
+            *(a for i in KIND_MODELS[kind] for a in ("--lm", lms[i])),
+            "--lexicon", tiny_setup["general"], "--lexicon", tiny_setup["jargon"],
+            *(calibration if kind == "bins" else [])]
+    with pytest.raises(Built) as exc:
+        cli.main(argv)
+    config, table = exc.value.args
+    assert config == ScorerConfig()
+    if kind == "bins":
+        pairs = evaluation.calibration_pairs(
+            read_manifest(manifest), [load_arpa(path) for path in lms], seed=0
+        )
+        assert table == fit_bin_table(pairs, 53)
+        assert table.num_bins == 53
+    else:
+        assert table is None
