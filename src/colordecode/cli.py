@@ -21,6 +21,7 @@ import math
 import os
 import re
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .corpus import (
@@ -258,15 +259,17 @@ def _calibration_from_args(args, models, utterances=None) -> list:
     """Calibration pairs for the bins method from the references of
     ``--calibration-manifest``, or, without one, of ``utterances`` (the
     manifest gridsearch has read, whose references the search checks).
-    A calibration manifest that yields no pair is refused, naming it."""
+    A calibration manifest that yields no pair is refused, naming it and
+    whether its rows lack references or its references lack words."""
     path = args.calibration_manifest
     utterances = read_manifest(path) if path else utterances
     seed = {} if args.calibration_seed is None else {"seed": args.calibration_seed}
     pairs = calibration_pairs(utterances, models, **seed)
     if path and not pairs:
-        raise EmptyCalibration(
-            f"{path}: no row has a reference, so there are no calibration pairs"
-        )
+        fault = "no row has a reference"
+        if any(u.reference is not None for u in utterances):
+            fault = "no reference holds a word"
+        raise EmptyCalibration(f"{path}: {fault}, so there are no calibration pairs")
     return pairs
 
 
@@ -536,6 +539,14 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, UnknownChar, OSError, InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenProcessPool:
+        # the pool's own message names no cause a user can act on
+        print(
+            "error: a worker process stopped abruptly, as when the system "
+            "kills it for memory; --jobs 1 decodes without workers",
+            file=sys.stderr,
+        )
         return 1
     except MemoryError:
         # only the decoding subcommands grow with their beam

@@ -309,15 +309,18 @@ def format_colored(words: Sequence[tuple[str, int]], num_colors: int) -> str:
 def write_colored_transcript(
     transcript: ColoredTranscript, path, num_colors: int
 ) -> None:
-    """Markup at ``path``, exact words/colors/score at ``path + .json``."""
+    """Markup at ``path``, exact words/colors/score at ``path + .json``.
+    The sidecar is standard JSON: a transcript with no finite score, as
+    when no beam survives, has score null."""
     path = Path(path)
     path.write_text(format_colored(transcript.words, num_colors) + "\n")
     sidecar = Path(str(path) + ".json")
+    score = transcript.score
     payload = {
         "words": [[w, c] for w, c in transcript.words],
-        "score": transcript.score,
+        "score": score if math.isfinite(score) else None,
     }
-    sidecar.write_text(json.dumps(payload, indent=2) + "\n")
+    sidecar.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def default_alphabet(num_colors: int) -> ColoredAlphabet:

@@ -81,22 +81,22 @@ beams, then those other children; when it ends each listed node takes
 its next masses and is scored once; a built child is scored by the
 score it was ranked by.
 
-Each frame expands the set of the ``beam_width`` best beams, selected,
-not sorted, at the end of the frame before: when more candidates tie at
-the cutoff than fit, only the tied ones are ordered (shorter, then
-lexicographically smaller prefix first), merged beams and unbuilt
-children alike, since two candidates of one length compare as their
-parents do and then as their labels. Only the children that make the
-next beam become nodes, and ``get_best_beams`` then receives no more
-than ``beam_width`` beams. The selected beams are expanded best first,
-so that a wide beam starts the floor high, but the order changes no bit
-of the result. A prefix's masses for the next frame get at most two
+Each frame ends in one call of ``_select``, which keeps the
+``beam_width`` best candidates, merged beams and unbuilt children alike,
+and returns them as they are when they fit. It selects, not sorts: when
+more candidates tie at the cutoff than fit, only the tied ones are
+ordered (shorter, then lexicographically smaller prefix first), since
+two candidates of one length compare as their parents do and then as
+their labels. Only the children it keeps become nodes, and the next
+frame expands exactly what it kept; after the last frame, that is the
+beam finishing reads. The selected beams are expanded best first, so
+that a wide beam starts the floor high, but the order changes no bit of
+the result. A prefix's masses for the next frame get at most two
 contributions, its own stay, always written first, and its one parent's
-extension. The cutoff is the
-``beam_width``-th best of a multiset, and the floor skips only
-candidates strictly below it, however the floor rose, so the same
-candidates survive. Finishing takes the minimum over a strict total
-order.
+extension. The cutoff is the ``beam_width``-th best of a multiset, and
+the floor skips only candidates strictly below it, however the floor
+rose, so the same candidates survive. Finishing takes the minimum over a
+strict total order.
 
 A frame converts only its own row of log10 posteriors to Python
 floats, and the non-blank columns ranked from the likeliest down are
@@ -143,7 +143,6 @@ __all__ = [
     "Prefix",
     "DecoderConfig",
     "DecodeStats",
-    "get_best_beams",
     "decode",
 ]
 
@@ -416,18 +415,6 @@ class DecodeStats:
     spawned: list[int] = field(default_factory=list)
 
 
-def get_best_beams(beams: Sequence[Prefix], limit: int) -> list[Prefix]:
-    """The ``limit`` best beams by their stored score, in no promised
-    order. Among beams tied at the ``limit``-th best score, shorter and
-    then lexicographically smaller prefixes are kept, so the selected
-    set is deterministic. ``decode`` selects its next beam by this rule
-    as each frame ends, and calls this once per frame and once more on
-    the last beam."""
-    if len(beams) <= limit:
-        return list(beams)
-    return _select(beams, [], limit)[0]
-
-
 def _successor_entry(
     alphabet: ColoredAlphabet,
     tries: Sequence[LexiconTrie] | None,
@@ -488,14 +475,18 @@ def _unknown_deltas(
 
 
 def _select(
-    beams: Sequence[Prefix], fresh: Sequence[tuple], limit: int
+    beams: list[Prefix], fresh: list[tuple], limit: int
 ) -> tuple[list[Prefix], list[tuple]]:
     """The ``limit`` best of the candidates ``beams`` (nodes) and
-    ``fresh`` (unbuilt children, score first), more than ``limit`` in
-    all: those above the ``limit``-th best score, then as many of those
-    tied with it as fit, shorter and then lexicographically smaller
-    prefixes first. Two candidates of one depth compare as their parents
-    do, then as their labels; no two candidates spell one prefix."""
+    ``fresh`` (unbuilt children, score first), in no promised order:
+    both lists themselves when they hold at most ``limit`` in all, else
+    those above the ``limit``-th best score, then as many of those tied
+    with it as fit, shorter and then lexicographically smaller prefixes
+    first. Two candidates of one depth compare as their parents do, then
+    as their labels; no two candidates spell one prefix. ``decode``
+    selects its next beam by this call as each frame ends."""
+    if len(beams) + len(fresh) <= limit:
+        return beams, fresh
     ranked = [b.score for b in beams] + [c[0] for c in fresh]
     ranked.sort(reverse=True)
     cutoff = ranked[limit - 1]
@@ -614,7 +605,7 @@ def decode(
     root = Prefix(None, None, None, 0.0, None, WORD_START, scorer.initial_state())
     root.p_blank = root.total = root.score = 0.0
     root.p_nonblank = NEG_INF
-    beams = [root]
+    best = [root]
 
     # per frame, the non-blank columns from the likeliest down; argsorted
     # at the utterance's first wide beam, each row converted at its
@@ -622,7 +613,6 @@ def decode(
     ranked = None
     for t, log10_row in enumerate(logits._log10):
         row = log10_row.tolist()
-        best = get_best_beams(beams, beam_width)
         # the best beam first, so that a wide one starts the floor high
         best.sort(key=_EXPANSION_KEY, reverse=True)
 
@@ -812,10 +802,8 @@ def decode(
                 total = a + log1p(10.0 ** (b - a)) / LN10
             node.total = total
             node.score = total + node.p_text
-        beams = touched
-        if len(beams) + len(fresh) > beam_width:
-            # the next beam, so only the children in it become nodes
-            beams, fresh = _select(beams, fresh, beam_width)
+        # the next beam, so only the children in it become nodes
+        best, fresh = _select(touched, fresh, beam_width)
         for score, mass, node, ext, label, p_text, word, scorer_state in fresh:
             words = node.words
             if word is not None:
@@ -829,11 +817,11 @@ def decode(
             child.p_blank = NEG_INF
             child.p_nonblank = child.total = mass
             child.score = score
-            beams.append(child)
+            best.append(child)
 
     # (rank key, final score, word chain) per finished beam
     candidates: list[tuple[tuple, float, tuple | None]] = []
-    for node in get_best_beams(beams, beam_width):
+    for node in best:
         state = node.word_state
         pending = finish_word(tries, state, _spelling(node, chars), allow_off)
         words = node.words

@@ -295,8 +295,9 @@ def decode_utterances(
 def _references(
     utterances: Sequence[Utterance],
 ) -> tuple[list[list[str]], list[list[bool]]]:
-    """Reference words and jargon masks, checked before any decode; an
-    empty corpus is refused."""
+    """Reference words and jargon masks, checked before any decode. An
+    empty corpus is refused, and so is one whose references hold no
+    word: its error rates would divide by zero."""
     if not utterances:
         raise ValueError("the manifest has no utterances")
     refs = []
@@ -310,6 +311,8 @@ def _references(
             if utt.jargon_mask is not None
             else [False] * len(utt.reference)
         )
+    if not any(word for ref in refs for word in ref):
+        raise ValueError("no reference in the manifest holds a word")
     return refs, masks
 
 

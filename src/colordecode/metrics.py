@@ -216,4 +216,4 @@ class EvalReport:
                 for r in self.results
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -11,6 +11,8 @@ import dataclasses
 import gc
 import json
 import math
+import multiprocessing
+import os
 import shutil
 
 import numpy as np
@@ -41,6 +43,10 @@ def run_cli(argv, capsys):
 def write_json_logits(path, frames):
     path.write_text(json.dumps({"frames": frames}), encoding="utf-8")
     return str(path)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"not standard JSON: {name}")
 
 
 @pytest.fixture
@@ -198,6 +204,35 @@ def test_decode_out_writes_markup_and_sidecar(tiny_setup, capsys):
     assert sidecar["score"] == pytest.approx(expected, abs=1e-9)
 
 
+def test_decode_sidecar_is_standard_json_when_no_beam_survives(
+    synth_dir, tmp_path, capsys
+):
+    """One frame favoring the first letter of a general word leaves beam
+    1 holding an unfinished word, so no beam survives and the score is
+    -inf. The sidecar used to hold ``-Infinity``, which strict JSON
+    parsers refuse; it holds null."""
+    word = (synth_dir / "general.txt").read_text(encoding="utf-8").split()[0]
+    assert len(word) > 1
+    row = [0.25 / 27] * 28
+    row[ord(word[0]) - ord("a")] = 0.75
+    logits = write_json_logits(tmp_path / "one-frame.json", [row])
+    out_path = tmp_path / "hyp.txt"
+    argv = [
+        "decode", logits,
+        "--lexicon", str(synth_dir / "general.txt"),
+        "--beam-width", "1",
+        "--out", str(out_path),
+    ]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    assert out == "\nscore -inf\n"
+    sidecar = (tmp_path / "hyp.txt.json").read_text(encoding="utf-8")
+    assert json.loads(sidecar, parse_constant=_refuse_constant) == {
+        "words": [],
+        "score": None,
+    }
+
+
 def test_decode_stdout_is_byte_identical_across_runs(tiny_setup, capsys):
     argv = [
         "decode",
@@ -301,7 +336,7 @@ def test_eval_text_report(synth_dir, capsys):
 def test_eval_json_report(synth_dir, capsys):
     rc, out, _ = run_cli(_eval_argv(synth_dir, "--json"), capsys)
     assert rc == 0
-    parsed = json.loads(out)
+    parsed = json.loads(out, parse_constant=_refuse_constant)
     assert isinstance(parsed, dict)
     text = json.dumps(parsed).lower()
     assert "wer" in text
@@ -985,6 +1020,63 @@ def test_an_empty_manifest_is_a_data_error(synth_dir, tmp_path, command, capsys)
     assert err == "error: the manifest has no utterances\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eval"], ["eval", "--json"], ["gridsearch", "--betas", "0"]],
+    ids=["eval", "eval-json", "gridsearch"],
+)
+def test_references_without_a_word_are_a_data_error(synth_dir, tmp_path, argv, capsys):
+    """A manifest whose references are all empty used to print WER inf
+    (``Infinity`` under ``--json``), or ``wer inf`` with point 0 named
+    best; it has no error rate, so it exits 1 before any decode."""
+    shutil.copy(synth_dir / "logits" / "utt0000.ctcl", tmp_path / "u0.ctcl")
+    manifest = tmp_path / "empty-references.jsonl"
+    manifest.write_text(
+        '{"id": "u0", "logits": "u0.ctcl", "reference": ""}\n'
+        '{"id": "u1", "logits": "u0.ctcl", "reference": []}\n',
+        encoding="utf-8",
+    )
+    command, *flags = argv
+    rc, out, err = run_cli(
+        [command, str(manifest), "--lexicon", str(synth_dir / "general.txt"), *flags],
+        capsys,
+    )
+    assert rc == 1
+    assert out == ""
+    assert err == "error: no reference in the manifest holds a word\n"
+
+
+def _exit_abruptly(task):
+    """Stands in for ``evaluation._decode_task`` in a worker: the process
+    dies as one killed from outside does, with no exception to report."""
+    os._exit(9)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("eval", []), ("gridsearch", ["--betas", "0,0.5"])],
+    ids=["eval", "gridsearch"],
+)
+def test_a_worker_that_dies_is_a_data_error(
+    synth_dir, monkeypatch, capsys, command, flags
+):
+    """A worker process that stops abruptly used to end the run in a
+    ``BrokenProcessPool`` traceback. The run exits 1 with one line that
+    says so and names the way round it, and leaves no worker running."""
+    monkeypatch.setattr(evaluation, "_decode_task", _exit_abruptly)
+    argv = [
+        command, str(synth_dir / "manifest.jsonl"),
+        "--lexicon", str(synth_dir / "general.txt"),
+        "--beam-width", "4", "--jobs", "2", *flags,
+    ]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: a worker process stopped abruptly")
+    assert err.count("\n") == 1 and "--jobs 1" in err
+    assert multiprocessing.active_children() == []
+
+
 def test_eval_requires_a_lexicon(synth_dir, capsys):
     rc, _, err = run_cli(["eval", str(synth_dir / "manifest.jsonl")], capsys)
     assert rc == 2
@@ -1450,6 +1542,13 @@ BAD_CALIBRATION_MANIFESTS = {
     "directory": None,
     "no reference": b'{"id": "u0", "logits": "u0.ctcl"}\n'
     b'{"id": "u1", "logits": "u0.ctcl", "reference": null}\n',
+    "no word": b'{"id": "u0", "logits": "u0.ctcl", "reference": ""}\n'
+    b'{"id": "u1", "logits": "u0.ctcl", "reference": []}\n',
+}
+# malformation -> the fault its error names
+CALIBRATION_FAULTS = {
+    "no reference": "no row has a reference",
+    "no word": "no reference holds a word",
 }
 
 
@@ -1458,8 +1557,9 @@ BAD_CALIBRATION_MANIFESTS = {
 def test_bad_calibration_manifests_are_named(
     synth_dir, tmp_path, capsys, command, malformation
 ):
-    """A ``--calibration-manifest`` that is missing, a directory or has
-    no row with a reference exits 1 with an error naming it."""
+    """A ``--calibration-manifest`` that is missing, a directory, or has
+    no row with a reference or no reference with a word exits 1 with an
+    error naming it and, when it reads, the fault."""
     contents = BAD_CALIBRATION_MANIFESTS[malformation]
     bad = tmp_path / "calibration.jsonl"
     shutil.copy(synth_dir / "logits" / "utt0000.ctcl", tmp_path / "u0.ctcl")
@@ -1487,9 +1587,9 @@ def test_bad_calibration_manifests_are_named(
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and str(bad) in err, err
-    if malformation == "no reference":
+    if malformation in CALIBRATION_FAULTS:
         assert err == (
-            f"error: {bad}: no row has a reference, so there are no "
+            f"error: {bad}: {CALIBRATION_FAULTS[malformation]}, so there are no "
             "calibration pairs\n"
         )
 

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from colordecode.decoder import (
     MalformedLogits,
     Prefix,
     ShapeMismatch,
+    _select,
     decode,
-    get_best_beams,
 )
 from colordecode.evaluation import build_runtime
 from colordecode.lexicon import WORD_START, ColoredAlphabet, build_trie, word_successors
@@ -139,83 +140,110 @@ def _labels(node: Prefix) -> tuple[tuple[int, int], ...]:
     return tuple(reversed(out))
 
 
-def _in_rank_order(beams) -> list[tuple[tuple[int, int], ...]]:
-    """The labels of ``beams`` ordered by (-score, depth, label tuple),
-    the rule ``get_best_beams`` selects by, whatever order it returns."""
-    ordered = sorted(
-        beams, key=lambda b: (-b.score, len(_labels(b)), _labels(b))
-    )
-    return [_labels(b) for b in ordered]
+def _fresh(parent: Prefix, label: tuple[int, int], score: float) -> tuple:
+    """An unbuilt child of ``parent`` as a frame lists it for ``_select``:
+    (score, mass, parent, extension, label, p_text, word, scorer state),
+    its one mass being its score."""
+    return (score, score, parent, None, label, 0.0, None, None)
 
 
-def test_get_best_beams_selects_and_limits():
+def _in_rank_order(beams, fresh=()) -> list[tuple[tuple[int, int], ...]]:
+    """The labels of the candidates ``beams`` (nodes) and ``fresh``
+    (unbuilt children) ordered by (-score, depth, label tuple), the rule
+    ``_select`` selects by, whatever order it returns."""
+    candidates = [(b.score, _labels(b)) for b in beams] + [
+        (c[0], _labels(c[2]) + (c[4],)) for c in fresh
+    ]
+    candidates.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
+    return [labels for _score, labels in candidates]
+
+
+def test_select_selects_and_limits():
     root = _root()
     beams = [
         _beam(_interned(root, ((0, 0),)), NEG_INF, -2.0),
         _beam(root, -1.0, NEG_INF),
         _beam(_interned(root, ((1, 0),)), NEG_INF, -3.0),
     ]
-    best = get_best_beams(beams, 2)
-    assert _in_rank_order(best) == [(), ((0, 0),)]
-    assert len(get_best_beams(beams, 10)) == 3
+    best = _select(beams, [], 2)
+    assert _in_rank_order(*best) == [(), ((0, 0),)]
+    assert len(_select(beams, [], 10)[0]) == 3
 
     # the best score on the deepest prefix: selected ahead of every
     # shallower beam, so a beam built here ranks on its real score
     deep = ((1, 0), (0, 0), (1, 0))
     beams.append(_beam(_interned(root, deep), -0.5, -0.75))
-    best = get_best_beams(beams, 2)
-    assert _in_rank_order(best) == [deep, ()]
-    assert max(b.score for b in best) == logaddexp10(-0.5, -0.75)
+    best = _select(beams, [], 2)
+    assert _in_rank_order(*best) == [deep, ()]
+    assert max(b.score for b in best[0]) == logaddexp10(-0.5, -0.75)
+
+    # an unbuilt child competes on its score alike
+    fresh = [_fresh(beams[0], (1, 0), -1.5), _fresh(root, (2, 0), -0.25)]
+    best = _select(beams, fresh, 3)
+    assert _in_rank_order(*best) == [((2, 0),), deep, ()]
+    assert best[1] == [fresh[1]]
 
 
-def test_get_best_beams_returns_every_beam_that_fits():
-    """At most ``limit`` beams come back as they are, ties, -inf scores
-    and all."""
+def test_select_returns_every_candidate_that_fits():
+    """At most ``limit`` candidates come back as the very lists given,
+    ties, -inf scores and all."""
     root = _root()
     beams = [
         _beam(_interned(root, ((1, 0), (0, 0))), -1.0, NEG_INF),
         _beam(root, NEG_INF, NEG_INF),
         _beam(_interned(root, ((0, 0),)), -1.0, NEG_INF),
     ]
-    for limit in (3, 4, 64):
-        assert get_best_beams(beams, limit) == beams
+    fresh = [_fresh(root, (1, 0), -1.0)]
+    for limit in (4, 5, 64):
+        kept = _select(beams, fresh, limit)
+        assert kept[0] is beams and kept[1] is fresh
+        assert _select(beams, [], limit - 1)[0] is beams
 
 
-def test_get_best_beams_breaks_ties_deterministically():
+def test_select_breaks_ties_deterministically():
     root = _root()
     beams = [
         _beam(_interned(root, ((1, 0),)), -1.0, NEG_INF),
         _beam(_interned(root, ((0, 0), (1, 0))), -1.0, NEG_INF),
         _beam(_interned(root, ((0, 0),)), -1.0, NEG_INF),
     ]
-    assert _in_rank_order(get_best_beams(beams, 3)) == [
+    fresh = [_fresh(beams[0], (0, 0), -1.0)]
+    assert _in_rank_order(*_select(beams, fresh, 3)) == [
         ((0, 0),),
         ((1, 0),),
         ((0, 0), (1, 0)),
     ]
-    assert _in_rank_order(get_best_beams(beams, 2)) == [((0, 0),), ((1, 0),)]
+    assert _in_rank_order(*_select(beams, fresh, 2)) == [((0, 0),), ((1, 0),)]
 
 
-def test_get_best_beams_keeps_ties_straddling_the_limit_by_prefix():
-    """Beams above the limit-th best score are all kept, beams below it
-    none, and the tied ones fill the remaining slots shorter prefix
-    first, then smaller labels."""
+def test_select_keeps_ties_straddling_the_limit_by_prefix():
+    """Candidates above the limit-th best score are all kept, candidates
+    below it none, and the tied ones fill the remaining slots shorter
+    prefix first, then smaller labels, built or not."""
     root = _root()
     above = [((2, 1),), ((2, 0), (2, 0))]
-    tied = [((1, 0), (0, 0)), ((1, 0),), ((0, 1),), ((0, 0), (0, 0))]
+    tied = [((1, 0), (0, 0)), ((1, 0),), ((0, 1),)]
     below = [(), ((0, 0),)]
     beams = (
         [_beam(_interned(root, labels), -0.5, NEG_INF) for labels in above]
         + [_beam(_interned(root, labels), -1.0, NEG_INF) for labels in tied]
         + [_beam(_interned(root, labels), -2.0, NEG_INF) for labels in below]
     )
+    # the tied ((0, 0), (0, 0)) is an unbuilt child of the beam ((0, 0),)
+    fresh = [_fresh(beams[-1], (0, 0), -1.0)]
     for order in (beams, beams[::-1]):
-        assert _in_rank_order(get_best_beams(order, 3)) == [
+        assert _in_rank_order(*_select(order, fresh, 3)) == [
             ((2, 1),),
             ((2, 0), (2, 0)),
             ((0, 1),),
         ]
-        assert _in_rank_order(get_best_beams(order, 5)) == [
+        assert _in_rank_order(*_select(order, fresh, 4)) == [
+            ((2, 1),),
+            ((2, 0), (2, 0)),
+            ((0, 1),),
+            ((1, 0),),
+        ]
+        assert _in_rank_order(*_select(order, fresh, 5)) == [
             ((2, 1),),
             ((2, 0), (2, 0)),
             ((0, 1),),
@@ -224,11 +252,11 @@ def test_get_best_beams_keeps_ties_straddling_the_limit_by_prefix():
         ]
 
 
-def test_get_best_beams_ranks_ties_like_materialized_prefixes():
-    """Among beams of few distinct scores, the selection equals the
-    first ``limit`` beams sorted by (-score, depth, label tuple): the
-    node comparison walking up to the common ancestor agrees with
-    comparing whole spelled prefixes."""
+def test_select_ranks_ties_like_materialized_prefixes():
+    """Among candidates of few distinct scores, built or not, the
+    selection equals the first ``limit`` candidates sorted by (-score,
+    depth, label tuple): the node comparison walking up to the common
+    ancestor agrees with comparing whole spelled prefixes."""
     rng = random.Random(1812)
     for _ in range(200):
         root = _root()
@@ -239,14 +267,56 @@ def test_get_best_beams_ranks_ties_like_materialized_prefixes():
             )
             for _ in range(rng.randint(1, 25))
         }
-        beams = [
-            _beam(_interned(root, labels), rng.choice([-1.0, -2.0]), NEG_INF)
-            for labels in spellings
-        ]
+        beams = []
+        fresh = []
+        for labels in spellings:
+            score = rng.choice([-1.0, -2.0])
+            if labels and rng.random() < 0.5:
+                parent = _interned(root, labels[:-1])
+                fresh.append(_fresh(parent, labels[-1], score))
+            else:
+                beams.append(_beam(_interned(root, labels), score, NEG_INF))
         rng.shuffle(beams)
-        limit = rng.randint(1, len(beams) + 1)
-        got = get_best_beams(beams, limit)
-        assert _in_rank_order(got) == _in_rank_order(beams)[:limit]
+        rng.shuffle(fresh)
+        limit = rng.randint(1, len(spellings) + 1)
+        got = _select(beams, fresh, limit)
+        assert _in_rank_order(*got) == _in_rank_order(beams, fresh)[:limit]
+
+
+class _Kept(NamedTuple):
+    """A candidate ``_select`` kept, as the node it is or is built as."""
+
+    labels: tuple[tuple[int, int], ...]
+    p_blank: float
+    p_nonblank: float
+    total: float
+    score: float
+    p_text: float
+
+
+def _spy_select(monkeypatch, record, select=None) -> None:
+    """Wrap ``decoder._select`` (or ``select`` in its place) so that each
+    frame of a decode, as it ends, hands ``record`` the ``_Kept`` list of
+    the next beam: every node kept with its figures, and every unbuilt
+    child kept with the ones ``decode`` builds it with, its one mass and
+    the score it was ranked by."""
+    select = select or decoder_module._select
+
+    def spy(beams, fresh, limit):
+        kept = select(beams, fresh, limit)
+        record(
+            [
+                _Kept(_labels(b), b.p_blank, b.p_nonblank, b.total, b.score, b.p_text)
+                for b in kept[0]
+            ]
+            + [
+                _Kept(_labels(c[2]) + (c[4],), NEG_INF, c[1], c[1], c[0], c[5])
+                for c in kept[1]
+            ]
+        )
+        return kept
+
+    monkeypatch.setattr(decoder_module, "_select", spy)
 
 
 # ---------------------------------------------------------------------------
@@ -475,42 +545,41 @@ def test_unconstrained_matches_oracle():
 
 def test_merge_conserves_total_mass(monkeypatch):
     """Unconstrained, at a saturating beam, each CTC alignment collapses
-    to exactly one prefix, so every frame's merged beams together carry
+    to exactly one prefix, so the beam every frame keeps carries
     probability 1; a lost or double-counted path moves the total."""
     masses: list[float] = []
-
-    def rank_and_measure(beams, limit):
-        masses.append(logsumexp10([b.total for b in beams]))
-        return get_best_beams(beams, limit)
-
-    monkeypatch.setattr(decoder_module, "get_best_beams", rank_and_measure)
+    _spy_select(
+        monkeypatch, lambda kept: masses.append(logsumexp10([k.total for k in kept]))
+    )
     rng = random.Random(77)
+    frames = 0
     for _ in range(60):
         alphabet, logits, _ = _unconstrained_instance(rng)
         width = sum(alphabet.size**n for n in range(logits.frames + 1))
         masses.clear()
         scorer = NullScorer(ScorerConfig())
         decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=width))
-        assert len(masses) == logits.frames + 1
+        assert len(masses) == logits.frames
         assert masses == pytest.approx([0.0] * len(masses), abs=1e-9)
+        frames += len(masses)
+    assert frames > 0
 
 
 def test_ranked_beams_carry_current_scores(monkeypatch):
-    """Every beam reaching the ranking carries the total of its final
-    masses and that total plus its text score, bit for bit: a merged
-    beam's figures are set after its last merge, and a fresh child's are
-    the ones it passed the cutoff on."""
+    """Every beam a frame keeps carries the total of its final masses
+    and that total plus its text score, bit for bit: a merged beam's
+    figures are set after its last merge, and a fresh child's are the
+    ones it passed the cutoff on."""
     checked = [0]
 
-    def rank_checked(beams, limit):
-        for b in beams:
-            total = logaddexp10(b.p_blank, b.p_nonblank)
-            assert b.total.hex() == total.hex()
-            assert b.score.hex() == (total + b.p_text).hex()
-        checked[0] += len(beams)
-        return get_best_beams(beams, limit)
+    def check(kept):
+        for k in kept:
+            total = logaddexp10(k.p_blank, k.p_nonblank)
+            assert k.total.hex() == total.hex()
+            assert k.score.hex() == (total + k.p_text).hex()
+        checked[0] += len(kept)
 
-    monkeypatch.setattr(decoder_module, "get_best_beams", rank_checked)
+    _spy_select(monkeypatch, check)
     rng = random.Random(6124)
     for i in range(300):
         inst = random_instance(rng, max_frames=8, max_words=4)
@@ -528,8 +597,8 @@ def test_ranked_beams_carry_current_scores(monkeypatch):
 
 @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
 def test_expansion_order_changes_no_bit(monkeypatch, reorder):
-    """``decode`` relies on the set ``get_best_beams`` selects, not on
-    the order it expands it in (best first): a merge sums at most two
+    """``decode`` relies on the set ``_select`` keeps, not on the order
+    it expands it in (best first): a merge sums at most two
     masses with the symmetric ``logaddexp10``, the cutoff is the
     beam-width-th best of a multiset, and finishing takes a minimum.
     Expanding the selected beams worst first, or shuffled, leaves every
@@ -568,22 +637,24 @@ def test_expansion_order_changes_no_bit(monkeypatch, reorder):
 def test_narrow_beams_merge_every_duplicate_prefix(monkeypatch):
     """At beams 1-3 a prefix often leaves the beam while a child of it
     stays. Extending the survivors must still reach the one node that
-    spells each prefix, so the candidates ranked after every frame spell
+    spells each prefix, so the beam kept after every frame spells
     pairwise distinct prefixes; two nodes for one prefix would split its
     mass."""
+    frames = [0]
 
-    def rank_distinct(beams, limit):
-        spelled = [_labels(b) for b in beams]
+    def distinct(kept):
+        spelled = [k.labels for k in kept]
         assert len(set(spelled)) == len(spelled)
-        return get_best_beams(beams, limit)
+        frames[0] += 1
 
-    monkeypatch.setattr(decoder_module, "get_best_beams", rank_distinct)
+    _spy_select(monkeypatch, distinct)
     rng = random.Random(2873)
     for _ in range(1000):
         inst = random_instance(rng, max_frames=8, max_words=4)
         for width in (1, 2, 3):
             config = DecoderConfig(inst.alphabet, inst.tries, inst.scorer, beam_width=width)
             decode(inst.logits, config)
+    assert frames[0] > 0
 
 
 def _plain_prefix_search(rows, width):
@@ -634,16 +705,14 @@ def test_narrow_beams_match_a_plain_prefix_search(monkeypatch):
     """At beams 1-3 prefixes leave the beam and come back, through their
     own stay or their parent's extension, while the node that spells
     them lives on below a survivor. Unconstrained, with no text score
-    and tie-free rows, every frame's ranked candidates and their masses
-    equal, bit for bit, those of a plain prefix beam search keyed by
-    label tuples, which rebuilds each candidate's masses from nothing."""
+    and tie-free rows, the beam every frame keeps and its masses equal,
+    bit for bit, those of a plain prefix beam search keyed by label
+    tuples, which rebuilds each candidate's masses from nothing."""
     frames = []
-
-    def rank(beams, limit):
-        frames.append({_labels(b): (b.p_blank, b.p_nonblank) for b in beams})
-        return get_best_beams(beams, limit)
-
-    monkeypatch.setattr(decoder_module, "get_best_beams", rank)
+    _spy_select(
+        monkeypatch,
+        lambda kept: frames.append({k.labels: (k.p_blank, k.p_nonblank) for k in kept}),
+    )
     rng = random.Random(6007)
     returns = 0  # candidates ranked before, but not in the previous frame
     for i in range(1000):
@@ -660,7 +729,8 @@ def test_narrow_beams_match_a_plain_prefix_search(monkeypatch):
             frames.clear()
             decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=width))
             expected = _plain_prefix_search(logits.log10_rows(), width)
-            assert _hexed(frames) == _hexed(expected)
+            # every frame's, after the root's
+            assert frames and _hexed(frames) == _hexed(expected[1:])
             seen: set = set()
             for before, after in zip(expected, expected[1:]):
                 seen.update(before)
@@ -1003,7 +1073,7 @@ def test_frame_builds_nodes_only_for_candidates_that_can_rank(monkeypatch):
     its score reaches the beam-width-th best of its frame; only the
     candidates that reach it are ranked. With one color and continuous
     random logits no two candidates tie, so a frame makes at most
-    ``beam_width`` nodes and ranks at most ``beam_width`` candidates even
+    ``beam_width`` nodes and keeps at most ``beam_width`` candidates even
     though off-lexicon spelling offers every column to every beam."""
     built = [0]
 
@@ -1014,16 +1084,15 @@ def test_frame_builds_nodes_only_for_candidates_that_can_rank(monkeypatch):
             built[0] += 1
             super().__init__(*args)
 
-    built_before_rank: list[int] = []
-    ranked: list[int] = []
+    built_before_select: list[int] = []
+    kept_counts: list[int] = []
 
-    def rank(beams, limit):
-        built_before_rank.append(built[0])
-        ranked.append(len(beams))
-        return get_best_beams(beams, limit)
+    def count(kept):
+        built_before_select.append(built[0])
+        kept_counts.append(len(kept))
 
     monkeypatch.setattr(decoder_module, "Prefix", CountingPrefix)
-    monkeypatch.setattr(decoder_module, "get_best_beams", rank)
+    _spy_select(monkeypatch, count)
     alphabet = ColoredAlphabet(("a", "b", "c", "d", " "), 1, " ")
     tries = [build_trie(alphabet, 0, ["ab", "abc", "bad", "d"])]
     scorer = NullScorer(ScorerConfig(beta=-0.5, unknown_subword_penalty=-1.0))
@@ -1033,16 +1102,19 @@ def test_frame_builds_nodes_only_for_candidates_that_can_rank(monkeypatch):
         for _ in range(5):
             logits = LogitsMatrix.from_linear(random_rows(rng, 30, 6))
             built[0] = 0
-            built_before_rank.clear()
-            ranked.clear()
+            built_before_select.clear()
+            kept_counts.clear()
             stats = DecodeStats()
             got = decode(logits, config, stats)
-            # the root, then one count per frame between its two rankings
-            assert built_before_rank[0] == 1
-            per_frame = [b - a for a, b in zip(built_before_rank, built_before_rank[1:])]
+            built_before_select.append(built[0])
+            # the root, then per frame the nodes built after its selection
+            assert built_before_select[0] == 1
+            per_frame = [
+                b - a for a, b in zip(built_before_select, built_before_select[1:])
+            ]
             assert len(per_frame) == logits.frames
             assert max(per_frame) <= width
-            assert max(ranked) <= width
+            assert max(kept_counts) <= width
             assert sum(stats.spawned) > sum(per_frame)
             assert got.words
 
@@ -1107,7 +1179,7 @@ def _decode_recorded(
     expansion_key=None,
 ):
     """Decode, and return the transcript's words and score by
-    ``float.hex`` with the candidates ranked after every frame as sorted
+    ``float.hex`` with the beam kept after every frame as sorted
     (labels, p_blank, p_nonblank) triples, masses by ``float.hex``.
     With ``every_extension`` every grammar state counts as narrow, so no
     floor is ever started and the frame step scores every extension of
@@ -1119,11 +1191,10 @@ def _decode_recorded(
     expanded by, highest first."""
     frames = []
 
-    def rank(beams, limit):
+    def record(kept):
         frames.append(
-            sorted((_labels(b), b.p_blank.hex(), b.p_nonblank.hex()) for b in beams)
+            sorted((k.labels, k.p_blank.hex(), k.p_nonblank.hex()) for k in kept)
         )
-        return get_best_beams(beams, limit)
 
     entry = decoder_module._successor_entry
 
@@ -1133,7 +1204,7 @@ def _decode_recorded(
         return count, succ + walked, None, False
 
     with monkeypatch.context() as m:
-        m.setattr(decoder_module, "get_best_beams", rank)
+        _spy_select(m, record)
         if every_extension:
             m.setattr(decoder_module, "_successor_entry", narrow_entry)
         if not price_unknown:
@@ -1141,6 +1212,7 @@ def _decode_recorded(
         if expansion_key is not None:
             m.setattr(decoder_module, "_EXPANSION_KEY", expansion_key)
         got = decode(logits, dataclasses.replace(config))
+    assert len(frames) == logits.frames
     return (got.words, got.score.hex()), frames
 
 
@@ -1449,11 +1521,10 @@ def test_a_model_word_the_alphabet_cannot_spell_withholds_no_price(strangers):
 
 def test_ties_at_the_cutoff_build_only_the_next_beam(monkeypatch):
     """On uniform frames many candidates tie exactly at the cutoff. A
-    frame builds at most ``beam_width`` nodes and ranks at most that
-    many, and what it ranks is what the ranking rule of
-    ``get_best_beams`` (higher score, then shorter, then smaller label
-    tuple) selects from every candidate that reaches the cutoff, all of
-    them built."""
+    frame builds at most ``beam_width`` nodes and keeps at most that
+    many, and what it keeps is what the ranking rule (higher score, then
+    shorter, then smaller label tuple) selects from every candidate,
+    each compared by its whole label tuple."""
     built = [0]
 
     class CountingPrefix(Prefix):
@@ -1463,33 +1534,41 @@ def test_ties_at_the_cutoff_build_only_the_next_beam(monkeypatch):
             built[0] += 1
             super().__init__(*args)
 
-    def keep_every_tie(beams, fresh, limit):
-        cutoff = sorted([b.score for b in beams] + [c[0] for c in fresh])[-limit]
+    overflowing = [0]
+
+    def select_by_rule(beams, fresh, limit):
+        ranked = sorted(
+            [((-b.score, b.depth, _labels(b)), b, None) for b in beams]
+            + [((-c[0], c[2].depth + 1, _labels(c[2]) + (c[4],)), None, c)
+               for c in fresh],
+            key=lambda item: item[0],
+        )
+        # more candidates reach the cutoff than fit
+        if len(ranked) > limit and ranked[limit][0][0] == ranked[limit - 1][0][0]:
+            overflowing[0] += 1
+        kept = ranked[:limit]
         return (
-            [b for b in beams if b.score >= cutoff],
-            [c for c in fresh if c[0] >= cutoff],
+            [b for _key, b, _c in kept if b is not None],
+            [c for _key, _b, c in kept if c is not None],
         )
 
-    def recorded(logits, config, all_ties):
+    def recorded(logits, config, by_rule):
         frames, counts = [], []
 
-        def rank(beams, limit):
-            counts.append((built[0], len(beams)))
-            best = sorted(beams, key=lambda b: (-b.score, b.depth, _labels(b)))[:limit]
-            frames.append(sorted(_labels(b) for b in best))
-            return best
+        def record(kept):
+            counts.append((built[0], len(kept)))
+            frames.append(sorted(k.labels for k in kept))
 
         with monkeypatch.context() as m:
             m.setattr(decoder_module, "Prefix", CountingPrefix)
-            m.setattr(decoder_module, "get_best_beams", rank)
-            if all_ties:
-                m.setattr(decoder_module, "_select", keep_every_tie)
+            _spy_select(m, record, select_by_rule if by_rule else None)
             built[0] = 0
             got = decode(logits, dataclasses.replace(config))
+        assert len(frames) == logits.frames
+        counts.append((built[0], 0))
         return (repr(got), frames), counts
 
     rng = random.Random(9031)
-    overflowing = 0
     for i in range(120):
         inst = random_instance(rng, max_frames=6, max_words=4)
         scorer = ColoringScorer(
@@ -1504,14 +1583,14 @@ def test_ties_at_the_cutoff_build_only_the_next_beam(monkeypatch):
         logits = LogitsMatrix.from_linear([[1 / cols] * cols] * inst.logits.frames, cols)
         for width in (1, 2, 3, 4):
             config = DecoderConfig(inst.alphabet, tries, scorer, width)
-            selected, counts = recorded(logits, config, all_ties=False)
-            reference, all_counts = recorded(logits, config, all_ties=True)
+            selected, counts = recorded(logits, config, by_rule=False)
+            reference, _ = recorded(logits, config, by_rule=True)
             assert selected == reference
+            # per frame, the nodes built after its selection
             per_frame = [b - a for (a, _), (b, _) in zip(counts, counts[1:])]
             assert max(per_frame, default=0) <= width
             assert max(n for _, n in counts) <= width
-            overflowing += sum(n > width for _, n in all_counts)
-    assert overflowing > 100
+    assert overflowing[0] > 100
 
 
 # ---------------------------------------------------------------------------
@@ -1601,25 +1680,24 @@ def test_a_node_sums_its_stay_and_its_parents_extension(
     """Over "a" and "b" at beam 2, after frame 2 the beam holds "a" and
     "ab". Expanded best first, "ab" gets the extension of "a" before its
     own stay when "a" scores higher, and after it when "ab" does. Either
-    way every frame's ranked candidates carry, bit for bit, the masses
-    of a plain prefix beam search."""
+    way the beam every frame keeps carries, bit for bit, the masses of a
+    plain prefix beam search."""
     frames = []
-
-    def rank(beams, limit):
-        frames.append({_labels(b): (b.p_blank, b.p_nonblank) for b in beams})
-        return get_best_beams(beams, limit)
-
-    monkeypatch.setattr(decoder_module, "get_best_beams", rank)
+    _spy_select(
+        monkeypatch,
+        lambda kept: frames.append({k.labels: (k.p_blank, k.p_nonblank) for k in kept}),
+    )
     alphabet = ColoredAlphabet(("a", "b"), 1, None)
     logits = LogitsMatrix.from_linear(_two_frame_rows(second))
     scorer = NullScorer(ScorerConfig(beta=0.0))
     decode(logits, DecoderConfig(alphabet, None, scorer, beam_width=2))
 
+    # frames[k] is the beam kept after frame k + 1
     a, ab = ((0, 0),), ((0, 0), (1, 0))
-    assert set(frames[2]) == {a, ab}
-    score = {labels: logaddexp10(*masses) for labels, masses in frames[2].items()}
+    assert set(frames[1]) == {a, ab}
+    score = {labels: logaddexp10(*masses) for labels, masses in frames[1].items()}
     assert (score[a] > score[ab]) == parent_first
     # "ab" stays on its non-blank mass and takes the extension of "a"
-    assert NEG_INF not in (frames[2][ab][1], score[a])
-    assert ab in frames[3]
-    assert _hexed(frames) == _hexed(_plain_prefix_search(logits.log10_rows(), 2))
+    assert NEG_INF not in (frames[1][ab][1], score[a])
+    assert ab in frames[2]
+    assert _hexed(frames) == _hexed(_plain_prefix_search(logits.log10_rows(), 2)[1:])

@@ -658,6 +658,30 @@ def test_missing_reference_fails_before_any_decode(monkeypatch):
         )
 
 
+def test_references_without_a_word_fail_before_any_decode(monkeypatch):
+    """A corpus whose references hold no word has no error rate (WER and
+    CER would divide by zero), so it is refused before any decode,
+    however its rows spell the empty reference."""
+    monkeypatch.setattr(
+        evaluation, "decode_utterances", lambda *a, **k: pytest.fail("decoded")
+    )
+    utts = [
+        Utterance("u0", Path("/nonexistent.ctcl"), (), None),
+        Utterance("u1", Path("/nonexistent.ctcl"), ("",), None),
+    ]
+    lexicons = [["ab", "cd"]]
+    cfg = build_runtime(
+        "none", lexicons, [], ScorerConfig(), default_alphabet(1)
+    ).decoder_config()
+    message = "no reference in the manifest holds a word"
+    with pytest.raises(ValueError, match=message):
+        evaluate("unit", utts, [("none", cfg)])
+    with pytest.raises(ValueError, match=message):
+        run_grid_search(
+            "none", utts, lexicons, [], GridSpec(betas=(0.0,)), default_alphabet(1)
+        )
+
+
 def test_an_empty_corpus_is_refused_before_any_runtime_is_built(monkeypatch):
     """A manifest with no utterances has no error rate: evaluating it
     or searching a grid on it fails, naming the empty manifest, before
