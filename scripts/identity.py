@@ -76,6 +76,9 @@ The decode set:
   of the flags the kind reads, with each alone, and with all of them,
   over both lexicons and, but for coloring, without a lexicon, so the
   CLI's settings and their defaults are held to the base bit for bit.
+  A bin table is hashed by its content, not its layout: its bin count,
+  its ranges and its filled cells in index order, values by
+  ``float.hex``.
 
     python3 scripts/identity.py --base ../colordecode-parent
 """
@@ -511,9 +514,28 @@ def _cli_configs():
                 values = [a for flag in flags for a in (flag, CLI_VALUES[flag])]
                 args = parser.parse_args(base + lexicon_args + values)
                 cfg = cli._decoder_config(args)
-                table = getattr(cfg.scorer, "bin_table", None)
+                table = _table_content(getattr(cfg.scorer, "bin_table", None))
                 yield kind, bool(lexicon_args), flags, cfg.scorer.config, table
                 yield cfg.beam_width
+
+
+def _table_content(table):
+    """``(num_bins, g_range, j_range, ((gi, ji, value hex), ...))`` over
+    a bin table's filled cells in index order, or None. Its ``cells``
+    map each filled cell to its value or, in a checkout that predates
+    that, nest every cell by row with None for an empty one."""
+    if table is None:
+        return None
+    cells = table.cells
+    if not isinstance(cells, dict):
+        cells = {
+            (gi, ji): value
+            for gi, row in enumerate(cells)
+            for ji, value in enumerate(row)
+            if value is not None
+        }
+    filled = tuple((gi, ji, cells[gi, ji].hex()) for gi, ji in sorted(cells))
+    return table.num_bins, table.g_range, table.j_range, filled
 
 
 def digest() -> str:

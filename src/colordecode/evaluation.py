@@ -541,11 +541,14 @@ def calibration_pairs(
     positive pair, three sampled vocabulary words give negatives under
     the same histories. Unknown words contribute probability zero rather
     than a penalty, since calibration should see raw model beliefs.
+    Models that hold no word between them are refused.
     """
     if len(models) != 2:
         raise ValueError("calibration needs exactly two models")
     general, domain = models
     vocab = sorted(general.vocabulary | domain.vocabulary)
+    if not vocab:
+        raise ValueError("neither model holds a word, so no negative pair can be drawn")
     rng = random.Random(f"calibration:{seed}")
     neg_inf = float("-inf")
 

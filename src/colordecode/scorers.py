@@ -188,24 +188,22 @@ class BinTable:
     """Calibrated map from (general prob, domain prob) to a fused log10 prob.
 
     Axes are equal-width bins over log10 probability ranges observed at
-    fit time; queries clamp into range. ``cells[gi][ji]`` is the fused
-    log10 probability, or None where calibration saw nothing, in which
-    case the lookup falls back to an even linear mix of the query's own
-    probabilities.
+    fit time; queries clamp into range. ``cells`` maps ``(gi, ji)`` to the
+    fused log10 probability and holds only the cells calibration filled;
+    for an absent cell the lookup falls back to an even linear mix of the
+    query's own probabilities. So nothing is sized by ``num_bins``.
     """
 
     num_bins: int
     g_range: tuple[float, float]
     j_range: tuple[float, float]
-    cells: tuple[tuple[float | None, ...], ...]
+    cells: dict[tuple[int, int], float]
 
     def lookup(self, lg: float, lj: float) -> float:
         gi = _bin_index(lg, self.g_range, self.num_bins)
         ji = _bin_index(lj, self.j_range, self.num_bins)
-        cell = self.cells[gi][ji]
-        if cell is not None:
-            return cell
-        return _combine_linear_log10(lg, lj, 0.5)
+        cell = self.cells.get((gi, ji))
+        return _combine_linear_log10(lg, lj, 0.5) if cell is None else cell
 
 
 def _bin_index(value: float, value_range: tuple[float, float], num_bins: int) -> int:
@@ -232,8 +230,9 @@ def fit_bin_table(
 
     Probabilities arrive linear and are floored at 1e-99 before the log10
     transform so zero-probability words land in the lowest bin. Each cell
-    stores log10((hits + 1) / (count + 2)), an add-one estimate of the
-    probability a word with such model scores is correct.
+    a pair falls in stores log10((hits + 1) / (count + 2)), an add-one
+    estimate of the probability a word with such model scores is correct;
+    no other cell is stored. One pass over the pairs fills the table.
     """
     if num_bins < 1:
         raise ValueError("need at least one bin")
@@ -245,24 +244,14 @@ def fit_bin_table(
     g_range = (min(g_vals), max(g_vals))
     j_range = (min(j_vals), max(j_vals))
 
-    counts = [[0] * num_bins for _ in range(num_bins)]
-    hits = [[0] * num_bins for _ in range(num_bins)]
+    hits: dict[tuple[int, int], list[bool]] = {}
     for g, j, hit in logs:
-        gi = _bin_index(g, g_range, num_bins)
-        ji = _bin_index(j, j_range, num_bins)
-        counts[gi][ji] += 1
-        if hit:
-            hits[gi][ji] += 1
-
-    cells = tuple(
-        tuple(
-            math.log10((hits[gi][ji] + 1) / (counts[gi][ji] + 2))
-            if counts[gi][ji] > 0
-            else None
-            for ji in range(num_bins)
-        )
-        for gi in range(num_bins)
-    )
+        cell = (_bin_index(g, g_range, num_bins), _bin_index(j, j_range, num_bins))
+        hits.setdefault(cell, []).append(bool(hit))
+    cells = {
+        cell: math.log10((sum(cell_hits) + 1) / (len(cell_hits) + 2))
+        for cell, cell_hits in hits.items()
+    }
     return BinTable(num_bins, g_range, j_range, cells)
 
 

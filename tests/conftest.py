@@ -2,6 +2,7 @@
 
 import math
 import random
+import resource
 
 import pytest
 
@@ -23,6 +24,25 @@ def bigram_fixture_model() -> NGramModel:
         ("sat", "</s>"): (-0.09691001300805642, None),
     }
     return NGramModel(max_order=2, entries=entries)
+
+
+@pytest.fixture
+def capped_address_space():
+    """Caps this process's address space at 1 GiB above its size for one
+    test, so code that allocates by a huge count fails with
+    ``MemoryError`` rather than taking the machine's memory."""
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + (1 << 30)
+    for limit in (soft, hard):
+        if limit != resource.RLIM_INFINITY:
+            cap = min(cap, limit)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @pytest.fixture

@@ -1101,6 +1101,63 @@ def test_bins_requires_calibration_manifest(tiny_setup, capsys):
     assert "--calibration-manifest" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--bins", "1000000000", "--jobs", "1"],
+     ["gridsearch", "--bin-counts", "53,1000000000", "--alphas", "1",
+      "--betas", "0", "--word-penalties", "-10", "--jobs", "1"]],
+    ids=["eval", "gridsearch"],
+)
+def test_any_bin_count_fits(synth_dir, argv, capped_address_space, capsys):
+    """A bin table holds only the cells calibration fills, so 10**9 bins
+    cost what 53 do. A table of every cell used to run out of memory and
+    blame the beam width."""
+    command, *flags = argv
+    lms = [a for name in ("general", "jargon")
+           for a in ("--lm", str(synth_dir / f"{name}.arpa"))]
+    rc, out, err = run_cli(
+        [command, str(synth_dir / "manifest.jsonl"),
+         "--lexicon", str(synth_dir / "general.txt"),
+         "--lexicon", str(synth_dir / "jargon.txt"), "--fusion", "bins", *lms,
+         "--calibration-manifest", str(synth_dir / "manifest.jsonl"),
+         "--beam-width", "4", *flags],
+        capsys,
+    )
+    assert (rc, err) == (0, "")
+    assert "bins" in out
+
+
+EMPTY_ARPA = "\\data\\\nngram 1=0\n\n\\1-grams:\n\n\\end\\\n"
+
+
+@pytest.mark.parametrize("command", ["decode", "eval", "gridsearch"])
+def test_a_calibration_over_models_without_words_is_a_data_error(
+    tiny_setup, command, capsys
+):
+    """Calibration draws its negatives from the models' words. Over two
+    models that hold none, each bins subcommand used to end in an
+    ``IndexError`` traceback; it exits 1 with one line naming the cause."""
+    root = tiny_setup["dir"]
+    empty = root / "empty.arpa"
+    empty.write_text(EMPTY_ARPA, encoding="utf-8")
+    manifest = root / "manifest.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "u0", "logits": tiny_setup["logits"],
+                    "reference": "aa bb"}) + "\n",
+        encoding="utf-8",
+    )
+    target = tiny_setup["logits"] if command == "decode" else str(manifest)
+    argv = [command, target, "--alphabet", "ab ", "--fusion", "bins",
+            "--lm", str(empty), "--lm", str(empty),
+            "--lexicon", tiny_setup["general"],
+            "--calibration-manifest", str(manifest)]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out, err) == (
+        1, "",
+        "error: neither model holds a word, so no negative pair can be drawn\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # runtime failures (exit code 1)
 # ---------------------------------------------------------------------------

@@ -1376,7 +1376,9 @@ def _scorer_of_kind(kind, models, config):
     if kind == "coloring":
         return make_scorer(kind, models, config)
     general_domain = (models[0], models[-1])
-    table = BinTable(2, (-3.0, 0.0), (-3.0, 0.0), ((-0.5, None), (-1.0, -0.2)))
+    table = BinTable(
+        2, (-3.0, 0.0), (-3.0, 0.0), {(0, 0): -0.5, (1, 0): -1.0, (1, 1): -0.2}
+    )
     return make_scorer(
         kind, [general_domain[i] for i in KIND_MODELS[kind]], config, bin_table=table
     )

@@ -910,3 +910,26 @@ def test_calibration_pairs_need_two_models():
     general, _ = _tiny_models()
     with pytest.raises(ValueError):
         calibration_pairs([], [general])
+
+
+def test_calibration_pairs_refuse_models_that_hold_no_word():
+    """Negatives are drawn from the models' words. With none, the draw
+    used to end in an ``IndexError``; the models are refused first, by
+    the cause."""
+    empty = NGramModel(max_order=1, entries={})
+    utts = [Utterance("u", Path("/x.ctcl"), ("ab",), None)]
+    with pytest.raises(ValueError, match="^neither model holds a word, so no negative"):
+        calibration_pairs(utts, [empty, empty])
+
+
+def test_calibration_pairs_draw_alike_when_one_model_holds_the_words():
+    """One model without words changes no draw: the negatives come from
+    the other's words, as when both models hold them."""
+    general, _ = _tiny_models()
+    empty = NGramModel(max_order=1, entries={})
+    utts = [Utterance("u", Path("/x.ctcl"), ("ab", "cd", "ab"), None)]
+    both = calibration_pairs(utts, [general, general], seed=2)
+    only_general = calibration_pairs(utts, [general, empty], seed=2)
+    only_domain = calibration_pairs(utts, [empty, general], seed=2)
+    assert [(g, hit) for g, _, hit in only_general] == [(g, hit) for g, _, hit in both]
+    assert [(j, hit) for _, j, hit in only_domain] == [(j, hit) for _, j, hit in both]

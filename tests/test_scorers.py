@@ -222,6 +222,24 @@ def test_bin_table_floors_zero_probabilities():
     )
 
 
+def test_a_bin_table_holds_only_the_cells_calibration_fills(capped_address_space):
+    """Nothing is sized by ``num_bins``: at 10**9 bins four pairs fill
+    three cells, and queries past the observed ranges clamp to the edge
+    bins."""
+    n = 10**9
+    pairs = [(0.5, 0.1, True), (0.5, 0.1, False), (0.01, 0.2, True), (1e-6, 0.9, False)]
+    table = fit_bin_table(pairs, n)
+    assert len(table.cells) == 3
+    assert table.cells[(n - 1, 0)] == math.log10(2 / 4)
+    assert table.cells[(0, n - 1)] == math.log10(1 / 3)
+    assert table.lookup(5.0, -50.0) == math.log10(2 / 4)
+    assert table.lookup(-500.0, 5.0) == math.log10(1 / 3)
+    # the top corner holds no pair, so the query is mixed evenly
+    assert table.lookup(-0.3, -0.04) == pytest.approx(
+        math.log10(0.5 * 10**-0.3 + 0.5 * 10**-0.04), abs=1e-12
+    )
+
+
 def test_bin_table_validation():
     with pytest.raises(EmptyCalibration):
         fit_bin_table([], 10)
