@@ -6,8 +6,11 @@ Decodes one fixed set of inputs with the ``colordecode`` package of this
 working tree and with the one under ``--base DIR``, each in its own
 interpreter, and hashes ``repr`` of every transcript, ``DecodeStats``,
 error-rate triple and grid search outcome, in order, into one SHA-256
-per tree. Prints both digests and exits 1 if they differ. Both sides
-are decoded on every run; no output is stored.
+per tree, and one per section of the set below (each named by the
+function that yields it). Prints every digest of both trees, then
+``equal`` or the sections whose digests differ, and exits 1 if the
+totals differ. Both sides are decoded on every run; no output is
+stored.
 
 The decode set:
 
@@ -539,28 +542,36 @@ def _table_content(table):
 
 
 def digest() -> str:
-    """The SHA-256 over the decode set, the output count and the path
-    of the package that decoded it, one line."""
+    """Lines: the path of the package that decoded the set, then the
+    SHA-256 and output count of the whole set (``total``) and of each
+    section, named by its function."""
     import colordecode
 
-    sha = hashlib.sha256()
-    count = 0
-    sources = (
-        _random_decodes(),
-        _corpus_decodes(),
-        _long_decodes(),
-        _grid_searches(),
-        _method_comparisons(),
-        _model_outputs(),
-        _grid_points(),
-        _cli_configs(),
+    sections = (
+        _random_decodes,
+        _corpus_decodes,
+        _long_decodes,
+        _grid_searches,
+        _method_comparisons,
+        _model_outputs,
+        _grid_points,
+        _cli_configs,
     )
-    for source in sources:
-        for output in source:
-            sha.update(repr(output).encode())
-            sha.update(b"\n")
-            count += 1
-    return f"{sha.hexdigest()} {count} {Path(colordecode.__file__).parent}"
+    total = hashlib.sha256()
+    count = 0
+    lines = []
+    for section in sections:
+        sha = hashlib.sha256()
+        outputs = 0
+        for output in section():
+            line = repr(output).encode() + b"\n"
+            sha.update(line)
+            total.update(line)
+            outputs += 1
+        lines.append(f"{section.__name__} {sha.hexdigest()} {outputs}")
+        count += outputs
+    lines.insert(0, f"total {total.hexdigest()} {count}")
+    return "\n".join([str(Path(colordecode.__file__).parent)] + lines)
 
 
 def _start(tree: Path) -> subprocess.Popen:
@@ -590,18 +601,29 @@ def main(argv=None) -> int:
     # both sides at once, one process each
     procs = {name: _start(tree) for name, tree in trees.items()}
     outputs = {name: proc.communicate()[0] for name, proc in procs.items()}
+    # per tree, (section, digest) pairs, the total first
     digests = {}
     for name, out in outputs.items():
         if procs[name].returncode != 0:
             print(f"error: decoding with the {name} failed", file=sys.stderr)
             return 2
-        sha, count, package = out.strip().split(maxsplit=2)
+        package, *lines = out.strip().splitlines()
         if not Path(package).is_relative_to(trees[name]):
             print(f"error: the {name} imported {package}", file=sys.stderr)
             return 2
-        digests[name] = sha
-        print(f"{name:<13} {sha}  {count} outputs  {package}")
-    return 0 if len(set(digests.values())) == 1 else 1
+        print(f"{name}: {package}")
+        digests[name] = []
+        for line in lines:
+            section, sha, count = line.split()
+            digests[name].append((section, sha))
+            print(f"  {section:<20} {sha}  {count} outputs")
+    work, base = digests.values()
+    moved = [section for (section, a), (_, b) in zip(work, base) if a != b]
+    if moved:
+        print("differ: " + " ".join(s for s in moved if s != "total"))
+    else:
+        print("equal")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

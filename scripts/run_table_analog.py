@@ -12,15 +12,14 @@ import sys
 import time
 
 from colordecode.evaluation import GridSpec, run_method_comparison
-
-ALL_KINDS = ("coloring", "linear", "loglinear", "bins", "bayes", "general", "jargon")
+from colordecode.scorers import SCORER_KINDS
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--kinds", nargs="+", default=list(ALL_KINDS),
-                        choices=ALL_KINDS)
+    parser.add_argument("--kinds", nargs="+", default=list(SCORER_KINDS),
+                        choices=SCORER_KINDS)
     parser.add_argument("--test-utterances", type=int, default=200)
     parser.add_argument("--validation-utterances", type=int, default=40)
     parser.add_argument("--rate", type=float, default=0.3)

@@ -80,6 +80,17 @@ def _positive_int(raw: str) -> int:
     return _int_in(raw, 1)
 
 
+# the widest --beam-width: coloring one synthetic 20-word utterance over
+# two lexicons at this width took ~70 s and peaked at ~320 MB, ~5 KB a
+# beam, and both grow with the width; a far wider beam only runs out of
+# memory
+MAX_BEAM_WIDTH = 65536
+
+
+def _beam_width(raw: str) -> int:
+    return _int_in(raw, 1, MAX_BEAM_WIDTH)
+
+
 def _non_negative_int(raw: str) -> int:
     return _int_in(raw, 0)
 
@@ -189,7 +200,10 @@ def _add_decoding_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon", action="append", default=[], metavar="PATH",
                    help="lexicon word list, repeatable; decode runs "
                    "unconstrained without one")
-    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
+    p.add_argument("--beam-width", type=_beam_width, default=DEFAULT_BEAM_WIDTH,
+                   help=f"beams kept per frame (default {DEFAULT_BEAM_WIDTH}, "
+                   f"at most {MAX_BEAM_WIDTH}: each takes ~5 KB, and at the "
+                   "maximum one 20-word utterance takes about a minute)")
     p.add_argument(
         "--alphabet",
         default="abcdefghijklmnopqrstuvwxyz ",

@@ -27,10 +27,10 @@ spelling is then kept on its node, built from its parent's.
 
 The successor table belongs to the grammar, not to the scorer: an entry
 is a pure function of the alphabet, the tries, the grammar state and
-whether off-lexicon spelling is on. A config fills it on first use and
-shares it with every utterance it decodes, and ``DecoderConfig.with_scorer``
-hands it on to a config for another scorer over the same grammar, as a
-grid search does from point to point.
+whether off-lexicon spelling is on. A config holds one table per
+setting, fills it on first use and shares it with every utterance it
+decodes; ``DecoderConfig.with_scorer`` hands both on to a config for
+any other scorer, as a grid search does from point to point.
 
 A grammar state is wide when its extensions cover at least half of the
 alphabet's non-blank columns, as every in-word state does with
@@ -98,12 +98,12 @@ the floor skips only candidates strictly below it, however the floor
 rose, so the same candidates survive. Finishing takes the minimum over a
 strict total order.
 
-A frame converts only its own row of log10 posteriors to Python
-floats, and the non-blank columns ranked from the likeliest down are
-argsorted once per utterance, at its first wide beam; a frame converts
-its own row of that ranking at its first wide beam. The memory that
-grows with the utterance is then the numpy arrays and the live
-hypotheses' ancestors, not lists of every frame.
+A decode takes the log10 view of the logits once, and a frame converts
+only its own row of it to Python floats. The non-blank columns ranked
+from the likeliest down are argsorted once per utterance, at its first
+wide beam; a frame converts its own row of that ranking at its first
+wide beam. The memory that grows with the utterance is then the numpy
+arrays and the live hypotheses' ancestors, not lists of every frame.
 
 The CTC repeat rule compares raw columns, ignoring color: extending a
 prefix with the column it already ends in consumes only the blank-ending
@@ -118,7 +118,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass, field
-from math import log1p
+from math import log, log1p
 from operator import attrgetter
 from typing import Sequence
 
@@ -166,16 +166,14 @@ class LogitsMatrix:
     """Frame-major acoustic posteriors, one column per alphabet entry
     plus blank (last).
 
-    Stores both natural-log and log10 copies: natural log is the
-    serialization format and must round-trip losslessly, log10 is what
-    the search consumes.
+    Stores only natural logs, the lossless serialization format;
+    ``log10`` derives the search's unit from them on each call.
     """
 
-    __slots__ = ("_natural", "_log10")
+    __slots__ = ("_natural",)
 
-    def __init__(self, natural: np.ndarray, log10: np.ndarray):
+    def __init__(self, natural: np.ndarray):
         self._natural = natural
-        self._log10 = log10
 
     @classmethod
     def from_linear(
@@ -183,11 +181,10 @@ class LogitsMatrix:
     ) -> "LogitsMatrix":
         arr = cls._as_array(rows, columns)
         cls._validate_linear(arr)
-        with np.errstate(divide="ignore"):
-            natural = np.log(arr)
-        # log10 always derives from the stored natural log, so a matrix
-        # and its write/read round trip score bit-identically.
-        return cls(natural, natural / LN10)
+        # math.log, not np.log, whose SIMD path, and so whose last bit,
+        # numpy picks per CPU
+        natural = [[log(v) if v else NEG_INF for v in row] for row in arr.tolist()]
+        return cls(np.array(natural, dtype=np.float64).reshape(arr.shape))
 
     @classmethod
     def from_natural_log(
@@ -195,7 +192,7 @@ class LogitsMatrix:
     ) -> "LogitsMatrix":
         arr = cls._as_array(rows, columns)
         cls._validate_linear(np.exp(arr))
-        return cls(arr, arr / LN10)
+        return cls(arr)
 
     @staticmethod
     def _as_array(
@@ -252,13 +249,17 @@ class LogitsMatrix:
     def natural(self) -> np.ndarray:
         return self._natural
 
+    def log10(self) -> np.ndarray:
+        """The posteriors in log10, as a new array."""
+        return self._natural / LN10
+
     def log10_rows(self) -> list[list[float]]:
-        return self._log10.tolist()
+        return self.log10().tolist()
 
     def ranked_columns(self) -> np.ndarray:
-        """Per frame (row), the non-blank columns from the highest log10
-        value to the lowest."""
-        return np.argsort(-self._log10[:, :-1], axis=1, kind="stable")
+        """Per frame (row), the non-blank columns from the highest value
+        to the lowest, in log10 too: dividing by ``LN10`` is monotone."""
+        return np.argsort(-self._natural[:, :-1], axis=1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -354,29 +355,30 @@ class DecoderConfig:
     ``p_text`` once per character that leaves every trie.
 
     The config also holds the successor list of every grammar state its
-    decodes have reached, built on first use and shared by every
-    utterance it decodes. That table belongs to the grammar (the
-    alphabet, the tries and the off-lexicon setting), not to the scorer:
-    ``with_scorer`` shares it with a config for another scorer. The
-    unknown-word deltas belong to the scorer and the tries; a config
-    fixes them when it is built, so decoding changes no figure of them.
+    decodes have reached, one table per off-lexicon setting, built on
+    first use and shared by every utterance it decodes. The tables
+    belong to the grammar, not to the scorer: ``with_scorer`` shares
+    them with a config for any other scorer. The unknown-word deltas
+    belong to the scorer and the tries; a config fixes them when it is
+    built, so decoding changes no figure of them.
     """
 
     alphabet: ColoredAlphabet
     tries: Sequence[LexiconTrie] | None
     scorer: Scorer
     beam_width: int = DEFAULT_BEAM_WIDTH
-    # per state, built by _successor_entry: (count, succ, by_col,
-    # walk_off), count being the number of extensions. Each extension is
-    # a (col, label, extension, completes, off_trie) tuple; the label
-    # keys the children memo. A narrow state has every extension in
-    # succ and by_col None. A wide state's by_col holds, per non-blank
-    # column, a tuple of the extensions the frame step walks: those that
-    # complete no word and are off-trie exactly when walk_off is set.
-    # Its succ holds the rest, scored directly: completing extensions,
-    # and on-trie ones beside off-trie ones.
-    _successors: dict[WordState, tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    # per off-lexicon setting, then per state, built by _successor_entry:
+    # (count, succ, by_col, walk_off), count being the number of
+    # extensions. Each extension is a (col, label, extension, completes,
+    # off_trie) tuple; the label keys the children memo. A narrow state
+    # has every extension in succ and by_col None. A wide state's by_col
+    # holds, per non-blank column, a tuple of the extensions the frame
+    # step walks: those that complete no word and are off-trie exactly
+    # when walk_off is set. Its succ holds the rest, scored directly:
+    # completing extensions, and on-trie ones beside off-trie ones.
+    _successors: dict[bool, dict[WordState, tuple]] = field(
+        default_factory=lambda: {False: {}, True: {}},
+        init=False, repr=False, compare=False,
     )
     # per color, set by _unknown_deltas as the config is built: the word
     # delta of every word that is off that color's trie, or None
@@ -395,15 +397,10 @@ class DecoderConfig:
 
     def with_scorer(self, scorer: Scorer) -> "DecoderConfig":
         """A config for ``scorer`` at this config's beam width over its
-        alphabet and tries. It shares this config's successor table when
-        both scorers agree on off-lexicon spelling, as every point of one
-        grid kind does, and starts a fresh one when they do not. Its
+        alphabet and tries, sharing this config's successor tables. Its
         unknown-word deltas are its own scorer's."""
         config = DecoderConfig(self.alphabet, self.tries, scorer, self.beam_width)
-        if (scorer.config.unknown_subword_penalty is None) == (
-            self.scorer.config.unknown_subword_penalty is None
-        ):
-            object.__setattr__(config, "_successors", self._successors)
+        object.__setattr__(config, "_successors", self._successors)
         return config
 
 
@@ -425,8 +422,7 @@ def _successor_entry(
     The state is wide when its extensions cover at least half of the
     alphabet's non-blank columns."""
     succ = [
-        (ext.col, (ext.col, ext.color), ext, ext.completes,
-         tries is not None and ext.state.node is None and ext.state.in_word)
+        (ext.col, (ext.col, ext.color), ext, ext.completes, ext.off_trie)
         for ext in word_successors(alphabet, tries, state, allow_off)
     ]
     if 2 * len({col for col, *_ in succ}) < alphabet.size:
@@ -587,7 +583,7 @@ def decode(
     blank = alphabet.blank_index
     chars = alphabet.base_chars
 
-    successors = config._successors
+    successors = config._successors[allow_off]
     beam_width = config.beam_width
     unknown = config._unknown_deltas
 
@@ -611,7 +607,7 @@ def decode(
     # at the utterance's first wide beam, each row converted at its
     # frame's first
     ranked = None
-    for t, log10_row in enumerate(logits._log10):
+    for t, log10_row in enumerate(logits.log10()):
         row = log10_row.tolist()
         # the best beam first, so that a wide one starts the floor high
         best.sort(key=_EXPANSION_KEY, reverse=True)

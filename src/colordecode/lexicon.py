@@ -178,6 +178,8 @@ class Extension(NamedTuple):
     ends the pending word. ``word`` is that word when the trie names it;
     it is None for a word spelled off-lexicon or unconstrained, which the
     caller spells from its own record of the pending characters.
+    ``off_trie`` marks the in-word characters that off-lexicon spelling
+    adds, off every trie; unconstrained, no character is off-trie.
     """
 
     col: int
@@ -185,6 +187,7 @@ class Extension(NamedTuple):
     state: WordState
     completes: bool = False
     word: str | None = None
+    off_trie: bool = False
 
 
 def word_successors(
@@ -251,14 +254,14 @@ def word_successors(
             on_trie = set(node.children)
             if sep_col is not None and node.word is not None:
                 on_trie.add(sep_col)
-        off_trie = WordState(color, None, True)
+        off_state = WordState(color, None, True)
         for col in range(alphabet.size):
             if col in on_trie:
                 continue
             if col == sep_col:
                 out.append(Extension(sep_col, color, boundary, True))
             else:
-                out.append(Extension(col, color, off_trie))
+                out.append(Extension(col, color, off_state, off_trie=True))
     return out
 
 

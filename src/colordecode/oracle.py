@@ -177,7 +177,7 @@ def exhaustive_decode(
                 delta, new_state = scorer.word_delta(scorer_state, word, ext.color)
                 new_text += delta
                 new_words = words + ((word, ext.color),)
-            elif tries is not None and ext.state.node is None and ext.state.in_word:
+            elif ext.off_trie:
                 new_text += subword_penalty
             walk(
                 chars + ((ext.col, ext.color),),

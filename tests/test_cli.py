@@ -546,6 +546,38 @@ def test_jobs_below_one_is_a_usage_error(synth_dir, command, flag, value, capsys
     assert f"{flag}: must be at least 1, got {value}" in err
 
 
+@pytest.mark.parametrize("command", ["decode", "eval", "gridsearch"])
+def test_a_beam_wider_than_the_maximum_is_refused_up_front(
+    synth_dir, command, monkeypatch, capsys
+):
+    """``--beam-width 100000000`` used to decode until ``MemoryError``;
+    a width above ``cli.MAX_BEAM_WIDTH`` is a usage error before any file
+    is read, and the maximum itself parses."""
+
+    def read(*args, **kwargs):
+        pytest.fail("a file was read")
+
+    for reader in ("read_manifest", "read_lexicon", "load_arpa", "_decode_file"):
+        monkeypatch.setattr(cli, reader, read)
+    source = "logits/utt0000.ctcl" if command == "decode" else "manifest.jsonl"
+    argv = [command, str(synth_dir / source),
+            "--lexicon", str(synth_dir / "general.txt"), "--beam-width"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["100000000"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith(
+        "error: argument --beam-width: must be at most "
+        f"{cli.MAX_BEAM_WIDTH}, got 100000000"
+    )
+    widest = cli.build_parser().parse_args(argv + [str(cli.MAX_BEAM_WIDTH)])
+    assert widest.beam_width == cli.MAX_BEAM_WIDTH
+
+
 @pytest.mark.parametrize("command", ["eval", "gridsearch"])
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
 def test_malformed_jobs_variable_is_a_usage_error(

@@ -248,6 +248,39 @@ def test_get_next_chars_boundary_separator_inherits_color():
     assert (" ", 0) in _next_set(ab, tries, WORD_START)
 
 
+@pytest.mark.parametrize("sep", [" ", None])
+@pytest.mark.parametrize("seed", range(4))
+def test_off_trie_marks_exactly_the_in_word_extensions_with_no_trie_node(seed, sep):
+    """Over every state reachable from the start, with tries, an
+    extension is marked ``off_trie`` exactly when its state is inside a
+    word and on no trie node; unconstrained, none is marked."""
+    rng = random.Random(seed)
+    ab = ColoredAlphabet(("a", "b", "c", " "), 2, sep)
+    tries = [
+        build_trie(ab, color, sorted({
+            "".join(rng.choice("abc") for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 4))
+        }))
+        for color in range(2)
+    ]
+    for grammar in (tries, None):
+        for allow in (False, True):
+            seen = {WORD_START}
+            todo = [WORD_START]
+            marked = 0
+            while todo:
+                for ext in word_successors(ab, grammar, todo.pop(), allow):
+                    state = ext.state
+                    off = grammar is not None and state.in_word and state.node is None
+                    assert ext.off_trie == off
+                    marked += ext.off_trie
+                    if state not in seen:
+                        seen.add(state)
+                        todo.append(state)
+            if grammar is None or not allow:
+                assert marked == 0
+
+
 def test_get_next_chars_unconstrained():
     ab = ColoredAlphabet(("a", "b", " "), 1, " ")
     assert _next_set(ab, None, WordState(0, None, True)) == {
