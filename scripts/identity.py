@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
-"""Byte-identity check of the decoder and model loading against another
-checkout.
+"""Digests of the decoder's and model loading's output on one fixed set
+of inputs.
 
-Decodes one fixed set of inputs with the ``colordecode`` package of this
-working tree and with the one under ``--base DIR``, each in its own
-interpreter, and hashes ``repr`` of every transcript, ``DecodeStats``,
-error-rate triple and grid search outcome, in order, into one SHA-256
-per tree, and one per section of the set below (each named by the
-function that yields it). Prints every digest of both trees, then
-``equal`` or the sections whose digests differ, and exits 1 if the
-totals differ. Both sides are decoded on every run; no output is
-stored.
+Decodes the set below with the ``colordecode`` package of this tree
+(its ``src/`` goes first on the path) and hashes ``repr`` of every
+transcript, ``DecodeStats``, error-rate triple and grid search outcome,
+in order, into one SHA-256 over the set and one per section of it (each
+named by the function that yields it). Prints one line per digest,
+``total`` first: its name, its SHA-256 and its output count.
+
+``scripts/identity_digests.txt`` holds this output, so the check that
+output is unchanged is::
+
+    python3 scripts/identity.py | diff scripts/identity_digests.txt -
+
+and ``tests/test_identity.py`` recomputes every section but
+``_corpus_decodes`` against it. A change that alters output on purpose
+regenerates the file with ``python3 scripts/identity.py >
+scripts/identity_digests.txt``.
 
 The decode set:
 
@@ -18,7 +25,7 @@ The decode set:
   each decoded at beams 1, 2, 3 and 50; every fifth is decoded
   unconstrained (``tries=None``); after each transcript, its decode's
   ``DecodeStats`` (beams expanded and extensions spawned per frame), so
-  the search's effort is held to the base bit for bit as well;
+  the search's effort is held bit for bit as well;
 - every ``SCORER_KINDS`` entry on a synthetic corpus of language seed 1,
   at beams 4, 16 and 64, with off-lexicon spelling off and with subword
   penalties 0, -3 and +1 (an off-lexicon character then scores above an
@@ -39,12 +46,12 @@ The decode set:
   ``general`` scorers at word bonuses 0 and +0.5, at beams 4, 16 and 64;
 - after each corpus config's decodes, their pooled WER, CER and jargon
   WER against the references, by ``float.hex``, so the metrics are
-  held to the base bit for bit as well;
+  held bit for bit as well;
 - one synthetic utterance of 400 words (language seed 1), decoded by
   the ``coloring`` scorer at beam 64 with off-lexicon spelling off and
   with subword penalty -3, and by the ``general`` scorer unconstrained
-  at beam 16, so long word histories and many frames are held to the
-  base bit for bit;
+  at beam 16, so long word histories and many frames are held bit for
+  bit;
 - the rows and the best point of a coloring ``run_grid_search`` with
   off-lexicon spelling on (an 8-point grid at beam 16, on a corpus
   synthesized from the same spec), at ``jobs`` 1 and 2, so the worker
@@ -72,30 +79,31 @@ The decode set:
   ``COMPARISON_GRID``, one with two values in every field and one with
   one value in every field (these two hold no value that a kind takes
   by default for a field it does not read), so the grid points and the
-  hyperparameters each kind reads are held to the base bit for bit;
+  hyperparameters each kind reads are held bit for bit;
 - per ``SCORER_KINDS`` entry, the scorer config, bin table and beam
   width of the decoder config ``cli._decoder_config`` builds from
   ``decode`` flags over files written from the corpus above: with none
   of the flags the kind reads, with each alone, and with all of them,
   over both lexicons and, but for coloring, without a lexicon, so the
-  CLI's settings and their defaults are held to the base bit for bit.
-  A bin table is hashed by its content, not its layout: its bin count,
-  its ranges and its filled cells in index order, values by
-  ``float.hex``.
-
-    python3 scripts/identity.py --base ../colordecode-parent
+  CLI's settings and their defaults are held bit for bit.
+  A bin table is hashed as its bin count, its ranges and its filled
+  cells in index order, values by ``float.hex``.
 """
 
-import argparse
 import hashlib
-import os
 import random
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from colordecode import cli, corpus, evaluation, ngram_lm, scorers  # noqa: E402
+from colordecode.decoder import DecodeStats, DecoderConfig, decode  # noqa: E402
+from colordecode.lexicon import ColoredAlphabet  # noqa: E402
+from colordecode.metrics import cer, jargon_wer, wer  # noqa: E402
+from colordecode.oracle import random_instance  # noqa: E402
+
 RANDOM_INSTANCES = 4000
 RANDOM_BEAMS = (1, 2, 3, 50)
 CORPUS_SENTENCES = 24
@@ -154,8 +162,6 @@ CLI_KIND_FLAGS = {
 
 
 def _corpus_spec():
-    from colordecode import corpus
-
     return corpus.SynthesisSpec(
         num_sentences=CORPUS_SENTENCES,
         jargon_insertion_rate=0.3,
@@ -167,9 +173,6 @@ def _corpus_spec():
 
 
 def _random_decodes():
-    from colordecode.decoder import DecodeStats, DecoderConfig, decode
-    from colordecode.oracle import random_instance
-
     rng = random.Random(2024)
     for i in range(RANDOM_INSTANCES):
         inst = random_instance(rng, max_frames=6, max_words=4)
@@ -182,9 +185,6 @@ def _random_decodes():
 
 
 def _corpus_decodes():
-    from colordecode import corpus, evaluation, scorers
-    from colordecode.lexicon import ColoredAlphabet
-
     spec = _corpus_spec()
     lang = corpus.build_language(1)
     lexicons = [lang.lexicons.general, lang.lexicons.jargon]
@@ -206,10 +206,9 @@ def _corpus_decodes():
     ]
     pairs = evaluation.calibration_pairs(references, [general, jargon])
     table = scorers.fit_bin_table(pairs, 53)
-    kind_models = _kind_models()
     for words, configs in ((lexicons, CORPUS_CONFIGS), (thinned, THINNED_CONFIGS)):
         for kind in scorers.SCORER_KINDS:
-            models = [(general, jargon)[i] for i in kind_models[kind]]
+            models = [(general, jargon)[i] for i in scorers.KIND_MODELS[kind]]
             for penalty, beta in configs:
                 config = scorers.ScorerConfig(
                     beta=beta, unknown_subword_penalty=penalty
@@ -229,7 +228,7 @@ def _corpus_decodes():
         )
         yield from _decode_set(runtime.decoder_config(), logits, sentences)
     for kind in UNCONSTRAINED_KINDS:
-        models = [(general, jargon)[i] for i in kind_models[kind]]
+        models = [(general, jargon)[i] for i in scorers.KIND_MODELS[kind]]
         for beta in UNCONSTRAINED_BETAS:
             config = scorers.ScorerConfig(beta=beta)
             for width in CORPUS_BEAMS:
@@ -239,41 +238,21 @@ def _corpus_decodes():
                 yield from _decode_set(runtime.decoder_config(), logits, sentences)
 
 
-def _kind_models():
-    """Each scorer kind's models as places in (general, jargon): the
-    package's ``KIND_MODELS``, or, in a checkout that predates that
-    table, the places its ``run_method_comparison`` picked."""
-    from colordecode import evaluation, scorers
-
-    if hasattr(scorers, "KIND_MODELS"):
-        return scorers.KIND_MODELS
-    return {
-        kind: tuple(evaluation._method_models(kind, 0, 1))
-        for kind in scorers.SCORER_KINDS
-    }
-
-
 def _with_strangers(model):
     """``model`` with two more unigrams that the lowercase alphabet
     cannot spell: its first word capitalized, and its first word with an
     "é" added."""
-    from colordecode.ngram_lm import NGramModel
-
     first = next(iter(model.entries))[0]
     entries = dict(model.entries)
     for word in (first.capitalize(), first + "\u00e9"):
         entries[(word,)] = (-2.0, None)
-    return NGramModel(model.max_order, entries)
+    return ngram_lm.NGramModel(model.max_order, entries)
 
 
 def _long_decodes():
     """One ``LONG_WORDS``-word utterance of language seed 1, decoded by
     coloring per ``LONG_PENALTIES`` entry and by the ``general`` scorer
     unconstrained."""
-    from colordecode import corpus, evaluation, scorers
-    from colordecode.decoder import decode
-    from colordecode.lexicon import ColoredAlphabet
-
     spec = corpus.SynthesisSpec(
         num_sentences=1,
         jargon_insertion_rate=0.3,
@@ -308,9 +287,6 @@ def _decode_set(cfg, logits, sentences):
     """Each transcript of ``logits`` decoded with ``cfg``, then their
     pooled WER, CER and jargon WER against ``sentences`` by
     ``float.hex`` (None for no masked word)."""
-    from colordecode.decoder import decode
-    from colordecode.metrics import cer, jargon_wer, wer
-
     hyps = []
     for matrix in logits:
         transcript = decode(matrix, cfg)
@@ -329,8 +305,6 @@ def _decode_set(cfg, logits, sentences):
 def _grid_searches():
     """``(rows, best point)`` of one off-lexicon coloring grid search
     and one ``bins`` grid search per ``GRID_JOBS`` entry."""
-    from colordecode import corpus, evaluation
-
     grid = evaluation.GridSpec(
         alphas=(0.5, 1.0),
         betas=(0.0, 0.5),
@@ -358,8 +332,6 @@ def _method_comparisons():
     ``run_method_comparison`` over every scorer kind per ``GRID_JOBS``
     entry, in a temporary directory, then of one more at ``jobs`` 1
     with its splits under a ``workdir``."""
-    from colordecode import evaluation, scorers
-
     def compare(jobs, workdir=None):
         return evaluation.run_method_comparison(
             1, kinds=scorers.SCORER_KINDS, num_test=24, num_validation=12,
@@ -374,8 +346,6 @@ def _method_comparisons():
 
 def _random_trigram_text() -> str:
     """ARPA text of a seeded random 3-gram model over 200 words."""
-    from colordecode import ngram_lm
-
     rng = random.Random(RANDOM_MODEL_SEED)
     words = [f"w{i}" for i in range(RANDOM_MODEL_WORDS)]
     entries = {(w,): (rng.uniform(-5.0, -0.1), rng.uniform(-1.0, 0.0)) for w in words}
@@ -436,8 +406,6 @@ def _model_outputs():
     a seeded random 3-gram model, ``merge_colored`` merges of them (one
     colliding), and the message and line of the error, if any, over
     each of ``BAD_ARPA_TEXTS`` edits of the random model's text."""
-    from colordecode import corpus, ngram_lm
-
     lang = corpus.build_language(1)
     texts = [ngram_lm.serialize_arpa(m) for m in corpus.language_models(lang)]
     texts.append(_random_trigram_text())
@@ -467,8 +435,6 @@ def _grid_points():
     """Every scorer kind's grid points, then each point's ``describe``
     dict, over the default grid, ``COMPARISON_GRID``,
     ``TWO_VALUED_GRID`` and ``ONE_VALUED_GRID``."""
-    from colordecode import evaluation, scorers
-
     grids = (
         evaluation.GridSpec(),
         evaluation.COMPARISON_GRID,
@@ -488,8 +454,6 @@ def _cli_configs():
     scorer config, the bin table and the beam width of the decoder
     config ``cli._decoder_config`` builds, over lexicons, models and a
     calibration manifest written from the corpus of ``_corpus_spec``."""
-    from colordecode import cli, corpus, ngram_lm, scorers
-
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         root = Path(tmp)
         _, lang = corpus.synthesize_corpus(_corpus_spec(), root)
@@ -503,10 +467,9 @@ def _cli_configs():
             lm_flags.append(["--lm", str(root / f"{name}.arpa")])
         calibration = ["--calibration-manifest", str(root / "manifest.jsonl")]
         parser = cli.build_parser()
-        kind_models = _kind_models()
         for kind in scorers.SCORER_KINDS:
             base = ["decode", "unread.ctcl", "--fusion", kind,
-                    *(a for i in kind_models[kind] for a in lm_flags[i]),
+                    *(a for i in scorers.KIND_MODELS[kind] for a in lm_flags[i]),
                     *(calibration if kind == "bins" else [])]
             read = CLI_KIND_FLAGS[kind]
             runs = [(lexicon_flags, f) for f in [(), *((f,) for f in read), read]]
@@ -524,107 +487,51 @@ def _cli_configs():
 
 def _table_content(table):
     """``(num_bins, g_range, j_range, ((gi, ji, value hex), ...))`` over
-    a bin table's filled cells in index order, or None. Its ``cells``
-    map each filled cell to its value or, in a checkout that predates
-    that, nest every cell by row with None for an empty one."""
+    a bin table's filled cells in index order, or None."""
     if table is None:
         return None
-    cells = table.cells
-    if not isinstance(cells, dict):
-        cells = {
-            (gi, ji): value
-            for gi, row in enumerate(cells)
-            for ji, value in enumerate(row)
-            if value is not None
-        }
-    filled = tuple((gi, ji, cells[gi, ji].hex()) for gi, ji in sorted(cells))
+    filled = tuple((gi, ji, v.hex()) for (gi, ji), v in sorted(table.cells.items()))
     return table.num_bins, table.g_range, table.j_range, filled
 
 
-def digest() -> str:
-    """Lines: the path of the package that decoded the set, then the
-    SHA-256 and output count of the whole set (``total``) and of each
-    section, named by its function."""
-    import colordecode
+# the set, in hashing order
+SECTIONS = (
+    _random_decodes,
+    _corpus_decodes,
+    _long_decodes,
+    _grid_searches,
+    _method_comparisons,
+    _model_outputs,
+    _grid_points,
+    _cli_configs,
+)
 
-    sections = (
-        _random_decodes,
-        _corpus_decodes,
-        _long_decodes,
-        _grid_searches,
-        _method_comparisons,
-        _model_outputs,
-        _grid_points,
-        _cli_configs,
-    )
+
+def section_digest(section, total) -> tuple[str, int]:
+    """The SHA-256 over ``repr`` of each output ``section`` yields, one
+    line each, and the output count; each line also updates ``total``."""
+    sha = hashlib.sha256()
+    outputs = 0
+    for output in section():
+        line = repr(output).encode() + b"\n"
+        sha.update(line)
+        total.update(line)
+        outputs += 1
+    return sha.hexdigest(), outputs
+
+
+def digest() -> str:
+    """Lines: the SHA-256 and output count of the whole set (``total``),
+    then of each section, named by its function."""
     total = hashlib.sha256()
     count = 0
     lines = []
-    for section in sections:
-        sha = hashlib.sha256()
-        outputs = 0
-        for output in section():
-            line = repr(output).encode() + b"\n"
-            sha.update(line)
-            total.update(line)
-            outputs += 1
-        lines.append(f"{section.__name__} {sha.hexdigest()} {outputs}")
+    for section in SECTIONS:
+        sha, outputs = section_digest(section, total)
+        lines.append(f"{section.__name__} {sha} {outputs}")
         count += outputs
-    lines.insert(0, f"total {total.hexdigest()} {count}")
-    return "\n".join([str(Path(colordecode.__file__).parent)] + lines)
-
-
-def _start(tree: Path) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.Popen(
-        [sys.executable, "-c", "import identity; print(identity.digest())"],
-        cwd=SCRIPTS,
-        env=env,
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__.split("\n\n")[0], allow_abbrev=False
-    )
-    parser.add_argument("--base", required=True, type=Path,
-                        help="root of the checkout to compare against")
-    args = parser.parse_args(argv)
-
-    trees = {"working tree": SCRIPTS.parent, "base": args.base.resolve()}
-    for name, tree in trees.items():
-        if not (tree / "src" / "colordecode").is_dir():
-            print(f"error: {tree} has no src/colordecode", file=sys.stderr)
-            return 2
-    # both sides at once, one process each
-    procs = {name: _start(tree) for name, tree in trees.items()}
-    outputs = {name: proc.communicate()[0] for name, proc in procs.items()}
-    # per tree, (section, digest) pairs, the total first
-    digests = {}
-    for name, out in outputs.items():
-        if procs[name].returncode != 0:
-            print(f"error: decoding with the {name} failed", file=sys.stderr)
-            return 2
-        package, *lines = out.strip().splitlines()
-        if not Path(package).is_relative_to(trees[name]):
-            print(f"error: the {name} imported {package}", file=sys.stderr)
-            return 2
-        print(f"{name}: {package}")
-        digests[name] = []
-        for line in lines:
-            section, sha, count = line.split()
-            digests[name].append((section, sha))
-            print(f"  {section:<20} {sha}  {count} outputs")
-    work, base = digests.values()
-    moved = [section for (section, a), (_, b) in zip(work, base) if a != b]
-    if moved:
-        print("differ: " + " ".join(s for s in moved if s != "total"))
-    else:
-        print("equal")
-    return 1 if moved else 0
+    return "\n".join([f"total {total.hexdigest()} {count}"] + lines)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    print(digest())

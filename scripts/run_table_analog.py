@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 
+from colordecode import cli
 from colordecode.evaluation import GridSpec, run_method_comparison
 from colordecode.scorers import SCORER_KINDS
 
@@ -20,12 +21,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--kinds", nargs="+", default=list(SCORER_KINDS),
                         choices=SCORER_KINDS)
-    parser.add_argument("--test-utterances", type=int, default=200)
-    parser.add_argument("--validation-utterances", type=int, default=40)
+    parser.add_argument("--test-utterances", type=cli._positive_int, default=200)
+    parser.add_argument("--validation-utterances", type=cli._positive_int,
+                        default=40)
     parser.add_argument("--rate", type=float, default=0.3)
     parser.add_argument("--noise", type=float, default=0.25)
-    parser.add_argument("--beam-width", type=int, default=16)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--beam-width", type=cli._beam_width, default=16)
+    parser.add_argument("--jobs", type=cli._positive_int, default=1)
     parser.add_argument("--full-grid", action="store_true",
                         help="sweep the complete hyperparameter grids")
     parser.add_argument("--workdir", default=None,
