@@ -16,6 +16,15 @@ from colordecode.evaluation import GridSpec, run_method_comparison
 from colordecode.scorers import SCORER_KINDS
 
 
+def _noise_level(raw: str) -> float:
+    """A ``--noise`` value: finite and in [0, 1), as ``SynthesisSpec``
+    needs it."""
+    value = cli._finite_float(raw)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
@@ -24,8 +33,8 @@ def main(argv=None) -> int:
     parser.add_argument("--test-utterances", type=cli._positive_int, default=200)
     parser.add_argument("--validation-utterances", type=cli._positive_int,
                         default=40)
-    parser.add_argument("--rate", type=float, default=0.3)
-    parser.add_argument("--noise", type=float, default=0.25)
+    parser.add_argument("--rate", type=cli._weight_float, default=0.3)
+    parser.add_argument("--noise", type=_noise_level, default=0.25)
     parser.add_argument("--beam-width", type=cli._beam_width, default=16)
     parser.add_argument("--jobs", type=cli._positive_int, default=1)
     parser.add_argument("--full-grid", action="store_true",

@@ -16,12 +16,12 @@ references: a node keeps its ancestors alive but not its descendants,
 so the tree has no reference cycles and a branch that leaves the beam
 is freed as soon as nothing points to it.
 
-A frame scores a child that has no live node without building it: its
+A frame scores a child that is not a beam without building it: its
 score is its one acoustic mass plus its text score. Only the children
-that make the next beam become nodes; the rest could never be ranked
-into it. Word deltas are memoized per utterance by
-(scorer state, word, color), so a word that completes the same history
-again is not rescored. A word that left every trie, or an unconstrained
+that make the next beam become nodes, or keep the node they still have;
+the rest could never be ranked into it. Word deltas are memoized per
+utterance by (scorer state, word, color), so a word that completes the
+same history again is not rescored. A word that left every trie, or an unconstrained
 one, is spelled only when it completes or the utterance ends; the
 spelling is then kept on its node, built from its parent's.
 
@@ -39,22 +39,22 @@ state, and a node keeps its state's entry from its first expansion on,
 so a beam that stays for many frames looks it up once. From the frame's
 first wide beam on, a min-heap holds the largest ``beam_width`` lower
 bounds found so far on the final scores of distinct candidates: each
-expanded beam's larger next mass so far plus its text score (a merge
-only raises it), and every fresh child accepted since. Once the heap
-is full its least element, the floor, is at most the cutoff.
+beam's larger next mass plus its text score, and every child accepted
+since. Once the heap is full its least element, the floor, is at most
+the cutoff.
 
 Every beam, narrow or wide, runs one loop over its directly scored
-extensions: a live child takes the extension's mass, a fresh child
-strictly below the floor is skipped, and any other fresh child becomes
-a candidate and, once the heap is started, a bound. A narrow beam scores
-all its extensions so. A wide beam first merges the mass of every live
-child, whatever its column, then scores its completing children (a word
-delta may be positive) and its on-trie children beside off-trie ones,
-then walks the remaining columns from the likeliest down. Those children
-share one text score, so a child at column ``c`` scores at most
-``(total + row[c]) + text``; IEEE addition is monotone, so once that
-falls strictly below the floor no child of this beam at this or a later
-column can reach the cutoff, and the walk stops. A repeat of the last
+extensions: a child that is a beam is passed over, as it has taken the
+extension's mass itself; any other child strictly below the floor is
+skipped, and the rest become candidates and, once the heap is started,
+bounds. A narrow beam scores all its extensions so. A wide beam scores
+so its completing children (a word delta may be positive) and its
+on-trie children beside off-trie ones, then walks the remaining columns
+from the likeliest down. Those children share one text score, so a
+child at column ``c`` scores at most ``(total + row[c]) + text``; IEEE
+addition is monotone, so once that falls strictly below the floor no
+child of this beam at this or a later column can reach the cutoff, and
+the walk stops. A repeat of the last
 column with no blank-ending mass adds nothing and is passed over. The
 children skipped were below the cutoff, so transcripts and scores are
 bit-identical to scoring every extension.
@@ -72,31 +72,33 @@ spelled and scored as before.
 A beam is a node holding two acoustic masses in log10, the probability
 of all frame paths ending in blank (``p_blank``) and in the prefix's
 last character (``p_nonblank``), and its score, acoustic mass times
-text score, set once the masses are final. A frame sums the next masses
-in two more slots of the node (``next_b``, ``next_nb``), as it still
-reads the current ones. It writes every beam's stay there first, then
-extends: an extension adds to a beam's stay and starts the masses of
-any other live child, recording the frame on it. The frame lists the
-beams, then those other children; when it ends each listed node takes
-its next masses and is scored once; a built child is scored by the
-score it was ranked by.
+text score, set once the masses are final. A frame first marks its
+beams with its index. Then each beam writes its next masses in two more
+slots of the node (``next_b``, ``next_nb``), as the frame still reads
+the current ones: its stay and, when its parent is a beam too, the
+parent's extension. A prefix has one parent and a state's labels are
+distinct, so that is all it takes. Only then do extensions run, and
+they make only children that are not beams: one never built, or one
+that left the beam and is still alive. When the frame ends each beam
+takes its next masses and is scored once; a kept child takes the score
+it was ranked by, on the node it still has or else on a new one.
 
 Each frame ends in one call of ``_select``, which keeps the
-``beam_width`` best candidates, merged beams and unbuilt children alike,
-and returns them as they are when they fit. It selects, not sorts: when
+``beam_width`` best candidates, beams and scored children alike, and
+returns them as they are when they fit. It selects, not sorts: when
 more candidates tie at the cutoff than fit, only the tied ones are
 ordered (shorter, then lexicographically smaller prefix first), since
 two candidates of one length compare as their parents do and then as
-their labels. Only the children it keeps become nodes, and the next
+their labels. Only the children it keeps get nodes, and the next
 frame expands exactly what it kept; after the last frame, that is the
 beam finishing reads. The selected beams are expanded best first, so
 that a wide beam starts the floor high, but the order changes no bit of
-the result. A prefix's masses for the next frame get at most two
-contributions, its own stay, always written first, and its one parent's
-extension. The cutoff is the ``beam_width``-th best of a multiset, and
-the floor skips only candidates strictly below it, however the floor
-rose, so the same candidates survive. Finishing takes the minimum over a
-strict total order.
+the result: every beam's masses are set before any extension runs, and
+each child's one mass is its parent's. The cutoff is the
+``beam_width``-th best of a multiset, and the floor skips only
+candidates strictly below it, however the floor rose, so the same
+candidates survive. Finishing takes the minimum over a strict total
+order.
 
 A decode takes the log10 view of the logits once, and a frame converts
 only its own row of it to Python floats. The non-blank columns ranked
@@ -109,8 +111,8 @@ The CTC repeat rule compares raw columns, ignoring color: extending a
 prefix with the column it already ends in consumes only the blank-ending
 mass, so colors never manufacture acoustic paths that plain CTC would
 collapse. Because text metadata is a pure function of the prefix and
-every live prefix has exactly one node, duplicate prefixes merge by
-summing masses under the node's identity.
+every live prefix has exactly one node, a beam's stay and its parent's
+extension sum on that node.
 """
 
 from __future__ import annotations
@@ -140,7 +142,6 @@ __all__ = [
     "MalformedLogits",
     "LogitsMatrix",
     "ColoredTranscript",
-    "Prefix",
     "DecoderConfig",
     "DecodeStats",
     "decode",
@@ -281,9 +282,9 @@ class Prefix:
     node with it, if one was made. A beam also holds its masses
     ``p_blank`` and ``p_nonblank``, their sum ``total`` and its
     ``score``, ``total`` plus ``p_text``, which ``decode`` sets; it sums
-    its masses for the next frame in ``next_b`` and ``next_nb``, a beam's
-    stay first and its parent's extension then, in frame ``frame`` (-1
-    before any).
+    its masses for the next frame in ``next_b`` and ``next_nb``, its stay
+    first and then its parent's extension when the parent is a beam too.
+    ``frame`` is the last frame the node was a beam in (-1 before any).
     ``entry`` is the successor table entry of the word state, None
     until the node is first expanded. ``spelling`` is None until
     ``_spelling`` first reads the pending word of this in-word node.
@@ -473,14 +474,15 @@ def _unknown_deltas(
 def _select(
     beams: list[Prefix], fresh: list[tuple], limit: int
 ) -> tuple[list[Prefix], list[tuple]]:
-    """The ``limit`` best of the candidates ``beams`` (nodes) and
-    ``fresh`` (unbuilt children, score first), in no promised order:
-    both lists themselves when they hold at most ``limit`` in all, else
-    those above the ``limit``-th best score, then as many of those tied
-    with it as fit, shorter and then lexicographically smaller prefixes
-    first. Two candidates of one depth compare as their parents do, then
-    as their labels; no two candidates spell one prefix. ``decode``
-    selects its next beam by this call as each frame ends."""
+    """The ``limit`` best of the candidates ``beams`` (the frame's beams)
+    and ``fresh`` (children that are not beams, score first), in no
+    promised order: both lists themselves when they hold at most
+    ``limit`` in all, else those above the ``limit``-th best score, then
+    as many of those tied with it as fit, shorter and then
+    lexicographically smaller prefixes first. Two candidates of one
+    depth compare as their parents do, then as their labels; no two
+    candidates spell one prefix. ``decode`` selects its next beam by
+    this call as each frame ends."""
     if len(beams) + len(fresh) <= limit:
         return beams, fresh
     ranked = [b.score for b in beams] + [c[0] for c in fresh]
@@ -612,17 +614,35 @@ def decode(
         # the best beam first, so that a wide one starts the floor high
         best.sort(key=_EXPANSION_KEY, reverse=True)
 
-        # stays first (blank, or the last character repeated within one
-        # CTC segment), so an extension only adds to a beam's masses
+        # Every beam takes its own next masses before any extension
+        # runs: its stay (blank, or the last character repeated within
+        # one CTC segment) and then, when its parent is a beam too, the
+        # parent's extension, ``logaddexp10`` written out. A prefix's
+        # parent is expanded once per frame, so that is all it takes.
         for node in best:
             node.frame = t
+        for node in best:
             node.next_b = node.total + row[blank]
-            node.next_nb = node.p_nonblank + row[node.col] if node.depth else NEG_INF
-        # the nodes this frame writes: the beams, then the other live
-        # children the extensions reach; each live prefix has one node
-        touched = best.copy()
-        # children with no live node, scored but not yet built:
-        # (score, mass, parent, extension, label, p_text, word, scorer state)
+            parent = node.parent
+            if parent is None:
+                node.next_nb = NEG_INF
+                continue
+            col = node.col
+            stay = node.p_nonblank + row[col]
+            if parent.frame == t:
+                # extending with the column the prefix ends in starts a
+                # new CTC segment, so only blank-ending paths carry over
+                last = parent.col
+                mass = (parent.p_blank if col == last else parent.total) + row[col]
+                if stay == NEG_INF:
+                    stay = mass
+                elif stay < mass:
+                    stay = mass + log1p(10.0 ** (stay - mass)) / LN10
+                elif mass != NEG_INF:
+                    stay += log1p(10.0 ** (mass - stay)) / LN10
+            node.next_nb = stay
+        # children that are not beams, scored but not yet built: (score,
+        # mass, parent, extension, label, p_text, word, scorer state)
         fresh: list[tuple] = []
         # Lower bounds on the final scores of distinct candidates, a
         # min-heap of the beam_width largest, started by the frame's
@@ -651,75 +671,32 @@ def decode(
             # read only by off-trie children, which need off-lexicon spelling
             off_text = p_text + subword_penalty if allow_off else p_text
 
-            if by_col is not None:
-                # a wide state: the first one of the frame starts the floor
-                if bounds is None:
-                    if ranked is None:
-                        ranked = logits.ranked_columns()
-                    columns = ranked[t].tolist()
-                    # a beam's final score is at least its larger next
-                    # mass so far plus its text score
-                    bounds = [max(o.next_b, o.next_nb) + o.p_text for o in best]
-                    heapq.heapify(bounds)
-                    if len(bounds) == beam_width:
-                        floor = bounds[0]
-
-                # Live children take their mass whatever their column:
-                # each may stay in the beam on its own mass.
-                for (col, _color), ref in children.items():
-                    child = ref()
-                    if child is None:
-                        continue
-                    mass = (p_blank if col == last else total) + row[col]
-                    if mass == NEG_INF:
-                        continue
-                    if child.frame != t:
-                        child.frame = t
-                        child.next_b = NEG_INF
-                        child.next_nb = mass
-                        touched.append(child)
-                        continue
-                    # a beam: add to its stay, ``logaddexp10`` written out
-                    stay = child.next_nb
-                    if stay == NEG_INF:
-                        child.next_nb = mass
-                    elif stay < mass:
-                        child.next_nb = mass + log1p(10.0 ** (stay - mass)) / LN10
-                    else:
-                        child.next_nb = stay + log1p(10.0 ** (mass - stay)) / LN10
+            if by_col is not None and bounds is None:
+                # the frame's first wide state starts the floor
+                if ranked is None:
+                    ranked = logits.ranked_columns()
+                columns = ranked[t].tolist()
+                # a beam's final score is at least its larger next mass
+                # plus its text score
+                bounds = [max(o.next_b, o.next_nb) + o.p_text for o in best]
+                heapq.heapify(bounds)
+                if len(bounds) == beam_width:
+                    floor = bounds[0]
 
             # A wide state scores its completing children (a word delta
             # may be positive) and on-trie ones beside off-trie ones here.
             for col, label, ext, completes, off_trie in succ:
-                # extending with the column the prefix ends in starts a
-                # new CTC segment, so only blank-ending paths carry over
                 mass = (p_blank if col == last else total) + row[col]
                 if mass == NEG_INF:
                     continue
                 if children:
                     ref = children.get(label)
-                    child = None if ref is None else ref()
-                    if child is not None:
-                        if by_col is not None:
-                            continue
-                        if child.frame != t:
-                            child.frame = t
-                            child.next_b = NEG_INF
-                            child.next_nb = mass
-                            touched.append(child)
-                            continue
-                        stay = child.next_nb
-                        if stay == NEG_INF:
-                            child.next_nb = mass
-                        elif stay < mass:
-                            child.next_nb = mass + log1p(10.0 ** (stay - mass)) / LN10
-                        else:
-                            child.next_nb = stay + log1p(10.0 ** (mass - stay)) / LN10
-                        continue
-                # No live node: its parent is expanded once per frame and
-                # a state's labels are distinct, so this is the child's
-                # only mass this frame. Score it; build it only if it can
-                # rank.
+                    if ref is not None:
+                        child = ref()
+                        if child is not None and child.frame == t:
+                            continue  # a beam, which took this mass itself
+                # This is the child's only mass this frame. Score it;
+                # build it only if it can rank.
                 word = None
                 scorer_state = node.scorer_state
                 text = off_text if off_trie else p_text
@@ -772,8 +749,10 @@ def decode(
                 for _col, label, ext, _completes, _off_trie in exts:
                     if children:
                         ref = children.get(label)
-                        if ref is not None and ref() is not None:
-                            continue
+                        if ref is not None:
+                            child = ref()
+                            if child is not None and child.frame == t:
+                                continue
                     fresh.append(
                         (score, mass, node, ext, label, text, None, scorer_state)
                     )
@@ -785,7 +764,7 @@ def decode(
             stats.spawned.append(sum(node.entry[0] for node in best))
         # the masses are final: each beam is scored once, as they are
         # set, with ``logaddexp10`` written out
-        for node in touched:
+        for node in best:
             a = node.p_blank = node.next_b
             b = node.p_nonblank = node.next_nb
             if a == NEG_INF:
@@ -798,16 +777,20 @@ def decode(
                 total = a + log1p(10.0 ** (b - a)) / LN10
             node.total = total
             node.score = total + node.p_text
-        # the next beam, so only the children in it become nodes
-        best, fresh = _select(touched, fresh, beam_width)
+        # the next beam, so only the children in it become nodes; a
+        # child that left the beam but is still alive keeps its node
+        best, fresh = _select(best, fresh, beam_width)
         for score, mass, node, ext, label, p_text, word, scorer_state in fresh:
-            words = node.words
-            if word is not None:
-                words = (words, word, ext.color)
-            child = Prefix(
-                node, ext.col, ext.color, p_text, words, ext.state, scorer_state
-            )
-            node.children[label] = weakref.ref(child)
+            ref = node.children.get(label)
+            child = None if ref is None else ref()
+            if child is None:
+                words = node.words
+                if word is not None:
+                    words = (words, word, ext.color)
+                child = Prefix(
+                    node, ext.col, ext.color, p_text, words, ext.state, scorer_state
+                )
+                node.children[label] = weakref.ref(child)
             # its total is its one mass, and its score the mass plus its
             # text score that it was ranked by
             child.p_blank = NEG_INF

@@ -204,13 +204,17 @@ class RandomInstance:
 
 
 _LETTER_POOL = "abc"
+# the most colors a random instance draws
+_MAX_COLORS = 2
+# the score divergence beyond which ``run_verification`` reports a
+# mismatch
+_TOLERANCE = 1e-9
 
 
 def random_instance(
     rng: random.Random,
     max_frames: int = 4,
     max_chars: int = 3,
-    num_colors: int = 2,
     max_words: int = 3,
     min_colors: int = 1,
 ) -> RandomInstance:
@@ -229,7 +233,7 @@ def random_instance(
     chars = _LETTER_POOL[:k]
     sep = chars[-1] if k >= 2 and rng.random() < 0.7 else None
     word_chars = chars.replace(sep, "") if sep else chars
-    colors = rng.randint(min_colors, num_colors)
+    colors = rng.randint(min_colors, _MAX_COLORS)
     alphabet = ColoredAlphabet(tuple(chars), colors, sep)
 
     tries: list[LexiconTrie] = []
@@ -297,15 +301,13 @@ def run_verification(
     seed: int,
     max_frames: int = 4,
     max_chars: int = 3,
-    tolerance: float = 1e-9,
     min_colors: int = 1,
-    num_colors: int = 2,
 ) -> VerificationReport:
     """Cross-check the beam search against the oracle on random instances.
 
     The search runs with a beam wide enough to hold every enumerated
     prefix, so any disagreement in transcript or score (beyond
-    ``tolerance``) is a defect, not a search error.
+    ``_TOLERANCE``) is a defect, not a search error.
     """
     rng = random.Random(seed)
     report = VerificationReport(instances=instances)
@@ -315,7 +317,6 @@ def run_verification(
             max_frames=max_frames,
             max_chars=max_chars,
             min_colors=min_colors,
-            num_colors=num_colors,
         )
         oracle = exhaustive_decode(
             inst.logits, inst.scorer, inst.alphabet, inst.tries
@@ -332,7 +333,7 @@ def run_verification(
         else:
             divergence = abs(got.score - oracle.best.score)
         report.max_score_divergence = max(report.max_score_divergence, divergence)
-        if got.words != oracle.best.words or divergence > tolerance:
+        if got.words != oracle.best.words or divergence > _TOLERANCE:
             report.mismatches.append(
                 {
                     "instance": index,

@@ -53,9 +53,7 @@ def test_criterion_1_oracle_equivalence():
         seed=20260815,
         max_frames=4,
         max_chars=3,
-        tolerance=1e-9,
         min_colors=2,
-        num_colors=2,
     )
     elapsed = time.perf_counter() - start
     ok = report.ok and report.max_score_divergence <= 1e-9 and elapsed < 10.0

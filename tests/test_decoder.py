@@ -1123,6 +1123,49 @@ def test_frame_builds_nodes_only_for_candidates_that_can_rank(monkeypatch):
             assert got.words
 
 
+def test_a_prefix_that_comes_back_to_the_beam_keeps_its_node(monkeypatch):
+    """A child that left the beam while a descendant stayed is still
+    alive; when its parent's extension brings it back, ``decode`` reuses
+    its node and never builds a second ``Prefix`` for the prefix. At
+    beams 1-3 over 24 random frames prefixes leave the beam and come
+    back."""
+    returned = [0]
+    select = decoder_module._select
+
+    class InterningPrefix(Prefix):
+        __slots__ = ()
+
+        def __init__(self, parent, col, color, *args):
+            if parent is not None:
+                ref = parent.children.get((col, color))
+                assert ref is None or ref() is None, "a second node for one prefix"
+            super().__init__(parent, col, color, *args)
+
+    def count(beams, fresh, limit):
+        kept_beams, kept_fresh = select(beams, fresh, limit)
+        # the ancestors of a kept beam stay alive until the build step
+        ancestors = set()
+        for node in kept_beams:
+            while node is not None:
+                ancestors.add(id(node))
+                node = node.parent
+        for c in kept_fresh:
+            ref = c[2].children.get(c[4])
+            returned[0] += ref is not None and id(ref()) in ancestors
+        return kept_beams, kept_fresh
+
+    monkeypatch.setattr(decoder_module, "Prefix", InterningPrefix)
+    monkeypatch.setattr(decoder_module, "_select", count)
+    rng = random.Random(4409)
+    for _ in range(200):
+        inst = random_instance(rng, max_frames=6, max_words=4)
+        logits = LogitsMatrix.from_linear(random_rows(rng, 24, inst.logits.columns))
+        for width in (1, 2, 3):
+            config = DecoderConfig(inst.alphabet, inst.tries, inst.scorer, width)
+            decode(logits, config)
+    assert returned[0] > 0
+
+
 def test_tie_at_the_cutoff_keeps_fresh_candidates():
     """Two frames uniform over {a, b, blank}, unconstrained, at beam 2.
     Frame 1 ranks '', 'a' and 'b' at 1/3 each: the cutoff is 1/3, and

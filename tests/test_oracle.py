@@ -5,7 +5,8 @@ from collections import defaultdict
 
 import pytest
 
-from colordecode.decoder import DecoderConfig, LogitsMatrix, decode
+import colordecode.oracle as oracle_module
+from colordecode.decoder import ColoredTranscript, DecoderConfig, LogitsMatrix, decode
 from colordecode.lexicon import ColoredAlphabet, build_trie
 from colordecode.ngram_lm import NGramModel, merge_colored
 from colordecode.logmath import NEG_INF, logsumexp10
@@ -222,6 +223,53 @@ def test_run_verification_clean():
     assert report.instances == 30
     assert report.mismatches == []
     assert report.max_score_divergence <= 1e-9
+
+
+def test_run_verification_reports_a_planted_fault(monkeypatch):
+    """A search whose score is off by 1e-6 on one instance fails the
+    verification: the report lists that instance alone, with the
+    oracle's transcript and the faulty one, and is not ok."""
+    calls = [0]
+
+    def faulty(logits, config):
+        got = decode(logits, config)
+        calls[0] += 1
+        if calls[0] == 3:
+            return ColoredTranscript(got.words, got.score + 1e-6)
+        return got
+
+    monkeypatch.setattr(oracle_module, "decode", faulty)
+    report = run_verification(instances=5, seed=123)
+    assert not report.ok
+    assert [m["instance"] for m in report.mismatches] == [2]
+    mismatch = report.mismatches[0]
+    assert mismatch["expected"].score != NEG_INF
+    assert mismatch["got"].words == mismatch["expected"].words
+    assert mismatch["got"].score == pytest.approx(
+        mismatch["expected"].score + 1e-6, abs=1e-9
+    )
+    assert report.max_score_divergence == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_run_verification_agrees_where_nothing_finishes(monkeypatch):
+    """Over "a" with the one word "aa", no off-lexicon spelling and a
+    frame that is all "a", every label is an unfinished word, so neither
+    the search nor the oracle finds a transcript: the divergence is 0
+    and there is no mismatch."""
+    alphabet = ColoredAlphabet(("a",), 1, None)
+    inst = RandomInstance(
+        LogitsMatrix.from_linear([[1.0, 0.0]]),
+        alphabet,
+        [build_trie(alphabet, 0, ["aa"])],
+        NullScorer(ScorerConfig()),
+    )
+    best = exhaustive_decode(inst.logits, inst.scorer, alphabet, inst.tries).best
+    assert best.score == NEG_INF
+    monkeypatch.setattr(oracle_module, "random_instance", lambda *args, **kwargs: inst)
+    report = run_verification(instances=3, seed=0)
+    assert report.ok
+    assert report.mismatches == []
+    assert report.max_score_divergence == 0.0
 
 
 # ---------------------------------------------------------------------------

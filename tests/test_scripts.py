@@ -33,11 +33,18 @@ def test_the_method_table_takes_every_scorer_kind(capsys):
     ("--jobs", "0", "must be at least 1, got 0"),
     ("--test-utterances", "0", "must be at least 1, got 0"),
     ("--validation-utterances", "0", "must be at least 1, got 0"),
+    ("--rate", "1.5", "must lie in [0, 1], got 1.5"),
+    ("--rate", "nan", "must be finite, got nan"),
+    ("--noise", "1.5", "must lie in [0, 1), got 1.5"),
+    ("--noise", "1", "must lie in [0, 1), got 1.0"),
+    ("--noise", "nan", "must be finite, got nan"),
 ], ids=["beam-width-0", "beam-width-above-maximum", "jobs-0", "test-utterances-0",
-        "validation-utterances-0"])
+        "validation-utterances-0", "rate-above-1", "rate-nan", "noise-above-1",
+        "noise-1", "noise-nan"])
 def test_the_method_table_refuses_a_count_out_of_range(capsys, flag, value, message):
-    """A count out of range exits 2 at parse time with one line naming
-    the flag, as ``colordecode`` does, before any corpus is decoded."""
+    """A count, rate or noise level out of range exits 2 at parse time
+    with one line naming the flag, as ``colordecode`` does, before any
+    corpus is decoded."""
     with pytest.raises(SystemExit) as exc:
         _table_script().main([
             "--seeds", "1", "--kinds", "none", "--test-utterances", "2",
